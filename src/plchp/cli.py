@@ -18,7 +18,7 @@ from .dl_syntax import (
     DlSafetyFormula, parse_dl_formula, parse_dl_model, parse_dl_program,
     print_dl_model,
 )
-from .errors import NotNormalForm, ParseError, PlchpError
+from .errors import InputFileError, NotNormalForm, ParseError, PlchpError
 from .ir import (
     Assign as IrAssign, Ident, Number, PlantSpec, State, TRUE, list_to_seq,
     seq_to_list,
@@ -43,6 +43,9 @@ def main(argv=None) -> int:
         return 1
     except PlchpError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except OSError as exc:  # a missing, unreadable or unwritable file
+        sys.stderr.write(f"error: {exc.filename}: {exc.strerror}\n")
         return 1
 
 
@@ -206,21 +209,50 @@ def cmd_difftest(args) -> int:
 
 
 def _load_run_config(args, model) -> tuple:
-    raw = json.loads(_read(args, args.inputs))
-    params = {Ident(k): float(v) for k, v in raw.get("params", {}).items()}
-    init = {Ident(k): float(v) for k, v in raw.get("init", {}).items()}
-    spec = raw.get("inputs", {"mode": "constant", "values": {}})
+    path = args.inputs
+    try:
+        raw = json.loads(_read(args, path))
+    except json.JSONDecodeError as exc:
+        raise InputFileError(path, exc.msg, exc.lineno, exc.colno) from None
+
+    def member(obj: dict, key: str, default: dict) -> dict:
+        value = obj.get(key, default)
+        if not isinstance(value, dict):
+            raise InputFileError(path, f"{key!r} must be a JSON object")
+        return value
+
+    def bindings(obj: dict, key: str, value=float) -> dict:
+        """Member `key` of `obj`: an object binding variables to values."""
+        pairs = member(obj, key, {})
+        try:
+            return {Ident(k): value(v) for k, v in pairs.items()}
+        except (TypeError, ValueError) as exc:
+            raise InputFileError(path, f"{key!r}: {exc}") from None
+
+    def bounds(pair) -> tuple[float, float]:
+        lo, hi = pair
+        return float(lo), float(hi)
+
+    if not isinstance(raw, dict):
+        raise InputFileError(path, "a run configuration is a JSON object")
+    params = bindings(raw, "params")
+    init = bindings(raw, "init")
+    spec = member(raw, "inputs", {"mode": "constant", "values": {}})
     mode = spec.get("mode", "constant")
     if mode == "constant":
-        provider = ConstantInputs({Ident(k): float(v) for k, v in spec.get("values", {}).items()})
+        provider = ConstantInputs(bindings(spec, "values"))
     elif mode == "uniform":
-        ranges = {
-            Ident(k): (float(lo), float(hi))
-            for k, (lo, hi) in spec.get("ranges", {}).items()
-        }
-        provider = UniformInputs(ranges, seed=int(spec.get("seed", 0)))
+        ranges = bindings(spec, "ranges", bounds)
+        try:
+            seed = int(spec.get("seed", 0))
+        except (TypeError, ValueError) as exc:
+            raise InputFileError(path, f"'seed': {exc}") from None
+        provider = UniformInputs(ranges, seed=seed)
     elif mode == "csv":
-        _, rows = read_trace_file(spec["path"])
+        trace = spec.get("path")
+        if not isinstance(trace, str):
+            raise InputFileError(path, "input mode 'csv' needs a 'path' string")
+        _, rows = read_trace_file(trace)
         wanted = set(model.inputs)
         provider = CsvInputs(tuple(
             {k: v for k, v in row.items() if isinstance(k, Ident) and k in wanted}
@@ -229,6 +261,7 @@ def _load_run_config(args, model) -> tuple:
     else:
         raise PlchpError(f"unknown input mode {mode!r}")
     return State(params | init), provider
+
 
 
 def cmd_simulate(args) -> int:

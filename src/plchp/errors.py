@@ -81,5 +81,17 @@ class SchemaError(PlchpError):
         super().__init__("trace is missing columns: " + ", ".join(str(m) for m in self.missing))
 
 
+class InputFileError(PlchpError):
+    """A data file (trace CSV, run configuration) is malformed. The message
+    starts with the file name and, where known, the line and column."""
+
+    def __init__(self, path, message: str, line: int | None = None, col: int | None = None):
+        self.path = str(path)
+        self.line = line
+        self.col = col
+        where = self.path + "".join(f":{n}" for n in (line, col) if n is not None)
+        super().__init__(f"{where}: {message}")
+
+
 class NondeterministicCtrl(PlchpError):
     """Compliance checking requires a fully complemented (deterministic) controller."""

@@ -496,6 +496,11 @@ class State:
         except KeyError:
             raise UnboundVariable(name) from None
 
+    def values_at(self, names) -> list:
+        """The value of each name in turn, None where unbound."""
+        get = self._bindings.get
+        return [get(name) for name in names]
+
     def set(self, name: Ident, value: float) -> "State":
         if not isinstance(name, Ident):
             raise TypeError("state keys must be Ident")

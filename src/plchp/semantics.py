@@ -52,15 +52,20 @@ def eval_term(t: Term, s: State) -> float:
                 raise DivisionByZero(f"division by zero in {t}")
             return left / right
         if t.op == POW:
-            try:
-                if left < 0.0 and right != int(right):
-                    raise DomainError("negative base with non-integer exponent")
-                if left == 0.0 and right < 0.0:
-                    raise DivisionByZero("zero base with negative exponent")
-                return left ** right
-            except OverflowError:
-                raise DomainError("power overflow") from None
+            return power(left, right)
     raise TypeError(f"not a term: {type(t).__name__}")
+
+
+def power(left: float, right: float) -> float:
+    """`left ** right`, with errors instead of complex or infinite results."""
+    try:
+        if left < 0.0 and right != int(right):
+            raise DomainError("negative base with non-integer exponent")
+        if left == 0.0 and right < 0.0:
+            raise DivisionByZero("zero base with negative exponent")
+        return left ** right
+    except OverflowError:
+        raise DomainError("power overflow") from None
 
 
 _CMP = {

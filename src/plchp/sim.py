@@ -7,6 +7,14 @@ evolution domain stops the run with a diagnostic. The integrator is a
 fixed-step RK4 with an exact closed form when every right-hand side is
 constant in the evolving variables over the cycle.
 
+The controller, the plant's right-hand sides and its evolution domain are
+compiled once per run into closures over slot-indexed floats (see
+`compiled`), and so is the per-plant analysis; a cycle builds a `State`
+only for the snapshots it records. The closures perform the reference
+interpreters' float operations in the same order and raise the same
+errors, and the tests hold them to `eval_term`, `eval_formula` and
+`run_st` bit for bit.
+
 Compliance checking replays recorded sensor values through a deterministic
 controller and flags rows whose recorded actuations deviate, aggregated
 into maximal ranges of consecutive cycles.
@@ -20,17 +28,21 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .analysis import IoClassification, extract_epsilon
+from .compiled import Layout, Slots, compile_formula, compile_st, compile_term, read
 from .dl_syntax import print_dl_formula
 from .errors import (
-    MissingEpsilon, MissingInput, NondeterministicCtrl, PlchpError,
-    SchemaError,
+    InputFileError, MissingEpsilon, MissingInput, NondeterministicCtrl,
+    PlchpError, SchemaError, UnboundVariable,
 )
 from .ir import (
     ADD, BinOp, Cmp, DIV, Formula, GE, GT, Ident, LE, LT, MUL, Neg, Number,
     POW, PlantSpec, Program, ScanCycleModel, State, SUB, TRUE, Var,
     collect_vars, conjuncts,
 )
-from .semantics import derive_seed, eval_formula, eval_term, fully_complemented, run_st
+from .semantics import derive_seed, eval_formula, fully_complemented
+# Not called here since evaluation is compiled, but the benchmark's layer
+# tracer (perfbench/tracing.py) wraps these names in this module.
+from .semantics import eval_term, run_st  # noqa: F401
 from .translate import prog_hp_to_st
 
 
@@ -67,8 +79,41 @@ def plant_is_affine(plant: PlantSpec) -> bool:
     return all(not (collect_vars(rhs) & evolving) for _, rhs in plant.odes)
 
 
+class CompiledPlant:
+    """A plant compiled once for all the cycles of a run: right-hand sides,
+    evolution domain and its conjuncts as closures over one layout, plus
+    the per-plant analysis (affinity, which conjuncts are solved exactly)."""
+
+    def __init__(self, plant: PlantSpec):
+        self.spec = plant
+        self.layout = layout = Layout()
+        self.odes = [(x, layout.slot(x)) for x, _ in plant.odes]
+        self.clock = layout.slot(plant.clock)
+        self.rates = [compile_term(rhs, layout) for _, rhs in plant.odes]
+        self.affine = plant_is_affine(plant)
+        self.domain = None if plant.domain == TRUE else compile_formula(plant.domain, layout)
+        # (conjunct, its closure, (relation, left, right) when it is a
+        # comparison affine in the evolving variables, else None)
+        self.parts = []
+        if self.domain is not None:
+            evolving = set(plant.state_vars()) | {plant.clock}
+            for part in conjuncts(plant.domain):
+                linear = None
+                if isinstance(part, Cmp) and part.rel in (LT, LE, GT, GE) and \
+                        _is_affine_term(part.left, evolving) and _is_affine_term(part.right, evolving):
+                    linear = (part.rel, compile_term(part.left, layout),
+                              compile_term(part.right, layout))
+                self.parts.append((part, compile_formula(part, layout), linear))
+
+    def failing_conjunct(self, values: Slots) -> Formula:
+        for part, holds, _ in self.parts:
+            if not holds(values):
+                return part
+        return self.spec.domain
+
+
 def integrate_plant(
-    plant: PlantSpec,
+    plant: PlantSpec | CompiledPlant,
     s: State,
     duration: float,
     cfg: IntegratorConfig = IntegratorConfig(),
@@ -77,56 +122,56 @@ def integrate_plant(
 
     The clock advances by exactly `duration` (the implied bound
     `clock <= eps` is enforced by the caller's choice of duration, not
-    re-checked here).
+    re-checked here). A caller integrating the same plant many times passes
+    it compiled once, as a `CompiledPlant`.
     """
     if duration < 0:
         raise ValueError("duration must be non-negative")
     if duration == 0:
         return s, None
+    if not isinstance(plant, CompiledPlant):
+        plant = CompiledPlant(plant)
     method = cfg.method
-    affine = plant_is_affine(plant)
-    if method == "affine" and not affine:
+    if method == "affine" and not plant.affine:
         raise ValueError("plant is not affine; use rk4 or auto")
     if method == "auto":
-        method = "affine" if affine else "rk4"
+        method = "affine" if plant.affine else "rk4"
     if method == "affine":
         return _integrate_affine(plant, s, duration, cfg)
     return _integrate_rk4(plant, s, duration, cfg)
 
 
-def _integrate_affine(plant, s, duration, cfg):
-    rates = {x: eval_term(rhs, s) for x, rhs in plant.odes}
-    t0 = s.get(plant.clock)
+def _integrate_affine(plant: CompiledPlant, s, duration, cfg):
+    v = plant.layout.load(s)
+    rates = [f(v) for f in plant.rates]
+    t0 = read(v, plant.clock, plant.spec.clock)
 
-    def at(t: float) -> State:
-        values = {x: s.get(x) + rate * t for x, rate in rates.items()}
-        values[plant.clock] = t0 + t
-        return s.set_many(values)
+    def at(t: float) -> Slots:
+        w = v.copy()
+        for (x, i), rate in zip(plant.odes, rates):
+            w[i] = read(v, i, x) + rate * t
+        w[plant.clock] = t0 + t
+        return w
 
-    exit_time, conjunct = _affine_domain_exit(plant, s, at, duration, cfg)
+    exit_time, conjunct = _affine_domain_exit(plant, v, at, duration, cfg)
     if exit_time is not None:
-        return at(exit_time), DomainExit(exit_time, conjunct)
-    end = at(duration)
-    end = end.set(plant.clock, t0 + duration)  # exact, no accumulation
-    return end, None
+        return plant.layout.store(s, at(exit_time)), DomainExit(exit_time, conjunct)
+    return plant.layout.store(s, at(duration)), None
 
 
-def _affine_domain_exit(plant, s0, at, duration, cfg):
+def _affine_domain_exit(plant: CompiledPlant, v0, at, duration, cfg):
     """Earliest domain violation. Comparison conjuncts affine in the
     evolving variables are solved from their endpoint values (linear in
     time); anything else falls back to a grid scan."""
-    if plant.domain == TRUE:
+    if plant.domain is None:
         return None, None
-    evolving = set(plant.state_vars()) | {plant.clock}
-    end_state = at(duration)
+    end = at(duration)
     best: tuple[float, Formula] | None = None
-    for part in conjuncts(plant.domain):
-        hit: Optional[float] = None
-        if isinstance(part, Cmp) and part.rel in (LT, LE, GT, GE) and \
-                _is_affine_term(part.left, evolving) and _is_affine_term(part.right, evolving):
-            hit = _linear_violation(part, s0, end_state, duration)
+    for part, holds, linear in plant.parts:
+        if linear is not None:
+            hit = _linear_violation(linear, v0, end, duration)
         else:
-            hit = _grid_violation(part, at, duration, cfg.substeps)
+            hit = _grid_violation(holds, at, duration, cfg.substeps)
         if hit is not None and (best is None or hit < best[0]):
             best = (hit, part)
     if best is None:
@@ -158,12 +203,13 @@ def _is_affine_term(t, evolving) -> bool:
     return False
 
 
-def _linear_violation(part: Cmp, s0: State, s1: State, duration: float) -> Optional[float]:
+def _linear_violation(linear, v0: Slots, v1: Slots, duration: float) -> Optional[float]:
     """Exact first-violation time of a comparison linear in time."""
-    d0 = eval_term(part.left, s0) - eval_term(part.right, s0)
-    d1 = eval_term(part.left, s1) - eval_term(part.right, s1)
-    strict = part.rel in (LT, GT)
-    if part.rel in (GT, GE):
+    rel, left, right = linear
+    d0 = left(v0) - right(v0)
+    d1 = left(v1) - right(v1)
+    strict = rel in (LT, GT)
+    if rel in (GT, GE):
         ok0 = d0 > 0 if strict else d0 >= 0
         ok1 = d1 > 0 if strict else d1 >= 0
         if not ok0:
@@ -181,60 +227,58 @@ def _linear_violation(part: Cmp, s0: State, s1: State, duration: float) -> Optio
     return duration * (-d0) / (d1 - d0)
 
 
-def _grid_violation(part: Formula, at, duration: float, substeps: int) -> Optional[float]:
+def _grid_violation(holds, at, duration: float, substeps: int) -> Optional[float]:
     for k in range(substeps + 1):
         t = duration * k / substeps
-        if not eval_formula(part, at(t)):
+        if not holds(at(t)):
             return t
     return None
 
 
-def _integrate_rk4(plant, s, duration, cfg):
-    names = [x for x, _ in plant.odes]
-    rhss = [rhs for _, rhs in plant.odes]
-    t0 = s.get(plant.clock)
-    h = duration / cfg.substeps
-    current = s
+def _integrate_rk4(plant: CompiledPlant, s, duration, cfg):
+    """One cycle of fixed-step RK4: every stage works on slot lists, and a
+    State is built only for the result."""
+    v = plant.layout.load(s)
+    clock = plant.clock
+    t0 = read(v, clock, plant.spec.clock)
+    n = cfg.substeps
+    h = duration / n
+    half = h / 2
+    rates, domain = plant.rates, plant.domain
+    slots = [i for _, i in plant.odes]
 
-    def derivs(state: State) -> list[float]:
-        return [eval_term(rhs, state) for rhs in rhss]
-
-    def bump(state: State, rates: list[float], dt: float, clock_t: float) -> State:
-        values = {x: state.get(x) + r * dt for x, r in zip(names, rates)}
-        values[plant.clock] = clock_t
-        return state.set_many(values)
-
-    exit_info = None
-    if plant.domain != TRUE and not eval_formula(plant.domain, current):
-        return current, DomainExit(0.0, _failing_conjunct(plant.domain, current))
-    for k in range(cfg.substeps):
-        t_here = duration * k / cfg.substeps
-        t_mid = t_here + h / 2
-        t_next = duration * (k + 1) / cfg.substeps
-        k1 = derivs(current)
-        s2 = bump(current, k1, h / 2, t0 + t_mid)
-        k2 = derivs(s2)
-        s3 = bump(current, k2, h / 2, t0 + t_mid)
-        k3 = derivs(s3)
-        s4 = bump(current, k3, h, t0 + t_next)
-        k4 = derivs(s4)
-        combined = [
-            (a + 2 * b + 2 * c + d) / 6 for a, b, c, d in zip(k1, k2, k3, k4)
-        ]
-        current = bump(current, combined, h, t0 + t_next)
-        if plant.domain != TRUE and not eval_formula(plant.domain, current):
-            exit_info = DomainExit(t_next, _failing_conjunct(plant.domain, current))
-            break
-    if exit_info is None:
-        current = current.set(plant.clock, t0 + duration)
-    return current, exit_info
-
-
-def _failing_conjunct(domain: Formula, state: State) -> Formula:
-    for part in conjuncts(domain):
-        if not eval_formula(part, state):
-            return part
-    return domain
+    if domain is not None and not domain(v):
+        return s, DomainExit(0.0, plant.failing_conjunct(v))
+    unbound = [x for x, i in plant.odes if v[i] is None]
+    if unbound:
+        # The first stage evaluates every rate before it reads an evolving
+        # variable, so the rates' own errors come first.
+        for f in rates:
+            f(v)
+        raise UnboundVariable(unbound[0])
+    w = v.copy()  # the intermediate stage's state
+    for k in range(n):
+        t_mid = duration * k / n + half
+        t_next = duration * (k + 1) / n
+        k1 = [f(v) for f in rates]
+        for i, r in zip(slots, k1):
+            w[i] = v[i] + r * half
+        w[clock] = t0 + t_mid
+        k2 = [f(w) for f in rates]
+        for i, r in zip(slots, k2):
+            w[i] = v[i] + r * half
+        k3 = [f(w) for f in rates]
+        for i, r in zip(slots, k3):
+            w[i] = v[i] + r * h
+        w[clock] = t0 + t_next
+        k4 = [f(w) for f in rates]
+        for i, a, b, c, d in zip(slots, k1, k2, k3, k4):
+            v[i] = v[i] + (a + 2 * b + 2 * c + d) / 6 * h
+        v[clock] = t0 + t_next
+        if domain is not None and not domain(v):
+            return plant.layout.store(s, v), DomainExit(t_next, plant.failing_conjunct(v))
+    v[clock] = t0 + duration
+    return plant.layout.store(s, v), None
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +392,9 @@ def simulate(
     if cfg.check_assumptions and not eval_formula(m.assumptions, state):
         raise PlchpError("initial state does not satisfy the assumptions")
 
+    layout = Layout()
+    control = compile_st(st_body, layout)
+    plant = CompiledPlant(m.plant)
     records: list[CycleRecord] = []
     for index in range(cycles):
         provided = inputs.values(index)
@@ -358,10 +405,12 @@ def simulate(
             )
         state = state.set_many({x: provided[x] for x in m.inputs})
         pre = state
-        post_ctrl = run_st(st_body, pre)
+        values = layout.load(pre)
+        control(values)
+        post_ctrl = layout.store(pre, values)
         plant_start = post_ctrl.set(m.plant.clock, 0.0)
         post_plant, domain_exit = integrate_plant(
-            m.plant, plant_start, epsilon, cfg.integrator
+            plant, plant_start, epsilon, cfg.integrator
         )
         records.append(CycleRecord(
             index=index,
@@ -426,9 +475,19 @@ def write_trace_file(path, records, io_spec) -> None:
 
 
 def read_trace(stream) -> tuple[list[str], list[dict]]:
-    """Parse a trace CSV; `#`-prefixed lines are comments."""
-    filtered = (line for line in stream if not line.lstrip().startswith("#"))
-    reader = csv.reader(filtered)
+    """Parse a trace CSV; `#`-prefixed lines are comments. A malformed
+    column name, short row or non-numeric cell raises InputFileError with
+    the stream's name and the line."""
+    source = getattr(stream, "name", "<trace>")
+    line = 0
+
+    def content():
+        nonlocal line
+        for line, text in enumerate(stream, 1):
+            if not text.lstrip().startswith("#"):
+                yield text
+
+    reader = csv.reader(content())
     try:
         header = next(reader)
     except StopIteration:
@@ -436,16 +495,26 @@ def read_trace(stream) -> tuple[list[str], list[dict]]:
     header = [h.strip() for h in header]
     if CYCLE_COLUMN not in header:
         raise SchemaError([CYCLE_COLUMN])
+    keys: list = []
+    for col, name in enumerate(header, 1):
+        try:
+            keys.append(CYCLE_COLUMN if name == CYCLE_COLUMN else Ident(name))
+        except ValueError as exc:
+            raise InputFileError(source, f"column {col}: {exc}", line) from None
     rows = []
     for raw in reader:
         if not raw:
             continue
+        if len(raw) < len(header):
+            raise InputFileError(
+                source, f"row has {len(raw)} cells but the header has {len(header)}", line)
         row: dict = {}
-        for name, cell in zip(header, raw):
-            if name == CYCLE_COLUMN:
-                row[CYCLE_COLUMN] = int(cell)
-            else:
-                row[Ident(name)] = float(cell)
+        for col, (name, key, cell) in enumerate(zip(header, keys, raw), 1):
+            try:
+                row[key] = int(cell) if name == CYCLE_COLUMN else float(cell)
+            except ValueError:
+                raise InputFileError(
+                    source, f"column {col} ({name}): not a number: {cell!r}", line) from None
         rows.append(row)
     return header, rows
 
@@ -512,22 +581,26 @@ def check_compliance(
         if missing:
             raise SchemaError(missing)
 
-    outputs = list(io_spec.outputs)
-    sensors = list(io_spec.inputs) + list(io_spec.params)
+    layout = Layout()
+    control = compile_st(st_body, layout)
+    outputs = [(x, layout.slot(x)) for x in io_spec.outputs]
+    sensors = [(x, layout.slot(x)) for x in list(io_spec.inputs) + list(io_spec.params)]
     violating: list[tuple[int, str]] = []
-    prev_actuators: Optional[dict] = None
+    prev_actuators: Optional[list] = None
     for row in rows:
         if prev_actuators is None:
-            prev_actuators = {x: row[x] for x in outputs}
-        state = State({x: row[x] for x in sensors} | prev_actuators)
-        expected = run_st(st_body, state)
-        mismatches = [
-            (x, expected.get(x), row[x]) for x in outputs if expected.get(x) != row[x]
-        ]
+            prev_actuators = [row[x] for x, _ in outputs]
+        values: Slots = [None] * len(layout.names)
+        for x, i in sensors:
+            values[i] = float(row[x])
+        for (_, i), value in zip(outputs, prev_actuators):
+            values[i] = float(value)
+        control(values)
+        mismatches = [(x, values[i], row[x]) for x, i in outputs if values[i] != row[x]]
         if mismatches:
             x, want, got = mismatches[0]
             violating.append((row[CYCLE_COLUMN], f"{x} expected {want!r} recorded {got!r}"))
-        prev_actuators = {x: row[x] for x in outputs}
+        prev_actuators = [row[x] for x, _ in outputs]
 
     instances: list[ComplianceInstance] = []
     for cycle, description in violating:

@@ -1,6 +1,9 @@
 """End-to-end command-line workflows."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -187,3 +190,60 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# Hostile input files end in a one-line error with exit code 1, not a
+# Python traceback. Each runs the command in a fresh interpreter so that
+# stderr is exactly what a user sees.
+
+SRC = str(golden.DATA.parent.parent / "src")
+
+
+def run_process(tmp_path, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "plchp.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert "Traceback" not in proc.stderr
+    return proc.returncode, proc.stderr
+
+
+def _simulate_with(tmp_path, config_text):
+    config = tmp_path / "run.json"
+    config.write_text(config_text)
+    return run_process(
+        tmp_path, "simulate", "--model", data("watertank_safe_model.dlhp"),
+        "--inputs", "run.json", "--cycles", "1", "--out", "trace.csv",
+    )
+
+
+def test_comply_trace_with_non_numeric_cell(tmp_path):
+    header = "cycle,f1,f2,x1,x2,HH,H1,L1,LL,L2,H2,FL,eps,V1,P,V2"
+    (tmp_path / "bad.csv").write_text(
+        header + "\n# comment\n0" + ",1" * 15 + "\n1,2,abc" + ",1" * 13 + "\n")
+    code, err = run_process(
+        tmp_path, "comply", "--model", data("watertank_safe_model.dlhp"), "--trace", "bad.csv")
+    assert code == 1
+    assert "bad.csv:4: column 3 (f2): not a number: 'abc'" in err
+
+
+def test_comply_missing_trace_file(tmp_path):
+    code, err = run_process(
+        tmp_path, "comply", "--model", data("watertank_safe_model.dlhp"), "--trace", "gone.csv")
+    assert code == 1
+    assert "gone.csv: No such file or directory" in err
+
+
+def test_simulate_truncated_run_configuration(tmp_path):
+    code, err = _simulate_with(tmp_path, '{"params": {"HH": 1000,\n  "H1": 8')
+    assert code == 1
+    assert "run.json:2:" in err
+
+
+def test_simulate_csv_mode_without_path(tmp_path):
+    code, err = _simulate_with(tmp_path, '{"inputs": {"mode": "csv"}}')
+    assert code == 1
+    assert "run.json: input mode 'csv' needs a 'path' string" in err

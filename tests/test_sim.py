@@ -11,7 +11,7 @@ from plchp import (
     parse_dl_model, simulate, validate_scan_cycle_form,
 )
 from plchp.errors import (
-    MissingInput, NondeterministicCtrl, SchemaError,
+    InputFileError, MissingInput, NondeterministicCtrl, SchemaError,
 )
 from plchp.ir import Cmp, GE, GuardedChoice, Neg, TRUE
 from plchp.sim import (
@@ -286,6 +286,18 @@ def test_trace_comment_lines_ignored():
 def test_trace_missing_cycle_column():
     with pytest.raises(SchemaError):
         read_trace(io.StringIO("f1\n1.0\n"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("cycle,f1\n0,1.5\n1,x\n", "<trace>:3: column 2 (f1): not a number: 'x'"),
+    ("cycle,f1\n0.5,1\n", "<trace>:2: column 1 (cycle): not a number: '0.5'"),
+    ("# note\ncycle,f1,f2\n0,1\n", "<trace>:3: row has 2 cells but the header has 3"),
+    ("cycle,1f\n0,1\n", "<trace>:1: column 2: invalid identifier: '1f'"),
+])
+def test_malformed_trace_names_the_line(text, message):
+    with pytest.raises(InputFileError) as info:
+        read_trace(io.StringIO(text))
+    assert str(info.value) == message
 
 
 def test_simulate_check_assumptions_flag():
