@@ -1,0 +1,331 @@
+"""The surface-syntax core that structured text and hybrid programs share.
+
+Both languages have the same term language and the same comparison and
+connective core; they differ in spellings. A `Dialect` holds one
+language's spellings, and this module holds the machinery built from them:
+
+- a lexer, one compiled master regex dispatching on the group that matched;
+- `Parser`, a token cursor with a precedence-climbing expression parser
+  (Pratt, "Top down operator precedence", POPL 1973) that yields a Term or
+  a Formula and checks operand kinds;
+- `render_term` and `render_formula`, a minimal-parenthesis printer.
+
+Parser and printer read the same operator table, loosest level first:
+the dialect's connectives, negation, comparisons (non-associative), +/-,
+*/slash (left-associative), power (right-associative), unary minus, atoms.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+from functools import partial
+
+from .errors import ParseError
+from .ir import (
+    ADD, DIV, EQ, GE, GT, LE, LT, MUL, NE, POW, SUB,
+    BinOp, BoolConst, Cmp, Formula, Ident, Neg, Not, Number, Term, Var,
+)
+
+LEFT, RIGHT, NONASSOC = "left", "right", "nonassoc"
+NUMBER = r"\d+(\.\d+)?([eE][+-]?\d+)?"
+
+# Deepest parenthesis nesting an expression may have. Earlier versions
+# accepted up to 109 levels (ST) and 89 (dL) before running out of Python
+# stack; the climber spends one frame per level, so 150 accepts all of that
+# and stays well inside the default recursion limit.
+MAX_NESTING = 150
+
+
+@dataclass(frozen=True, slots=True)
+class Token:
+    kind: str  # kw | ident | number | duration | unsupported | op | eof
+    value: str
+    line: int
+    col: int
+    seconds: float = 0.0  # duration tokens only
+
+
+class Dialect:
+    """The spellings of one surface syntax.
+
+    `connectives` lists the binary formula connectives, loosest level
+    first, as `(associativity, ((spelling, node class), ...))`. `classify`
+    maps an identifier-shaped word to its token kind and value; `duration`
+    lexes a `T#` literal starting at a given index. The three message
+    texts are the errors the expression grammar raises.
+    """
+
+    def __init__(self, *, name, operators, comment, classify, connectives,
+                 not_op, bools, ne_op, pow_op, cmp_space,
+                 formula_expected, chain_expected, operand_expected,
+                 duration=None):
+        self.name = name
+        self.classify = classify
+        self.comment_close = comment[1]
+        self.duration = duration
+        self.pattern = re.compile("|".join([
+            r"(?P<newline>\n)",
+            r"(?P<space>[ \t\r]+)",
+            r"(?P<line_comment>//[^\n]*)",
+            f"(?P<comment>{re.escape(comment[0])})",
+            *([r"(?P<duration>[Tt]#)"] if duration else []),
+            r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)",
+            f"(?P<number>{NUMBER})",
+            "(?P<op>" + "|".join(map(re.escape, operators)) + ")",
+        ]))
+
+        self.not_op = not_op
+        self.bools = bools  # (false, true)
+        self.formula_expected = formula_expected
+        self.chain_expected = chain_expected
+        self.operand_expected = operand_expected
+
+        # One row per binary level, loosest first: (associativity, formula
+        # operands?, (printed text, node key, build) per operator). None
+        # marks the level of negation; unary minus binds tightest.
+        rels = (("=", EQ), (ne_op, NE), (">", GT), (">=", GE), ("<", LT), ("<=", LE))
+        rows = [(assoc, True, [(f" {s} ", cls, cls) for s, cls in ops]) for assoc, ops in connectives]
+        rows += [
+            None,
+            (NONASSOC, False, [(cmp_space + s + cmp_space, rel, partial(Cmp, rel)) for s, rel in rels]),
+            (LEFT, False, [("+", ADD, partial(BinOp, ADD)), ("-", SUB, partial(BinOp, SUB))]),
+            (LEFT, False, [("*", MUL, partial(BinOp, MUL)), ("/", DIV, partial(BinOp, DIV))]),
+            (RIGHT, False, [(pow_op, POW, partial(BinOp, POW))]),
+        ]
+        self.neg_level = len(rows) + 1
+        # Parsing: spelling -> (level, associativity, formula operands?, build).
+        # Printing: BinOp op, Cmp relation or node class -> (text, level, associativity).
+        self.binary: dict[str, tuple] = {}
+        self.infix: dict[object, tuple] = {}
+        for level, row in enumerate(rows, start=1):
+            if row is None:
+                self.not_level = level
+                continue
+            assoc, formulas, ops = row
+            for text, key, build in ops:
+                self.binary[text.strip()] = (level, assoc, formulas, build)
+                self.infix[key] = (text, level, assoc)
+        self.prefix = {not_op: (self.not_level, True, Not), "-": (self.neg_level, False, Neg)}
+
+    def level(self, spelling: str) -> int:
+        return self.binary[spelling][0]
+
+    def tokenize(self, text: str) -> list[Token]:
+        tokens: list[Token] = []
+        match = self.pattern.match
+        pos, line, col, n = 0, 1, 1, len(text)
+        while pos < n:
+            m = match(text, pos)
+            if m is None:
+                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+            kind = m.lastgroup
+            end = m.end()
+            if kind == "newline":
+                line += 1
+                col = 1
+            elif kind == "space":
+                col += end - pos
+            elif kind == "line_comment":
+                pass  # the newline that ends it resets the column
+            elif kind == "comment":
+                close = text.find(self.comment_close, end)
+                if close < 0:
+                    raise ParseError("unterminated comment", line, col)
+                end = close + len(self.comment_close)
+                newlines = text.count("\n", pos, end)
+                if newlines:
+                    line += newlines
+                    col = end - text.rfind("\n", pos, end)
+                else:
+                    col += end - pos
+            elif kind == "duration":
+                token, end = self.duration(text, pos, line, col)
+                tokens.append(token)
+                col += end - pos
+            else:
+                value = m.group()
+                if kind == "word":
+                    kind, value = self.classify(value)
+                tokens.append(Token(kind, value, line, col))
+                col += end - pos
+            pos = end
+        tokens.append(Token("eof", "", line, col))
+        return tokens
+
+
+class Parser:
+    """A cursor over one dialect's tokens and its expression grammar.
+
+    Subclasses set `dialect` and add their statement grammar.
+    """
+
+    dialect: Dialect
+
+    def __init__(self, text: str):
+        self.tokens = self.dialect.tokenize(text)
+        self.pos = 0
+        self.nesting = 0
+
+    # -- token plumbing ----------------------------------------------------
+
+    def peek(self, ahead: int = 0) -> Token:
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+
+    def next(self) -> Token:
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def at_op(self, *ops: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "op" and tok.value in ops
+
+    def expect_op(self, op: str) -> Token:
+        tok = self.peek()
+        if tok.kind != "op" or tok.value != op:
+            self.fail(f"found {self.describe(tok)}", f"'{op}'")
+        return self.next()
+
+    def expect_ident(self) -> Ident:
+        tok = self.peek()
+        if tok.kind != "ident":
+            self.fail(f"found {self.describe(tok)}", "identifier")
+        self.next()
+        try:
+            return Ident(tok.value)
+        except ValueError as exc:  # a reserved word of the other language
+            raise ParseError(str(exc), tok.line, tok.col) from None
+
+    def fail(self, message: str, expected: str | None = None):
+        tok = self.peek()
+        raise ParseError(message, tok.line, tok.col, expected)
+
+    def eof(self):
+        tok = self.peek()
+        if tok.kind != "eof":
+            self.fail(f"unexpected trailing input: {self.describe(tok)}", "end of input")
+
+    def describe(self, tok: Token) -> str:
+        if tok.kind == "eof":
+            return "end of input"
+        return f"{tok.kind} {tok.value!r}"
+
+    # -- expressions ---------------------------------------------------------
+
+    def formula(self) -> Formula:
+        tok = self.peek()
+        return self.require_formula(self.expression(), tok)
+
+    def term(self) -> Term:
+        tok = self.peek()
+        return self.require_term(self.expression(), tok)
+
+    def expression(self, min_level: int = 1):
+        """An expression whose binary operators bind at `min_level` or tighter.
+
+        Operands are parsed before their kinds are checked, and a failed
+        check is reported at the operator token.
+        """
+        d = self.dialect
+        tok = self.peek()
+        prefix = d.prefix.get(tok.value)
+        if prefix is not None and prefix[0] >= min_level:
+            level, formulas, build = prefix
+            self.pos += 1
+            check = self.require_formula if formulas else self.require_term
+            left = build(check(self.expression(level), tok))
+        elif tok.kind == "op" and tok.value == "(":
+            self.nesting += 1
+            if self.nesting > MAX_NESTING:
+                raise ParseError("expression nested too deeply", tok.line, tok.col)
+            self.pos += 1
+            left = self.expression()
+            self.expect_op(")")
+            self.nesting -= 1
+        else:
+            left = self.atom(tok)
+        binary = d.binary
+        while True:
+            op = self.peek()
+            entry = binary.get(op.value)
+            if entry is None or entry[0] < min_level:
+                return left
+            level, assoc, formulas, build = entry
+            self.pos += 1
+            right = self.expression(level if assoc == RIGHT else level + 1)
+            check = self.require_formula if formulas else self.require_term
+            left = build(check(left, op), check(right, op))
+            if assoc == NONASSOC:
+                after = binary.get(self.peek().value)
+                if after is not None and after[0] == level:
+                    self.fail("comparisons are non-associative", d.chain_expected)
+
+    def atom(self, tok: Token):
+        """A number, a variable or a truth value."""
+        if tok.kind == "number":
+            self.pos += 1
+            return Number(tok.value)
+        if tok.kind == "ident":
+            return Var(self.expect_ident())
+        if tok.kind == "kw" and tok.value in ("TRUE", "FALSE"):
+            self.pos += 1
+            return BoolConst(tok.value == "TRUE")
+        self.fail(f"found {self.describe(tok)}", self.dialect.operand_expected)
+
+    def require_term(self, value, at: Token) -> Term:
+        if isinstance(value, Term):
+            return value
+        raise ParseError("expected an arithmetic term", at.line, at.col)
+
+    def require_formula(self, value, at: Token) -> Formula:
+        if isinstance(value, Formula):
+            return value
+        raise ParseError(self.dialect.formula_expected, at.line, at.col)
+
+
+def render_term(t: Term, d: Dialect) -> str:
+    """Print a term with the fewest parentheses that reparse to it."""
+    if not isinstance(t, Term):
+        raise TypeError(f"not a term: {type(t).__name__}")
+    return _render(t, d, 0)
+
+
+def render_formula(f: Formula, d: Dialect, min_level: int = 0) -> str:
+    """Print a formula with the fewest parentheses that reparse to it, in
+    parentheses if it binds looser than `min_level`."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"cannot print {type(f).__name__} in {d.name} syntax")
+    return _render(f, d, min_level)
+
+
+def _render(node, d: Dialect, min_level: int) -> str:
+    if isinstance(node, Number):
+        return node.lexeme
+    if isinstance(node, Var):
+        return node.ident.name
+    if isinstance(node, BoolConst):
+        return d.bools[node.value]
+    if isinstance(node, Not):
+        return f"{d.not_op}({_render(node.operand, d, 0)})"
+    if isinstance(node, Neg):
+        return _wrap("-" + _render(node.operand, d, d.neg_level), d.neg_level, min_level)
+    if isinstance(node, BinOp):
+        key = node.op
+    elif isinstance(node, Cmp):
+        key = node.rel
+    else:
+        key = type(node)
+    if key not in d.infix:
+        raise TypeError(f"cannot print {type(node).__name__} in {d.name} syntax")
+    text, level, assoc = d.infix[key]
+    # The operand on the associative side may sit at the operator's level;
+    # the other needs strictly tighter binding.
+    right_assoc = assoc == RIGHT
+    text = (_render(node.left, d, level + right_assoc) + text
+            + _render(node.right, d, level + (not right_assoc)))
+    return _wrap(text, level, min_level)
+
+
+def _wrap(text: str, level: int, min_level: int) -> str:
+    return "(" + text + ")" if level < min_level else text

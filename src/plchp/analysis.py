@@ -17,7 +17,7 @@ from .ir import (
     Assign, BinOp, Choice, Cmp, EQ, Formula, GuardedChoice, Ident, IfThen,
     IfThenElse, LE, GE, Loop, Neg, Not, Number, OdeSystem, PlantSpec, Program,
     RandomAssign, ScanCycleModel, Seq, TRUE, TestStmt, Var, collect_vars,
-    conjoin, conjuncts,
+    conjoin, conjuncts, list_to_seq, seq_to_list,
 )
 
 
@@ -181,7 +181,7 @@ def classify_io(
 def validate_scan_cycle_form(f: DlSafetyFormula) -> ScanCycleModel:
     """Check top-level shape `A -> [{in; ctrl; t:=0; {odes & Q}}*] S` and
     return the structured model; one precise NotNormalForm reason otherwise."""
-    stmts = _flatten_seq(f.body)
+    stmts = seq_to_list(f.body)
 
     idx = 0
     inputs: list[Ident] = []
@@ -231,7 +231,7 @@ def validate_scan_cycle_form(f: DlSafetyFormula) -> ScanCycleModel:
         raise NotNormalForm("missing controller between inputs and plant")
     for s in ctrl_stmts:
         _check_ctrl(s)
-    ctrl = _fold_seq(ctrl_stmts)
+    ctrl = list_to_seq(ctrl_stmts)
 
     plant = PlantSpec(plant_odes, clock, domain, bound)
     epsilon: Union[float, Ident]
@@ -293,19 +293,6 @@ def _check_ctrl(p: Program) -> None:
 
 def _pos(p: Program):
     return getattr(p, "pos", None)
-
-
-def _flatten_seq(p: Program) -> list[Program]:
-    if isinstance(p, Seq):
-        return _flatten_seq(p.first) + _flatten_seq(p.second)
-    return [p]
-
-
-def _fold_seq(stmts: list[Program]) -> Program:
-    out = stmts[-1]
-    for s in reversed(stmts[:-1]):
-        out = Seq(s, out)
-    return out
 
 
 # ---------------------------------------------------------------------------

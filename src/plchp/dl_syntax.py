@@ -14,18 +14,16 @@ rejects them with a located diagnostic.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ._render import render_term
+from ._syntax import LEFT, RIGHT, Dialect, Parser, Token, render_formula, render_term
 from .errors import ParseError
 from .ir import (
-    ADD, DIV, EQ, GE, GT, LE, LT, MUL, NE, POW, SUB,
-    And, Assign, BinOp, BoolConst, Choice, Cmp, Equiv, Formula,
-    GuardedChoice, Ident, Imply, Loop, Neg, Not, Number, OdeSystem, Or,
-    PlantSpec, Program, RandomAssign, Seq, Term, TestStmt,
-    Var, conjoin, conjuncts, list_to_seq, seq_to_list,
+    LE, And, Assign, BoolConst, Choice, Cmp, Equiv, Formula, GuardedChoice,
+    Ident, Imply, Loop, Not, Number, OdeSystem, Or, PlantSpec, Program,
+    RandomAssign, Seq, Term, TestStmt, Var, conjoin, conjuncts, list_to_seq,
+    seq_to_list,
 )
 
 
@@ -57,253 +55,54 @@ def _strip_double_neg(f: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Lexer and expression grammar
 
-_NUMBER = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_OPERATORS = (
-    "<->", "->", "++", ":=", "!=", "<=", ">=", "=", "<", ">", "&", "|", "!",
-    "{", "}", "[", "]", "(", ")", ";", ",", "?", "*", "/", "+", "-", "^", "'",
+
+def _classify(word: str) -> tuple[str, str]:
+    upper = word.upper()
+    if upper in ("TRUE", "FALSE"):
+        return "kw", upper
+    return "ident", word
+
+
+DL = Dialect(
+    name="dL",
+    operators=("<->", "->", "++", ":=", "!=", "<=", ">=", "=", "<", ">", "&", "|", "!",
+               "{", "}", "[", "]", "(", ")", ";", ",", "?", "*", "/", "+", "-", "^", "'"),
+    comment=("/*", "*/"),
+    classify=_classify,
+    connectives=(
+        (RIGHT, (("<->", Equiv),)),
+        (RIGHT, (("->", Imply),)),
+        (LEFT, (("|", Or),)),
+        (LEFT, (("&", And),)),
+    ),
+    not_op="!",
+    bools=("false", "true"),
+    ne_op="!=",
+    pow_op="^",
+    cmp_space="",
+    formula_expected="expected a formula",
+    chain_expected="a connective or end of formula",
+    operand_expected="term or formula",
 )
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # kw | ident | number | op | eof
-    value: str
-    line: int
-    col: int
+# Assumptions stop below `->`, so the implication introducing the box is
+# unambiguous; implications inside them are parenthesized.
+_ASSUMPTION_LEVEL = DL.level("|")
+# ODE right-hand sides are terms, so the `& domain` separator is not swallowed.
+_TERM_LEVEL = DL.level("+")
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j < 0:
-                raise ParseError("unterminated comment", line, col)
-            chunk = text[i:j + 2]
-            newlines = chunk.count("\n")
-            if newlines:
-                line += newlines
-                col = len(chunk) - chunk.rfind("\n")
-            else:
-                col += len(chunk)
-            i = j + 2
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            word = m.group(0)
-            if word.upper() in ("TRUE", "FALSE"):
-                tokens.append(Token("kw", word.upper(), line, col))
-            else:
-                tokens.append(Token("ident", word, line, col))
-            col += len(word)
-            i = m.end()
-            continue
-        m = _NUMBER.match(text, i)
-        if m:
-            tokens.append(Token("number", m.group(0), line, col))
-            col += len(m.group(0))
-            i = m.end()
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("op", op, line, col))
-                col += len(op)
-                i += len(op)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+    return DL.tokenize(text)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
-_CMP_TOKENS = {"=": EQ, "!=": NE, ">": GT, ">=": GE, "<": LT, "<=": LE}
-_CMP_SYMBOL = {rel: sym for sym, rel in _CMP_TOKENS.items()}
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.pos = 0
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.value in ops
-
-    def expect_op(self, op: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.value != op:
-            self.fail(f"found {describe(tok)}", f"'{op}'")
-        return self.next()
-
-    def expect_ident(self) -> Ident:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.fail(f"found {describe(tok)}", "identifier")
-        self.next()
-        try:
-            return Ident(tok.value)
-        except ValueError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
-
-    def fail(self, message: str, expected: str | None = None):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col, expected)
-
-    def eof(self):
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.fail(f"unexpected trailing input: {describe(tok)}", "end of input")
-
-    # -- expressions ---------------------------------------------------------
-    #
-    # `<->` loosest, then `->` (right-assoc), `|`, `&`, `!`, comparisons.
-    # A unified grammar yields a Term or a Formula; operators check kinds.
-
-    def formula(self) -> Formula:
-        tok = self.peek()
-        return self.require_formula(self.expression(), tok)
-
-    def term(self) -> Term:
-        tok = self.peek()
-        return self.require_term(self.expression(), tok)
-
-    def expression(self):
-        left = self.parse_imply()
-        if self.at_op("<->"):
-            op = self.next()
-            right = self.expression()  # right-associative
-            return Equiv(self.require_formula(left, op), self.require_formula(right, op))
-        return left
-
-    def parse_imply(self):
-        left = self.parse_or()
-        if self.at_op("->"):
-            op = self.next()
-            right = self.parse_imply()
-            return Imply(self.require_formula(left, op), self.require_formula(right, op))
-        return left
-
-    def parse_or(self):
-        left = self.parse_and()
-        while self.at_op("|"):
-            op = self.next()
-            right = self.parse_and()
-            left = Or(self.require_formula(left, op), self.require_formula(right, op))
-        return left
-
-    def parse_and(self):
-        left = self.parse_not()
-        while self.at_op("&"):
-            op = self.next()
-            right = self.parse_not()
-            left = And(self.require_formula(left, op), self.require_formula(right, op))
-        return left
-
-    def parse_not(self):
-        if self.at_op("!"):
-            op = self.next()
-            return Not(self.require_formula(self.parse_not(), op))
-        return self.parse_cmp()
-
-    def parse_cmp(self):
-        left = self.parse_add()
-        if self.at_op(*_CMP_TOKENS):
-            op = self.next()
-            right = self.parse_add()
-            result = Cmp(_CMP_TOKENS[op.value], self.require_term(left, op), self.require_term(right, op))
-            if self.at_op(*_CMP_TOKENS):
-                self.fail("comparisons are non-associative", "a connective or end of formula")
-            return result
-        return left
-
-    def parse_add(self):
-        left = self.parse_mul()
-        while self.at_op("+", "-"):
-            op = self.next()
-            right = self.parse_mul()
-            kind = ADD if op.value == "+" else SUB
-            left = BinOp(kind, self.require_term(left, op), self.require_term(right, op))
-        return left
-
-    def parse_mul(self):
-        left = self.parse_pow()
-        while self.at_op("*", "/"):
-            op = self.next()
-            right = self.parse_pow()
-            kind = MUL if op.value == "*" else DIV
-            left = BinOp(kind, self.require_term(left, op), self.require_term(right, op))
-        return left
-
-    def parse_pow(self):
-        left = self.parse_unary()
-        if self.at_op("^"):
-            op = self.next()
-            right = self.parse_pow()
-            return BinOp(POW, self.require_term(left, op), self.require_term(right, op))
-        return left
-
-    def parse_unary(self):
-        if self.at_op("-"):
-            op = self.next()
-            return Neg(self.require_term(self.parse_unary(), op))
-        return self.parse_primary()
-
-    def parse_primary(self):
-        tok = self.peek()
-        if tok.kind == "number":
-            self.next()
-            return Number(tok.value)
-        if tok.kind == "kw":
-            self.next()
-            return BoolConst(tok.value == "TRUE")
-        if tok.kind == "ident":
-            return Var(self.expect_ident())
-        if tok.kind == "op" and tok.value == "(":
-            self.next()
-            inner = self.expression()
-            self.expect_op(")")
-            return inner
-        self.fail(f"found {describe(tok)}", "term or formula")
-
-    def require_term(self, value, at: Token) -> Term:
-        if isinstance(value, Term):
-            return value
-        raise ParseError("expected an arithmetic term", at.line, at.col)
-
-    def require_formula(self, value, at: Token) -> Formula:
-        if isinstance(value, Formula):
-            return value
-        raise ParseError("expected a formula", at.line, at.col)
+class _Parser(Parser):
+    dialect = DL
 
     # -- programs -------------------------------------------------------------
 
@@ -349,12 +148,12 @@ class _Parser:
                 self.next()
                 nxt = self.peek()
                 if not self.at_op("{"):
-                    self.fail(f"found {describe(nxt)}", "'{' opening a choice branch")
+                    self.fail(f"found {self.describe(nxt)}", "'{' opening a choice branch")
                 node = self.make_choice(node, self.braced_group(nxt), tok)
             if self.at_op(";"):
                 self.next()
             return node
-        self.fail(f"found {describe(tok)}", "a statement")
+        self.fail(f"found {self.describe(tok)}", "a statement")
 
     def braced_group(self, start: Token) -> Program:
         """One braced group: an ODE system, a block, an inner choice, or a loop."""
@@ -401,11 +200,8 @@ class _Parser:
             x = self.expect_ident()
             self.expect_op("'")
             self.expect_op("=")
-            # Right-hand sides stop below the formula connectives, so the
-            # `& domain` separator is not swallowed.
             at = self.peek()
-            rhs = self.require_term(self.parse_add(), at)
-            odes.append((x, rhs))
+            odes.append((x, self.require_term(self.expression(_TERM_LEVEL), at)))
             if self.at_op(","):
                 self.next()
                 continue
@@ -423,16 +219,13 @@ class _Parser:
     # -- safety formula --------------------------------------------------------
 
     def safety_formula(self) -> DlSafetyFormula:
-        # Assumptions parse below the implication level so the top-level
-        # `->` introducing the box is unambiguous; implications inside A
-        # must be parenthesized (the printer does so).
         tok = self.peek()
-        assumptions = self.require_formula(self.parse_or(), tok)
+        assumptions = self.require_formula(self.expression(_ASSUMPTION_LEVEL), tok)
         self.expect_op("->")
         self.expect_op("[")
         open_brace = self.peek()
         if not self.at_op("{"):
-            self.fail(f"found {describe(open_brace)}", "'{' opening the loop body")
+            self.fail(f"found {self.describe(open_brace)}", "'{' opening the loop body")
         self.next()
         body = self.program()
         self.expect_op("}")
@@ -450,12 +243,6 @@ def _split_test(p: Program) -> tuple[Optional[TestStmt], Optional[Program]]:
     if len(stmts) == 1:
         return stmts[0], None
     return stmts[0], list_to_seq(stmts[1:])
-
-
-def describe(tok: Token) -> str:
-    if tok.kind == "eof":
-        return "end of input"
-    return f"{tok.kind} {tok.value!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -490,54 +277,27 @@ def parse_dl_model(text: str) -> DlSafetyFormula:
 
 
 def parse_dl(text: str) -> Union[DlSafetyFormula, Program, Formula, Term]:
-    """Parse any syntactic category, trying the model shape first."""
+    """Parse any syntactic category, trying the model shape first. Text no
+    category accepts raises the error of the program parse, the most
+    informative one."""
+    errors = []
     for entry in (parse_dl_model, parse_dl_program, parse_dl_formula, parse_dl_term):
         try:
             return entry(text)
-        except ParseError:
-            continue
-    # Re-raise the most informative failure (the program parse).
-    return parse_dl_program(text)
+        except ParseError as exc:
+            errors.append(exc)
+    raise errors[1]
 
 
 # ---------------------------------------------------------------------------
 # Printer
 
 def print_dl_term(t: Term) -> str:
-    return render_term(t, "^")
-
-
-_F_EQUIV, _F_IMPLY, _F_OR, _F_AND, _F_NOT, _F_ATOM = 1, 2, 3, 4, 5, 6
+    return render_term(t, DL)
 
 
 def print_dl_formula(f: Formula) -> str:
-    return _formula(f, 0)
-
-
-def _formula(f: Formula, min_level: int) -> str:
-    if isinstance(f, BoolConst):
-        return "true" if f.value else "false"
-    if isinstance(f, Cmp):
-        return print_dl_term(f.left) + _CMP_SYMBOL[f.rel] + print_dl_term(f.right)
-    if isinstance(f, Not):
-        return f"!({_formula(f.operand, 0)})"
-    if isinstance(f, And):
-        text = _formula(f.left, _F_AND) + " & " + _formula(f.right, _F_AND + 1)
-        return _wrap(text, _F_AND, min_level)
-    if isinstance(f, Or):
-        text = _formula(f.left, _F_OR) + " | " + _formula(f.right, _F_OR + 1)
-        return _wrap(text, _F_OR, min_level)
-    if isinstance(f, Imply):
-        text = _formula(f.left, _F_IMPLY + 1) + " -> " + _formula(f.right, _F_IMPLY)
-        return _wrap(text, _F_IMPLY, min_level)
-    if isinstance(f, Equiv):
-        text = _formula(f.left, _F_EQUIV + 1) + " <-> " + _formula(f.right, _F_EQUIV)
-        return _wrap(text, _F_EQUIV, min_level)
-    raise TypeError(f"cannot print {type(f).__name__} in dL syntax")
-
-
-def _wrap(text: str, level: int, min_level: int) -> str:
-    return "(" + text + ")" if level < min_level else text
+    return render_formula(f, DL)
 
 
 def print_dl_program(p: Program) -> str:
@@ -595,12 +355,9 @@ def plant_program(plant: PlantSpec) -> Program:
 
 def print_dl_model(m: DlSafetyFormula) -> str:
     """Canonical multi-line rendering of `A -> [{body}*] S`."""
-    a_text = print_dl_formula(m.assumptions)
-    if isinstance(m.assumptions, (Imply, Equiv)):
-        a_text = "(" + a_text + ")"
     body_lines = [f"  {_stmt_str(s)}" for s in seq_to_list(m.body)]
     parts = [
-        a_text,
+        render_formula(m.assumptions, DL, _ASSUMPTION_LEVEL),
         "->",
         "[{",
         *body_lines,

@@ -387,10 +387,18 @@ class Choice(Program):
 
 
 def seq_to_list(p: Program) -> list[Program]:
-    """Flatten a Seq tree into the statement list it folds."""
-    if isinstance(p, Seq):
-        return seq_to_list(p.first) + seq_to_list(p.second)
-    return [p]
+    """Flatten a Seq tree into the statement list it folds, in linear time
+    and without recursion, so that long statement lists stay in reach."""
+    out: list[Program] = []
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Seq):
+            stack.append(node.second)
+            stack.append(node.first)
+        else:
+            out.append(node)
+    return out
 
 
 def list_to_seq(stmts) -> Program:

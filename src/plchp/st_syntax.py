@@ -14,12 +14,11 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from ._render import render_term
+from ._syntax import LEFT, NUMBER, Dialect, Parser, Token, render_formula, render_term
 from .errors import ParseError
 from .ir import (
-    ADD, DIV, EQ, GE, GT, LE, LT, MUL, NE, POW, SUB,
-    And, Assign, BinOp, BoolConst, Cmp, Formula, Ident,
-    IfThen, IfThenElse, Neg, Not, Number, Or, Program, RESERVED_WORDS, Term, Var, Xor, list_to_seq, number_lexeme, seq_to_list,
+    And, Assign, Formula, Ident, IfThen, IfThenElse, Or, Program,
+    RESERVED_WORDS, Term, Xor, list_to_seq, number_lexeme, seq_to_list,
 )
 
 # Recognized so that out-of-subset sources fail with a named construct
@@ -41,9 +40,6 @@ VAR_KINDS = {
 KIND_KEYWORDS = {v: k for k, v in VAR_KINDS.items()}
 
 TYPES = ("LREAL", "REAL", "BOOL")
-
-_CMP_TOKENS = {"=": EQ, "<>": NE, ">": GT, ">=": GE, "<": LT, "<=": LE}
-_CMP_SYMBOL = {rel: sym for sym, rel in _CMP_TOKENS.items()}
 
 
 @dataclass(frozen=True)
@@ -106,158 +102,75 @@ class StUnit:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_NUMBER = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_OPERATORS = ("**", ":=", "<=", ">=", "<>", "<", ">", "=", "+", "-", "*", "/",
-              "(", ")", ";", ":", ",")
+_NUMBER = re.compile(NUMBER)
+_UNIT = re.compile(r"[ \t]*(ms|s)", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # kw | ident | number | duration | op | eof
-    value: str
-    line: int
-    col: int
-    seconds: float = 0.0  # duration tokens only
+def _classify(word: str) -> tuple[str, str]:
+    upper = word.upper()
+    if upper in RESERVED_WORDS:
+        return "kw", upper
+    if upper in UNSUPPORTED_KEYWORDS:
+        return "unsupported", upper
+    return "ident", word
+
+
+def _duration(text: str, start: int, line: int, col: int) -> tuple[Token, int]:
+    """The `T#<number> s|ms` literal at `start`, and the index after it."""
+    number = _NUMBER.match(text, start + 2)
+    if not number:
+        raise ParseError("malformed duration literal", line, col, "T#<number> s|ms")
+    unit = _UNIT.match(text, number.end())
+    if not unit:
+        raise ParseError("malformed duration literal", line, col, "unit s or ms")
+    value = float(number.group(0))
+    seconds = value / 1000.0 if unit.group(1).lower() == "ms" else value
+    return Token("duration", text[start:unit.end()], line, col, seconds), unit.end()
+
+
+ST = Dialect(
+    name="ST",
+    operators=("**", ":=", "<=", ">=", "<>", "<", ">", "=", "+", "-", "*", "/",
+               "(", ")", ";", ":", ","),
+    comment=("(*", "*)"),
+    classify=_classify,
+    duration=_duration,
+    connectives=((LEFT, (("OR", Or), ("XOR", Xor))), (LEFT, (("AND", And),))),
+    not_op="NOT",
+    bools=("FALSE", "TRUE"),
+    ne_op="<>",
+    pow_op="**",
+    cmp_space=" ",
+    formula_expected="expected a Boolean condition (bare variables are not formulas)",
+    chain_expected="AND/OR or end of expression",
+    operand_expected="expression",
+)
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def error(msg, expected=None):
-        raise ParseError(msg, line, col, expected)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if text.startswith("(*", i):
-            j = text.find("*)", i + 2)
-            if j < 0:
-                error("unterminated comment")
-            chunk = text[i:j + 2]
-            newlines = chunk.count("\n")
-            if newlines:
-                line += newlines
-                col = len(chunk) - chunk.rfind("\n")
-            else:
-                col += len(chunk)
-            i = j + 2
-            continue
-        if c.upper() == "T" and text.startswith("#", i + 1):
-            tok_line, tok_col = line, col
-            j = i + 2
-            m = _NUMBER.match(text, j)
-            if not m:
-                error("malformed duration literal", "T#<number> s|ms")
-            j = m.end()
-            k = j
-            while k < n and text[k] in " \t":
-                k += 1
-            um = re.match(r"(ms|s)", text[k:], re.IGNORECASE)
-            if not um:
-                raise ParseError("malformed duration literal", tok_line, tok_col, "unit s or ms")
-            unit = um.group(1).lower()
-            value = float(m.group(0))
-            seconds = value / 1000.0 if unit == "ms" else value
-            end = k + len(um.group(1))
-            lexeme = text[i:end]
-            tokens.append(Token("duration", lexeme, tok_line, tok_col, seconds))
-            col += end - i
-            i = end
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            word = m.group(0)
-            upper = word.upper()
-            if upper in RESERVED_WORDS:
-                tokens.append(Token("kw", upper, line, col))
-            elif upper in UNSUPPORTED_KEYWORDS:
-                tokens.append(Token("unsupported", upper, line, col))
-            else:
-                tokens.append(Token("ident", word, line, col))
-            col += len(word)
-            i = m.end()
-            continue
-        m = _NUMBER.match(text, i)
-        if m:
-            tokens.append(Token("number", m.group(0), line, col))
-            col += len(m.group(0))
-            i = m.end()
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("op", op, line, col))
-                col += len(op)
-                i += len(op)
-                break
-        else:
-            error(f"unexpected character {c!r}")
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+    return ST.tokenize(text)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.pos = 0
-
-    # -- token plumbing ----------------------------------------------------
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
-        tok = self.peek()
-        self.pos += 1
-        return tok
+class _Parser(Parser):
+    dialect = ST
 
     def at_kw(self, *names: str) -> bool:
         tok = self.peek()
         return tok.kind == "kw" and tok.value in names
 
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.value in ops
-
     def expect_kw(self, name: str) -> Token:
         tok = self.peek()
         if tok.kind != "kw" or tok.value != name:
-            self.fail(f"found {describe(tok)}", name)
+            self.fail(f"found {self.describe(tok)}", name)
         return self.next()
 
-    def expect_op(self, op: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.value != op:
-            self.fail(f"found {describe(tok)}", f"'{op}'")
-        return self.next()
-
-    def expect_ident(self) -> Ident:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.fail(f"found {describe(tok)}", "identifier")
-        self.next()
-        return Ident(tok.value)
-
-    def fail(self, message: str, expected: str | None = None):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col, expected)
+    def describe(self, tok: Token) -> str:
+        if tok.kind == "kw":
+            return f"keyword {tok.value}"
+        return super().describe(tok)
 
     def reject_unsupported(self):
         tok = self.peek()
@@ -267,116 +180,11 @@ class _Parser:
                 tok.line, tok.col,
             )
 
-    # -- expressions ---------------------------------------------------------
-    #
-    # Precedence, loosest to tightest: OR/XOR, AND, NOT, comparisons
-    # (non-associative), +/-, */slash, **, unary minus. One unified grammar
-    # produces either a Term or a Formula; operators check operand kinds.
-
-    def expression(self):
-        left = self.parse_and()
-        while self.at_kw("OR", "XOR"):
-            op = self.next()
-            right = self.parse_and()
-            lf = self.require_formula(left, op)
-            rf = self.require_formula(right, op)
-            left = Or(lf, rf) if op.value == "OR" else Xor(lf, rf)
-        return left
-
-    def parse_and(self):
-        left = self.parse_not()
-        while self.at_kw("AND"):
-            op = self.next()
-            right = self.parse_not()
-            left = And(self.require_formula(left, op), self.require_formula(right, op))
-        return left
-
-    def parse_not(self):
-        if self.at_kw("NOT"):
-            op = self.next()
-            operand = self.parse_not()
-            return Not(self.require_formula(operand, op))
-        return self.parse_cmp()
-
-    def parse_cmp(self):
-        left = self.parse_add()
-        if self.at_op(*_CMP_TOKENS):
-            op = self.next()
-            right = self.parse_add()
-            result = Cmp(_CMP_TOKENS[op.value], self.require_term(left, op), self.require_term(right, op))
-            if self.at_op(*_CMP_TOKENS):
-                self.fail("comparisons are non-associative", "AND/OR or end of expression")
-            return result
-        return left
-
-    def parse_add(self):
-        left = self.parse_mul()
-        while self.at_op("+", "-"):
-            op = self.next()
-            right = self.parse_mul()
-            kind = ADD if op.value == "+" else SUB
-            left = BinOp(kind, self.require_term(left, op), self.require_term(right, op))
-        return left
-
-    def parse_mul(self):
-        left = self.parse_pow()
-        while self.at_op("*", "/"):
-            op = self.next()
-            right = self.parse_pow()
-            kind = MUL if op.value == "*" else DIV
-            left = BinOp(kind, self.require_term(left, op), self.require_term(right, op))
-        return left
-
-    def parse_pow(self):
-        left = self.parse_unary()
-        if self.at_op("**"):
-            op = self.next()
-            right = self.parse_pow()
-            return BinOp(POW, self.require_term(left, op), self.require_term(right, op))
-        return left
-
-    def parse_unary(self):
-        if self.at_op("-"):
-            op = self.next()
-            return Neg(self.require_term(self.parse_unary(), op))
-        return self.parse_primary()
-
-    def parse_primary(self):
-        tok = self.peek()
-        if tok.kind == "number":
-            self.next()
-            return Number(tok.value)
-        if tok.kind == "kw" and tok.value in ("TRUE", "FALSE"):
-            self.next()
-            return BoolConst(tok.value == "TRUE")
-        if tok.kind == "ident":
-            self.next()
-            if self.at_op("("):
-                raise ParseError(
-                    f"function call {tok.value}(...) is not supported",
-                    tok.line, tok.col,
-                )
-            return Var(Ident(tok.value))
-        if tok.kind == "op" and tok.value == "(":
-            self.next()
-            inner = self.expression()
-            self.expect_op(")")
-            return inner
+    def atom(self, tok: Token):
+        if tok.kind == "ident" and self.peek(1).kind == "op" and self.peek(1).value == "(":
+            raise ParseError(f"function call {tok.value}(...) is not supported", tok.line, tok.col)
         self.reject_unsupported()
-        self.fail(f"found {describe(tok)}", "expression")
-
-    def require_term(self, value, at: Token) -> Term:
-        if isinstance(value, Term):
-            return value
-        raise ParseError("expected an arithmetic term", at.line, at.col)
-
-    def require_formula(self, value, at: Token) -> Formula:
-        if isinstance(value, Formula):
-            return value
-        raise ParseError(
-            "expected a Boolean condition (bare variables are not formulas)",
-            at.line, at.col,
-        )
+        return super().atom(tok)
 
     # -- statements ----------------------------------------------------------
 
@@ -407,20 +215,17 @@ class _Parser:
                 raise ParseError("can only assign arithmetic terms", op.line, op.col)
             self.expect_op(";")
             return Assign(target, value, pos=(tok.line, tok.col))
-        self.fail(f"found {describe(tok)}", "assignment or IF")
+        self.fail(f"found {self.describe(tok)}", "assignment or IF")
 
     def if_statement(self) -> Program:
         start = self.expect_kw("IF")
         arms: list[tuple[Formula, Program]] = []
-        cond_tok = self.peek()
-        cond = self.expression()
-        cond = self.require_formula(cond, cond_tok)
+        cond = self.formula()
         self.expect_kw("THEN")
         arms.append((cond, list_to_seq(self.statement_list())))
         while self.at_kw("ELSIF"):
             self.next()
-            cond_tok = self.peek()
-            cond = self.require_formula(self.expression(), cond_tok)
+            cond = self.formula()
             self.expect_kw("THEN")
             arms.append((cond, list_to_seq(self.statement_list())))
         else_body: Optional[Program] = None
@@ -475,14 +280,14 @@ class _Parser:
         self.expect_op(":=")
         dur = self.peek()
         if dur.kind != "duration":
-            self.fail(f"found {describe(dur)}", "duration literal T#<n> s|ms")
+            self.fail(f"found {self.describe(dur)}", "duration literal T#<n> s|ms")
         self.next()
         self.expect_op(",")
         self.expect_kw("PRIORITY")
         self.expect_op(":=")
         prio = self.peek()
         if prio.kind != "number" or not prio.value.isdigit():
-            self.fail(f"found {describe(prio)}", "non-negative integer priority")
+            self.fail(f"found {self.describe(prio)}", "non-negative integer priority")
         self.next()
         self.expect_op(")")
         if self.at_op(";"):
@@ -530,16 +335,11 @@ class _Parser:
                 self.fail(f"configuration refers to unknown program {prog_ref}")
         tok = self.peek()
         if tok.kind != "eof":
-            self.fail(f"unexpected trailing input: {describe(tok)}", "end of file")
+            self.fail(f"unexpected trailing input: {self.describe(tok)}", "end of file")
         try:
             return StUnit(program_name, tuple(blocks), body, config)
         except ValueError as exc:  # duplicate declarations
             raise ParseError(str(exc), 1, 1) from None
-
-    def eof(self):
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.fail(f"unexpected trailing input: {describe(tok)}", "end of input")
 
 
 def _fold_if(arms, else_body, pos) -> Program:
@@ -549,14 +349,6 @@ def _fold_if(arms, else_body, pos) -> Program:
             return IfThen(cond, body, pos=pos)
         return IfThenElse(cond, body, else_body, pos=pos)
     return IfThenElse(cond, body, _fold_if(arms[1:], else_body, pos), pos=pos)
-
-
-def describe(tok: Token) -> str:
-    if tok.kind == "eof":
-        return "end of input"
-    if tok.kind == "kw":
-        return f"keyword {tok.value}"
-    return f"{tok.kind} {tok.value!r}"
 
 
 def parse_st(text: str) -> StUnit:
@@ -584,36 +376,11 @@ def parse_st_expression(text: str):
 # Printer
 
 def print_st_term(t: Term) -> str:
-    return render_term(t, "**")
-
-
-# Formula precedence levels for minimal parenthesization.
-_F_ORXOR, _F_AND, _F_NOT, _F_ATOM = 1, 2, 3, 4
+    return render_term(t, ST)
 
 
 def print_st_formula(f: Formula) -> str:
-    return _formula(f, 0)
-
-
-def _formula(f: Formula, min_level: int) -> str:
-    if isinstance(f, BoolConst):
-        return "TRUE" if f.value else "FALSE"
-    if isinstance(f, Cmp):
-        return f"{print_st_term(f.left)} {_CMP_SYMBOL[f.rel]} {print_st_term(f.right)}"
-    if isinstance(f, Not):
-        return f"NOT({_formula(f.operand, 0)})"
-    if isinstance(f, And):
-        text = _formula(f.left, _F_AND) + " AND " + _formula(f.right, _F_AND + 1)
-        return _wrap(text, _F_AND, min_level)
-    if isinstance(f, (Or, Xor)):
-        name = "OR" if isinstance(f, Or) else "XOR"
-        text = _formula(f.left, _F_ORXOR) + f" {name} " + _formula(f.right, _F_ORXOR + 1)
-        return _wrap(text, _F_ORXOR, min_level)
-    raise TypeError(f"cannot print {type(f).__name__} in ST syntax")
-
-
-def _wrap(text: str, level: int, min_level: int) -> str:
-    return "(" + text + ")" if level < min_level else text
+    return render_formula(f, ST)
 
 
 def print_st_statement(p: Program, indent: int = 0) -> str:

@@ -247,3 +247,24 @@ def test_simulate_csv_mode_without_path(tmp_path):
     code, err = _simulate_with(tmp_path, '{"inputs": {"mode": "csv"}}')
     assert code == 1
     assert "run.json: input mode 'csv' needs a 'path' string" in err
+
+
+def test_st2hp_deeply_nested_expression(tmp_path):
+    (tmp_path / "deep.st").write_text(
+        "PROGRAM p\n  x := " + "(" * 1000 + "1" + ")" * 1000 + ";\nEND_PROGRAM\n")
+    code, err = run_process(
+        tmp_path, "st2hp", "deep.st", "--plant", data("watertank_plant.dlhp"),
+        "--assumptions", data("watertank_safety.dlhp"),
+        "--safety", data("watertank_safety.dlhp"),
+    )
+    assert code == 1
+    assert err == "deep.st:2:158: expression nested too deeply\n"
+
+
+def test_hp2st_deeply_nested_model(tmp_path):
+    (tmp_path / "deep.dlhp").write_text(
+        "eps=1 -> [{ u:=*; y:=u; t:=0; {x'=y, t'=1 & t<=eps} }*]\n"
+        + "(" * 1000 + "x>=0" + ")" * 1000 + "\n")
+    code, err = run_process(tmp_path, "hp2st", "deep.dlhp")
+    assert code == 1
+    assert err == "deep.dlhp:2:151: expression nested too deeply\n"

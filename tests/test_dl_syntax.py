@@ -155,6 +155,11 @@ def test_parse_dl_sniffs_category():
     assert isinstance(parse_dl("x >= 1"), Cmp)
     assert isinstance(parse_dl("x := 1;"), Assign)
     assert isinstance(parse_dl((golden.DATA / "watertank_original_model.dlhp").read_text()), DlSafetyFormula)
+    # Input no category accepts reports the program parse's error.
+    with pytest.raises(ParseError) as info:
+        parse_dl("x > 0 -> [{x := ;}*] x > 0")
+    assert str(info.value) == "1:3: found op '>' (expected ':=')"
+    assert (info.value.line, info.value.col) == (1, 3)
 
 
 def test_syntax_errors_have_positions():
