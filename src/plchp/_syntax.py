@@ -170,7 +170,7 @@ class Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.peek()

@@ -37,11 +37,14 @@ StatementFn = Callable[[Slots], None]
 
 class Layout:
     """Variable-to-slot map shared by the closures compiled for one run.
-    Compiling a tree adds a slot for every variable it mentions."""
+    Compiling a tree adds a slot for every variable it mentions; `names`
+    gives the first slots, in order."""
 
-    def __init__(self):
+    def __init__(self, names=()):
         self.slots: dict[Ident, int] = {}
         self.names: list[Ident] = []
+        for name in names:
+            self.slot(name)
 
     def slot(self, name: Ident) -> int:
         i = self.slots.get(name)
@@ -57,6 +60,10 @@ class Layout:
     def store(self, s: State, values: Slots) -> State:
         """`s` updated with every bound slot of `values`."""
         return s.set_many({x: value for x, value in zip(self.names, values) if value is not None})
+
+    def state(self, values) -> State:
+        """The State binding every bound slot of `values`."""
+        return State({x: value for x, value in zip(self.names, values) if value is not None})
 
 
 def read(values: Slots, i: int, name: Ident) -> float:

@@ -51,6 +51,16 @@ class Ident:
         if self.name.upper() in RESERVED_WORDS:
             raise ValueError(f"reserved keyword cannot be an identifier: {self.name!r}")
 
+    # Written out because the generated pair hashes and compares a one-field
+    # tuple, and every State construction and lookup pays for it.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
+
     def __str__(self) -> str:
         return self.name
 

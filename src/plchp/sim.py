@@ -8,12 +8,15 @@ fixed-step RK4 with an exact closed form when every right-hand side is
 constant in the evolving variables over the cycle.
 
 The controller, the plant's right-hand sides and its evolution domain are
-compiled once per run into closures over slot-indexed floats (see
-`compiled`), and so is the per-plant analysis; a cycle builds a `State`
-only for the snapshots it records. The closures perform the reference
-interpreters' float operations in the same order and raise the same
-errors, and the tests hold them to `eval_term`, `eval_formula` and
-`run_st` bit for bit.
+compiled once per run into closures over one list of slot-indexed floats
+(see `compiled`), and so is the per-plant analysis. Each cycle runs on that
+list in place and records its snapshots as tuples of it, so a cycle builds
+no `State`; a record builds one only when a snapshot is read. The safety
+property and the trace columns are read from the tuples the same way. The
+closures perform the reference interpreters' float operations in the same
+order and raise the same errors, and the tests hold them to `eval_term`,
+`eval_formula` and `run_st` bit for bit, and the whole loop to one built
+from `State`s.
 
 Compliance checking replays recorded sensor values through a deterministic
 controller and flags rows whose recorded actuations deviate, aggregated
@@ -81,12 +84,13 @@ def plant_is_affine(plant: PlantSpec) -> bool:
 
 class CompiledPlant:
     """A plant compiled once for all the cycles of a run: right-hand sides,
-    evolution domain and its conjuncts as closures over one layout, plus
-    the per-plant analysis (affinity, which conjuncts are solved exactly)."""
+    evolution domain and its conjuncts as closures over one layout (a new
+    one unless given), plus the per-plant analysis (affinity, which
+    conjuncts are solved exactly)."""
 
-    def __init__(self, plant: PlantSpec):
+    def __init__(self, plant: PlantSpec, layout: Optional[Layout] = None):
         self.spec = plant
-        self.layout = layout = Layout()
+        self.layout = layout = Layout() if layout is None else layout
         self.odes = [(x, layout.slot(x)) for x, _ in plant.odes]
         self.clock = layout.slot(plant.clock)
         self.rates = [compile_term(rhs, layout) for _, rhs in plant.odes]
@@ -114,35 +118,42 @@ class CompiledPlant:
 
 def integrate_plant(
     plant: PlantSpec | CompiledPlant,
-    s: State,
+    s: State | Slots,
     duration: float,
     cfg: IntegratorConfig = IntegratorConfig(),
-) -> tuple[State, Optional[DomainExit]]:
+) -> tuple[State | Slots, Optional[DomainExit]]:
     """Advance the plant state by `duration`, checking the evolution domain.
 
     The clock advances by exactly `duration` (the implied bound
     `clock <= eps` is enforced by the caller's choice of duration, not
     re-checked here). A caller integrating the same plant many times passes
-    it compiled once, as a `CompiledPlant`.
+    it compiled once, as a `CompiledPlant`. Given a `State`, this returns
+    a new one; given a slot list of a `CompiledPlant`'s layout, it advances
+    that list in place and returns it, leaving it part-way on an error.
     """
     if duration < 0:
         raise ValueError("duration must be non-negative")
     if duration == 0:
         return s, None
     if not isinstance(plant, CompiledPlant):
+        if not isinstance(s, State):
+            raise TypeError("a slot list needs the CompiledPlant of its layout")
         plant = CompiledPlant(plant)
     method = cfg.method
     if method == "affine" and not plant.affine:
         raise ValueError("plant is not affine; use rk4 or auto")
     if method == "auto":
         method = "affine" if plant.affine else "rk4"
-    if method == "affine":
-        return _integrate_affine(plant, s, duration, cfg)
-    return _integrate_rk4(plant, s, duration, cfg)
-
-
-def _integrate_affine(plant: CompiledPlant, s, duration, cfg):
+    kernel = _integrate_affine if method == "affine" else _integrate_rk4
+    if not isinstance(s, State):
+        return s, kernel(plant, s, duration, cfg)
     v = plant.layout.load(s)
+    domain_exit = kernel(plant, v, duration, cfg)
+    return plant.layout.store(s, v), domain_exit
+
+
+def _integrate_affine(plant: CompiledPlant, v: Slots, duration, cfg) -> Optional[DomainExit]:
+    """One cycle of the closed form, advancing `v` in place."""
     rates = [f(v) for f in plant.rates]
     t0 = read(v, plant.clock, plant.spec.clock)
 
@@ -153,19 +164,21 @@ def _integrate_affine(plant: CompiledPlant, s, duration, cfg):
         w[plant.clock] = t0 + t
         return w
 
-    exit_time, conjunct = _affine_domain_exit(plant, v, at, duration, cfg)
+    end = at(duration)
+    exit_time, conjunct = _affine_domain_exit(plant, v, end, at, duration, cfg)
     if exit_time is not None:
-        return plant.layout.store(s, at(exit_time)), DomainExit(exit_time, conjunct)
-    return plant.layout.store(s, at(duration)), None
+        v[:] = at(exit_time)
+        return DomainExit(exit_time, conjunct)
+    v[:] = end
+    return None
 
 
-def _affine_domain_exit(plant: CompiledPlant, v0, at, duration, cfg):
+def _affine_domain_exit(plant: CompiledPlant, v0, end, at, duration, cfg):
     """Earliest domain violation. Comparison conjuncts affine in the
     evolving variables are solved from their endpoint values (linear in
     time); anything else falls back to a grid scan."""
     if plant.domain is None:
         return None, None
-    end = at(duration)
     best: tuple[float, Formula] | None = None
     for part, holds, linear in plant.parts:
         if linear is not None:
@@ -235,10 +248,9 @@ def _grid_violation(holds, at, duration: float, substeps: int) -> Optional[float
     return None
 
 
-def _integrate_rk4(plant: CompiledPlant, s, duration, cfg):
-    """One cycle of fixed-step RK4: every stage works on slot lists, and a
-    State is built only for the result."""
-    v = plant.layout.load(s)
+def _integrate_rk4(plant: CompiledPlant, v: Slots, duration, cfg) -> Optional[DomainExit]:
+    """One cycle of fixed-step RK4, advancing `v` in place; the stages
+    work on one more slot list."""
     clock = plant.clock
     t0 = read(v, clock, plant.spec.clock)
     n = cfg.substeps
@@ -248,7 +260,7 @@ def _integrate_rk4(plant: CompiledPlant, s, duration, cfg):
     slots = [i for _, i in plant.odes]
 
     if domain is not None and not domain(v):
-        return s, DomainExit(0.0, plant.failing_conjunct(v))
+        return DomainExit(0.0, plant.failing_conjunct(v))
     unbound = [x for x, i in plant.odes if v[i] is None]
     if unbound:
         # The first stage evaluates every rate before it reads an evolving
@@ -276,9 +288,9 @@ def _integrate_rk4(plant: CompiledPlant, s, duration, cfg):
             v[i] = v[i] + (a + 2 * b + 2 * c + d) / 6 * h
         v[clock] = t0 + t_next
         if domain is not None and not domain(v):
-            return plant.layout.store(s, v), DomainExit(t_next, plant.failing_conjunct(v))
+            return DomainExit(t_next, plant.failing_conjunct(v))
     v[clock] = t0 + duration
-    return plant.layout.store(s, v), None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +342,48 @@ class CsvInputs(InputProvider):
 # ---------------------------------------------------------------------------
 # Scan-cycle simulation
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CycleRecord:
     """Snapshots of one scan cycle.
 
     `pre` is the state after the input read (before control), `post_ctrl`
     after the controller ran, `post_plant` after the plant evolved. The
     plant clock contribution equals the cycle duration unless `domain_exit`
-    is set.
+    is set. Each snapshot is kept as a tuple of slot values of `layout`,
+    None where unbound, and is built into a `State` each time it is read.
     """
 
     index: int
     t_abs: float
-    pre: State
-    post_ctrl: State
-    post_plant: State
+    layout: Layout
+    pre_values: tuple
+    ctrl_values: tuple
+    plant_values: tuple
     domain_exit: Optional[DomainExit] = None
+
+    @property
+    def pre(self) -> State:
+        return self.layout.state(self.pre_values)
+
+    @property
+    def post_ctrl(self) -> State:
+        return self.layout.state(self.ctrl_values)
+
+    @property
+    def post_plant(self) -> State:
+        return self.layout.state(self.plant_values)
+
+    def _key(self) -> tuple:
+        return (self.index, self.t_abs, self.pre, self.post_ctrl, self.post_plant,
+                self.domain_exit)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CycleRecord):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -382,19 +420,22 @@ def simulate(
     the plant for exactly the cycle duration. Stops early (keeping the
     partial record) when the plant leaves its evolution domain."""
     epsilon = resolve_epsilon(m, cfg.epsilon)
-    state = initial
-    if m.plant.clock not in state:
-        state = state.set(m.plant.clock, 0.0)
-    eps_binding = {}
-    if isinstance(m.epsilon, Ident) and m.epsilon not in state:
-        eps_binding[m.epsilon] = epsilon
-        state = state.set_many(eps_binding)
-    if cfg.check_assumptions and not eval_formula(m.assumptions, state):
+    # The whole state of the run lives in one slot list: every name of the
+    # initial state, of the controller, of the plant and the inputs.
+    layout = Layout(x for x, _ in initial.items())
+    control = compile_st(st_body, layout)
+    plant = CompiledPlant(m.plant, layout)
+    feeds = [(x, layout.slot(x)) for x in m.inputs]
+    clock = plant.clock
+    eps = layout.slot(m.epsilon) if isinstance(m.epsilon, Ident) else None
+    values = layout.load(initial)
+    if values[clock] is None:
+        values[clock] = 0.0
+    if eps is not None and values[eps] is None:
+        values[eps] = epsilon
+    if cfg.check_assumptions and not eval_formula(m.assumptions, layout.state(values)):
         raise PlchpError("initial state does not satisfy the assumptions")
 
-    layout = Layout()
-    control = compile_st(st_body, layout)
-    plant = CompiledPlant(m.plant)
     records: list[CycleRecord] = []
     for index in range(cycles):
         provided = inputs.values(index)
@@ -403,24 +444,15 @@ def simulate(
             raise MissingInput(
                 "input provider lacks values for: " + ", ".join(str(x) for x in missing)
             )
-        state = state.set_many({x: provided[x] for x in m.inputs})
-        pre = state
-        values = layout.load(pre)
+        for x, i in feeds:
+            values[i] = float(provided[x])
+        pre = tuple(values)
         control(values)
-        post_ctrl = layout.store(pre, values)
-        plant_start = post_ctrl.set(m.plant.clock, 0.0)
-        post_plant, domain_exit = integrate_plant(
-            plant, plant_start, epsilon, cfg.integrator
-        )
+        post_ctrl = tuple(values)
+        values[clock] = 0.0
+        _, domain_exit = integrate_plant(plant, values, epsilon, cfg.integrator)
         records.append(CycleRecord(
-            index=index,
-            t_abs=index * epsilon,
-            pre=pre,
-            post_ctrl=post_ctrl,
-            post_plant=post_plant,
-            domain_exit=domain_exit,
-        ))
-        state = post_plant
+            index, index * epsilon, layout, pre, post_ctrl, tuple(values), domain_exit))
         if domain_exit is not None:
             break
     return records
@@ -434,12 +466,20 @@ class SafetyViolation:
 
 
 def check_safety(records: Sequence[CycleRecord], safety: Formula) -> list[SafetyViolation]:
-    """Evaluate the safety property on every pre and post-plant state."""
+    """Evaluate the safety property on every pre and post-plant state. The
+    property is compiled once over the layout the records were taken on."""
     violations: list[SafetyViolation] = []
+    layout = None
     for rec in records:
-        if not eval_formula(safety, rec.pre):
+        if rec.layout is not layout:
+            layout = rec.layout
+            # Variables the run never had get slots past the snapshot's end.
+            wider = Layout(layout.names)
+            holds = compile_formula(safety, wider)
+            unbound = (None,) * (len(wider.names) - len(layout.names))
+        if not holds(rec.pre_values + unbound):
             violations.append(SafetyViolation(rec.index, "pre", rec.pre))
-        if not eval_formula(safety, rec.post_plant):
+        if not holds(rec.plant_values + unbound):
             violations.append(SafetyViolation(rec.index, "post_plant", rec.post_plant))
     return violations
 
@@ -456,16 +496,25 @@ def trace_columns(io_spec: IoClassification) -> list[Ident]:
 
 def write_trace(stream, records: Sequence[CycleRecord], io_spec: IoClassification) -> None:
     """One row per cycle: sensors/params from the pre state, actuators from
-    the post-control state."""
+    the post-control state. A cell whose variable is unbound there raises
+    UnboundVariable, after the rows before it are written."""
     columns = trace_columns(io_spec)
     writer = csv.writer(stream)
     writer.writerow([CYCLE_COLUMN] + [c.name for c in columns])
     actuators = set(io_spec.outputs)
+    layout = None
     for rec in records:
+        if rec.layout is not layout:
+            layout = rec.layout
+            # (column, 1 to read the post-control snapshot else 0, its slot)
+            cells = [(col, int(col in actuators), layout.slots.get(col)) for col in columns]
+        snapshots = (rec.pre_values, rec.ctrl_values)
         row: list = [rec.index]
-        for col in columns:
-            source = rec.post_ctrl if col in actuators else rec.pre
-            row.append(repr(source.get(col)))
+        for col, phase, i in cells:
+            value = None if i is None else snapshots[phase][i]
+            if value is None:
+                raise UnboundVariable(col)
+            row.append(repr(value))
         writer.writerow(row)
 
 

@@ -4,12 +4,14 @@ The expected values were recorded from the original per-dialect lexers and
 parsers; the shared lexer and expression parser must reproduce each one.
 """
 
+from pathlib import Path
+
 import pytest
 
 from plchp.dl_syntax import (
     parse_dl, parse_dl_formula, parse_dl_model, parse_dl_program, parse_dl_term,
 )
-from plchp.errors import ParseError
+from plchp.errors import ParseError, PlchpError
 from plchp.st_syntax import parse_st, parse_st_expression, parse_st_statements
 
 _TASK = (
@@ -144,3 +146,21 @@ def test_nesting_limit(parse, text):
         parse(deeper)
     assert info.value.args[0].endswith(": expression nested too deeply")
     assert (info.value.line, info.value.col) == (1, text.index("{") + MAX_NESTING + 1)
+
+
+DATA = Path(__file__).parent / "data"
+PREFIX_PARSERS = (parse_st, parse_st_statements, parse_st_expression, parse_dl)
+
+
+@pytest.mark.parametrize("path", sorted(DATA.iterdir()), ids=lambda p: p.name)
+def test_every_prefix_fails_cleanly(path):
+    # A rule that looks past the end-of-input token raises IndexError, which
+    # a truncated text is the likeliest way to reach.
+    text = path.read_text()
+    for end in range(len(text) + 1):
+        for tail in ("", " x", " ("):
+            for parse in PREFIX_PARSERS:
+                try:
+                    parse(text[:end] + tail)
+                except PlchpError:
+                    pass
