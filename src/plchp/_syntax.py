@@ -30,10 +30,12 @@ from .ir import (
 LEFT, RIGHT, NONASSOC = "left", "right", "nonassoc"
 NUMBER = r"\d+(\.\d+)?([eE][+-]?\d+)?"
 
-# Deepest parenthesis nesting an expression may have. Earlier versions
-# accepted up to 109 levels (ST) and 89 (dL) before running out of Python
-# stack; the climber spends one frame per level, so 150 accepts all of that
-# and stays well inside the default recursion limit.
+# Deepest parenthesis nesting an expression may have, and the longest run of
+# prefix operators. Earlier versions accepted up to 109 levels (ST) and 89
+# (dL) before running out of Python stack. The climber spends one frame per
+# parenthesis, and the printer and the evaluators one per operator (the dL
+# printer writes `!(` for each negation), so 150 accepts all of that and
+# stays well inside the default recursion limit.
 MAX_NESTING = 150
 
 
@@ -228,14 +230,20 @@ class Parser:
         check is reported at the operator token.
         """
         d = self.dialect
+        # A run of prefix operators is read in a loop. Each applies to what
+        # follows it up to the first binary operator looser than itself.
+        run = []  # (operator token, its prefix entry, the level around it)
         tok = self.peek()
         prefix = d.prefix.get(tok.value)
-        if prefix is not None and prefix[0] >= min_level:
-            level, formulas, build = prefix
+        while prefix is not None and prefix[0] >= min_level:
+            if len(run) == MAX_NESTING:
+                raise ParseError("expression nested too deeply", tok.line, tok.col)
+            run.append((tok, prefix, min_level))
+            min_level = prefix[0]
             self.pos += 1
-            check = self.require_formula if formulas else self.require_term
-            left = build(check(self.expression(level), tok))
-        elif tok.kind == "op" and tok.value == "(":
+            tok = self.peek()
+            prefix = d.prefix.get(tok.value)
+        if tok.kind == "op" and tok.value == "(":
             self.nesting += 1
             if self.nesting > MAX_NESTING:
                 raise ParseError("expression nested too deeply", tok.line, tok.col)
@@ -250,7 +258,12 @@ class Parser:
             op = self.peek()
             entry = binary.get(op.value)
             if entry is None or entry[0] < min_level:
-                return left
+                if not run:
+                    return left
+                tok, (_, formulas, build), min_level = run.pop()
+                check = self.require_formula if formulas else self.require_term
+                left = build(check(left, tok))
+                continue
             level, assoc, formulas, build = entry
             self.pos += 1
             right = self.expression(level if assoc == RIGHT else level + 1)
@@ -282,6 +295,25 @@ class Parser:
         if isinstance(value, Formula):
             return value
         raise ParseError(self.dialect.formula_expected, at.line, at.col)
+
+
+def run_nested(parse):
+    """Run a parse whose nested parses are generators too: a parse yields
+    the generator of each parse nested in it and is sent back its result.
+    The suspended parses wait on an explicit stack rather than the Python
+    stack, so statements can nest as deep as memory allows."""
+    stack = [parse]
+    result = None
+    while stack:
+        try:
+            nested = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(nested)
+            result = None
+    return result
 
 
 def render_term(t: Term, d: Dialect) -> str:

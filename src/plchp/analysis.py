@@ -14,10 +14,10 @@ from typing import Optional, Union
 from .dl_syntax import DlSafetyFormula, print_dl_formula
 from .errors import ConflictingEpsilon, NotNormalForm
 from .ir import (
-    Assign, BinOp, Choice, Cmp, EQ, Formula, GuardedChoice, Ident, IfThen,
-    IfThenElse, LE, GE, Loop, Neg, Not, Number, OdeSystem, PlantSpec, Program,
-    RandomAssign, ScanCycleModel, Seq, TRUE, TestStmt, Var, collect_vars,
-    conjoin, conjuncts, list_to_seq, seq_to_list,
+    Assign, Choice, Cmp, EQ, Formula, GuardedChoice, HP_STATEMENTS, Ident, LE,
+    GE, Loop, Number, OdeSystem, PlantSpec, Program, RandomAssign,
+    ScanCycleModel, Seq, TRANSLATABLE, TRUE, TestStmt, Var, collect_vars,
+    conjoin, conjuncts, fold, list_to_seq, seq_to_list, walk,
 )
 
 
@@ -57,32 +57,32 @@ def var_sets(p: Program) -> VarSets:
     variables are free, BV is the union of the branches, MBV the intersection
     (an absent branch contributes nothing).
     """
-    if isinstance(p, Assign):
+    return fold(p, _var_sets, TRANSLATABLE)
+
+
+_NONE = VarSets(frozenset(), frozenset(), frozenset())
+
+
+def _var_sets(p: Program, kids) -> VarSets:
+    cls = p.__class__
+    if cls is Assign:
         target = frozenset((p.target,))
         return VarSets(frozenset(collect_vars(p.value)), target, target)
-    if isinstance(p, Seq):
-        first = var_sets(p.first)
-        second = var_sets(p.second)
+    if cls is Seq:
+        first, second = kids
         return VarSets(
             first.free | (second.free - first.must_bound),
             first.bound | second.bound,
             first.must_bound | second.must_bound,
         )
-    if isinstance(p, (GuardedChoice, IfThen, IfThenElse)):
-        if isinstance(p, GuardedChoice):
-            guard, then, else_ = p.guard, p.then, p.else_
-        elif isinstance(p, IfThenElse):
-            guard, then, else_ = p.cond, p.then, p.else_
-        else:
-            guard, then, else_ = p.cond, p.then, None
-        t = var_sets(then)
-        e = var_sets(else_) if else_ is not None else VarSets(frozenset(), frozenset(), frozenset())
-        return VarSets(
-            frozenset(collect_vars(guard)) | t.free | e.free,
-            t.bound | e.bound,
-            t.must_bound & e.must_bound,
-        )
-    raise TypeError(f"var_sets is defined on the translatable fragment, not {type(p).__name__}")
+    if cls not in TRANSLATABLE:
+        raise TypeError(f"var_sets is defined on the translatable fragment, not {cls.__name__}")
+    t, e = kids if len(kids) == 2 else (kids[0], _NONE)
+    return VarSets(
+        frozenset(collect_vars(p.guard if cls is GuardedChoice else p.cond)) | t.free | e.free,
+        t.bound | e.bound,
+        t.must_bound & e.must_bound,
+    )
 
 
 def _first_seen(items) -> tuple[Ident, ...]:
@@ -93,56 +93,6 @@ def _first_seen(items) -> tuple[Ident, ...]:
             seen.add(x)
             out.append(x)
     return tuple(out)
-
-
-def _read_order(p: Program) -> list[Ident]:
-    """All variables read by a program, in first-occurrence order."""
-    if isinstance(p, Assign):
-        return _term_vars_in_order(p.value)
-    if isinstance(p, Seq):
-        return _read_order(p.first) + _read_order(p.second)
-    if isinstance(p, (GuardedChoice, IfThen, IfThenElse)):
-        guard = p.guard if isinstance(p, GuardedChoice) else p.cond
-        out = _formula_vars_in_order(guard) + _read_order(p.then)
-        else_ = p.else_ if not isinstance(p, IfThen) else None
-        if else_ is not None:
-            out += _read_order(else_)
-        return out
-    raise TypeError(f"not in the translatable fragment: {type(p).__name__}")
-
-
-def _bound_order(p: Program) -> list[Ident]:
-    if isinstance(p, Assign):
-        return [p.target]
-    if isinstance(p, Seq):
-        return _bound_order(p.first) + _bound_order(p.second)
-    if isinstance(p, (GuardedChoice, IfThen, IfThenElse)):
-        out = _bound_order(p.then)
-        else_ = p.else_ if not isinstance(p, IfThen) else None
-        if else_ is not None:
-            out += _bound_order(else_)
-        return out
-    raise TypeError(f"not in the translatable fragment: {type(p).__name__}")
-
-
-def _term_vars_in_order(t) -> list[Ident]:
-    if isinstance(t, Var):
-        return [t.ident]
-    if isinstance(t, Neg):
-        return _term_vars_in_order(t.operand)
-    if isinstance(t, BinOp):
-        return _term_vars_in_order(t.left) + _term_vars_in_order(t.right)
-    return []
-
-
-def _formula_vars_in_order(f: Formula) -> list[Ident]:
-    if isinstance(f, Cmp):
-        return _term_vars_in_order(f.left) + _term_vars_in_order(f.right)
-    if isinstance(f, Not):
-        return _formula_vars_in_order(f.operand)
-    if hasattr(f, "left") and hasattr(f, "right"):
-        return _formula_vars_in_order(f.left) + _formula_vars_in_order(f.right)
-    return []
 
 
 def classify_io(
@@ -157,7 +107,8 @@ def classify_io(
     Whatever remains free (and is not the clock) is a parameter.
     """
     vs = var_sets(ctrl)
-    outputs = _first_seen(x for x in _bound_order(ctrl) if x in vs.bound)
+    # var_sets has checked that ctrl is translatable.
+    outputs = _first_seen(s.target for s in walk(ctrl, TRANSLATABLE) if s.__class__ is Assign)
     plant_states = [x for x in plant.state_vars() if x in vs.free]
     candidates = plant_states + [x for x in declared_inputs if x not in plant_states]
     warnings = tuple(
@@ -166,7 +117,9 @@ def classify_io(
         if x in vs.bound
     )
     inputs = tuple(x for x in _first_seen(candidates) if x not in vs.bound)
-    free_order = _first_seen(x for x in _read_order(ctrl) if x in vs.free)
+    free_order = _first_seen(
+        n.ident for n in walk(ctrl) if n.__class__ is Var and n.ident in vs.free
+    )
     params = tuple(
         x for x in free_order
         if x not in inputs and x not in vs.bound and x != plant.clock
@@ -229,9 +182,8 @@ def validate_scan_cycle_form(f: DlSafetyFormula) -> ScanCycleModel:
     ctrl_stmts = stmts[idx:-2]
     if not ctrl_stmts:
         raise NotNormalForm("missing controller between inputs and plant")
-    for s in ctrl_stmts:
-        _check_ctrl(s)
     ctrl = list_to_seq(ctrl_stmts)
+    _check_ctrl(ctrl)
 
     plant = PlantSpec(plant_odes, clock, domain, bound)
     epsilon: Union[float, Ident]
@@ -265,30 +217,24 @@ def _clock_bound(part: Formula, clock: Ident) -> Optional[Union[Var, Number]]:
     return None
 
 
+# Why each statement class other than assignment, sequence and guarded
+# choice is out of place in a controller.
+_CTRL_ERRORS = {
+    TestStmt: "test outside guarded choice",
+    RandomAssign: "nondeterministic assignment outside the input section",
+    OdeSystem: "ODE outside plant",
+    Loop: "nested loop",
+    Choice: "choice without a guarded first branch",
+}
+
+
 def _check_ctrl(p: Program) -> None:
     """Reject raw nodes the translatable controller grammar does not allow."""
-    if isinstance(p, Assign):
-        return
-    if isinstance(p, Seq):
-        _check_ctrl(p.first)
-        _check_ctrl(p.second)
-        return
-    if isinstance(p, GuardedChoice):
-        _check_ctrl(p.then)
-        if p.else_ is not None:
-            _check_ctrl(p.else_)
-        return
-    if isinstance(p, TestStmt):
-        raise NotNormalForm("test outside guarded choice", _pos(p))
-    if isinstance(p, RandomAssign):
-        raise NotNormalForm("nondeterministic assignment outside the input section", _pos(p))
-    if isinstance(p, OdeSystem):
-        raise NotNormalForm("ODE outside plant", _pos(p))
-    if isinstance(p, Loop):
-        raise NotNormalForm("nested loop", _pos(p))
-    if isinstance(p, Choice):
-        raise NotNormalForm("choice without a guarded first branch", _pos(p))
-    raise NotNormalForm(f"unsupported program construct {type(p).__name__}", _pos(p))
+    for s in walk(p, HP_STATEMENTS):
+        cls = s.__class__
+        if cls is not Assign and cls not in HP_STATEMENTS:
+            reason = _CTRL_ERRORS.get(cls, f"unsupported program construct {cls.__name__}")
+            raise NotNormalForm(reason, _pos(s))
 
 
 def _pos(p: Program):

@@ -25,7 +25,7 @@ from .errors import DivisionByZero, UnboundVariable
 from .ir import (
     ADD, And, Assign, BinOp, BoolConst, Cmp, DIV, EQ, Equiv, Formula, GE, GT,
     Ident, IfThen, IfThenElse, Imply, LE, LT, MUL, NE, Neg, Not, Number, Or,
-    POW, Program, SUB, Seq, State, Term, Var, Xor,
+    POW, Program, SUB, Seq, State, Term, Var, Xor, seq_to_list,
 )
 from .semantics import power
 
@@ -219,31 +219,27 @@ def compile_st(p: Program, layout: Layout) -> StatementFn:
             v[i] = f(v)
         return assign
     if isinstance(p, Seq):
-        # A statement list is a right-nested Seq chain; run it as a loop.
-        steps = []
-        while isinstance(p, Seq):
-            steps.append(compile_st(p.first, layout))
-            p = p.second
-        steps.append(compile_st(p, layout))
+        steps = [compile_st(s, layout) for s in seq_to_list(p)]
 
         def seq(v):
             for step in steps:
                 step(v)
         return seq
     if isinstance(p, (IfThen, IfThenElse)):
-        cond = compile_formula(p.cond, layout)
-        then = compile_st(p.then, layout)
-        if isinstance(p, IfThen):
-            def if_then(v):
+        # An ELSIF chain nests in the else branches; compile it as one list
+        # of arms that one loop runs.
+        arms = []
+        while isinstance(p, (IfThen, IfThenElse)):
+            arms.append((compile_formula(p.cond, layout), compile_st(p.then, layout)))
+            p = p.else_ if isinstance(p, IfThenElse) else None
+        else_ = None if p is None else compile_st(p, layout)
+
+        def if_chain(v):
+            for cond, then in arms:
                 if cond(v):
                     then(v)
-            return if_then
-        else_ = compile_st(p.else_, layout)
-
-        def if_then_else(v):
-            if cond(v):
-                then(v)
-            else:
+                    return
+            if else_ is not None:
                 else_(v)
-        return if_then_else
+        return if_chain
     return _deferred(f"run_st executes ST statements, not {type(p).__name__}")

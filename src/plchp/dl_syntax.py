@@ -17,13 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ._syntax import LEFT, RIGHT, Dialect, Parser, Token, render_formula, render_term
+from ._syntax import (
+    LEFT, RIGHT, Dialect, Parser, Token, render_formula, render_term, run_nested,
+)
 from .errors import ParseError
 from .ir import (
     LE, And, Assign, BoolConst, Choice, Cmp, Equiv, Formula, GuardedChoice,
     Ident, Imply, Loop, Not, Number, OdeSystem, Or, PlantSpec, Program,
-    RandomAssign, Seq, Term, TestStmt, Var, conjoin, conjuncts, list_to_seq,
-    seq_to_list,
+    RandomAssign, STATEMENTS, Seq, Term, TestStmt, Var, conjoin, conjuncts,
+    fold, list_to_seq, seq_to_list,
 )
 
 
@@ -106,24 +108,27 @@ class _Parser(Parser):
 
     # -- programs -------------------------------------------------------------
 
-    _BODY_END_OPS = ("}", "]")
+    _LIST_END = ("}", "]", "++")
 
     def program(self) -> Program:
-        stmts = self.statement_list()
+        stmts = run_nested(self.statement_list())
         if not stmts:
             self.fail("program expected", "a statement")
         return list_to_seq(stmts)
 
-    def statement_list(self) -> list[Program]:
+    # Statement lists and braced groups are generators run by `run_nested`,
+    # so that groups nest without limit.
+
+    def statement_list(self):
         stmts: list[Program] = []
         while True:
             tok = self.peek()
-            if tok.kind == "eof" or (tok.kind == "op" and tok.value in self._BODY_END_OPS):
-                break
-            if tok.kind == "op" and tok.value == "++":
-                break
-            stmts.append(self.statement())
-        return stmts
+            if tok.kind == "eof" or (tok.kind == "op" and tok.value in self._LIST_END):
+                return stmts
+            if tok.kind == "op" and tok.value == "{":
+                stmts.append((yield self.group_statement(tok)))
+            else:
+                stmts.append(self.statement())
 
     def statement(self) -> Program:
         tok = self.peek()
@@ -142,28 +147,30 @@ class _Parser(Parser):
             cond = self.formula()
             self.expect_op(";")
             return TestStmt(cond, pos=(tok.line, tok.col))
-        if tok.kind == "op" and tok.value == "{":
-            node = self.braced_group(tok)
-            while self.at_op("++"):
-                self.next()
-                nxt = self.peek()
-                if not self.at_op("{"):
-                    self.fail(f"found {self.describe(nxt)}", "'{' opening a choice branch")
-                node = self.make_choice(node, self.braced_group(nxt), tok)
-            if self.at_op(";"):
-                self.next()
-            return node
         self.fail(f"found {self.describe(tok)}", "a statement")
 
-    def braced_group(self, start: Token) -> Program:
+    def group_statement(self, tok: Token):
+        """A braced group, or a choice between several."""
+        node = yield self.braced_group(tok)
+        while self.at_op("++"):
+            self.next()
+            nxt = self.peek()
+            if not self.at_op("{"):
+                self.fail(f"found {self.describe(nxt)}", "'{' opening a choice branch")
+            node = self.make_choice(node, (yield self.braced_group(nxt)), tok)
+        if self.at_op(";"):
+            self.next()
+        return node
+
+    def braced_group(self, start: Token):
         """One braced group: an ODE system, a block, an inner choice, or a loop."""
         self.expect_op("{")
         if self.peek().kind == "ident" and self.peek(1).kind == "op" and self.peek(1).value == "'":
             return self.ode_system(start)
-        branches = [self.branch_body(start)]
+        branches = [(yield self.branch_body(start))]
         while self.at_op("++"):
             self.next()
-            branches.append(self.branch_body(start))
+            branches.append((yield self.branch_body(start)))
         self.expect_op("}")
         node = branches[0]
         for right in branches[1:]:
@@ -173,8 +180,8 @@ class _Parser(Parser):
             return Loop(node, pos=(start.line, start.col))
         return node
 
-    def branch_body(self, start: Token) -> Program:
-        stmts = self.statement_list()
+    def branch_body(self, start: Token):
+        stmts = yield self.statement_list()
         if not stmts:
             raise ParseError("empty choice branch", start.line, start.col)
         return list_to_seq(stmts)
@@ -305,35 +312,43 @@ def print_dl_program(p: Program) -> str:
     return "\n".join(_stmt_str(s) for s in seq_to_list(p))
 
 
-def _inline(p: Program) -> str:
-    return " ".join(_stmt_str(s) for s in seq_to_list(p))
+# A statement list inside braces prints on one line. Statements dL has no
+# syntax for are leaves, so they are rejected in source order.
+_PRINTED = {Seq: seq_to_list, **{cls: STATEMENTS[cls] for cls in (GuardedChoice, Choice, Loop)}}
 
 
 def _stmt_str(s: Program) -> str:
-    if isinstance(s, Assign):
+    return fold(s, _print_stmt, _PRINTED)
+
+
+def _print_stmt(s: Program, kids) -> str:
+    cls = s.__class__
+    if cls is Seq:
+        return " ".join(kids)
+    if cls is Assign:
         return f"{s.target}:={print_dl_term(s.value)};"
-    if isinstance(s, RandomAssign):
+    if cls is RandomAssign:
         return f"{s.target}:=*;"
-    if isinstance(s, TestStmt):
+    if cls is TestStmt:
         return f"?{print_dl_formula(s.cond)};"
-    if isinstance(s, GuardedChoice):
-        left = f"{{?{print_dl_formula(s.guard)}; {_inline(s.then)}}}"
+    if cls is GuardedChoice:
+        left = f"{{?{print_dl_formula(s.guard)}; {kids[0]}}}"
         if s.complemented:
             neg = print_dl_formula(Not(s.guard))
             if s.else_ is None:
                 return f"{left} ++ {{?{neg};}}"
-            return f"{left} ++ {{?{neg}; {_inline(s.else_)}}}"
-        return f"{left} ++ {{{_inline(s.else_)}}}"
-    if isinstance(s, Choice):
-        return f"{{{_inline(s.left)}}} ++ {{{_inline(s.right)}}}"
-    if isinstance(s, OdeSystem):
+            return f"{left} ++ {{?{neg}; {kids[1]}}}"
+        return f"{left} ++ {{{kids[1]}}}"
+    if cls is Choice:
+        return f"{{{kids[0]}}} ++ {{{kids[1]}}}"
+    if cls is OdeSystem:
         odes = ", ".join(f"{x}'={print_dl_term(rhs)}" for x, rhs in s.odes)
         if s.domain == BoolConst(True):
             return f"{{{odes}}}"
         return f"{{{odes} & {print_dl_formula(s.domain)}}}"
-    if isinstance(s, Loop):
-        return f"{{{_inline(s.body)}}}*"
-    raise TypeError(f"cannot print {type(s).__name__} in dL syntax")
+    if cls is Loop:
+        return f"{{{kids[0]}}}*"
+    raise TypeError(f"cannot print {cls.__name__} in dL syntax")
 
 
 def print_dl_plant(plant: PlantSpec) -> str:

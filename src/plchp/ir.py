@@ -247,9 +247,7 @@ FALSE = BoolConst(False)
 
 def conjuncts(f: Formula) -> list[Formula]:
     """Flatten a conjunction tree into its list of conjuncts."""
-    if isinstance(f, And):
-        return conjuncts(f.left) + conjuncts(f.right)
-    return [f]
+    return [part for part in walk(f, _AND) if part.__class__ is not And]
 
 
 def conjoin(parts) -> Formula:
@@ -396,6 +394,98 @@ class Choice(Program):
     pos: Optional[Pos] = field(default=None, compare=False, repr=False, kw_only=True)
 
 
+# ---------------------------------------------------------------------------
+# Traversal
+#
+# One table knows the children of every node class, and the tree walkers are
+# a `walk` or a `fold` over it: the uniplate pattern (Mitchell & Runciman,
+# "Uniform boilerplate and list processing", Haskell Workshop 2007). Both
+# keep their work on an explicit stack, so a statement list or an ELSIF
+# chain of any length is in reach of every walker.
+
+
+def _pair(n):
+    return n.left, n.right
+
+
+# Node class -> the node's children, in field order. Missing classes
+# (numbers, variables, truth values, `x := *`) are leaves; assignment
+# targets and ODE variables are identifiers, not nodes.
+CHILDREN = {
+    **dict.fromkeys((BinOp, Cmp, And, Or, Imply, Equiv, Xor, Choice), _pair),
+    **dict.fromkeys((Neg, Not), lambda n: (n.operand,)),
+    Assign: lambda n: (n.value,),
+    Seq: lambda n: (n.first, n.second),
+    IfThen: lambda n: (n.cond, n.then),
+    IfThenElse: lambda n: (n.cond, n.then, n.else_),
+    GuardedChoice: lambda n: (n.guard, n.then) if n.else_ is None else (n.guard, n.then, n.else_),
+    TestStmt: lambda n: (n.cond,),
+    OdeSystem: lambda n: (*(rhs for _, rhs in n.odes), n.domain),
+    Loop: lambda n: (n.body,),
+}
+
+# The children that are statements. A table cut down to some classes makes
+# the other statements leaves: a walk or fold over it does not enter them,
+# and meets them in source order, so a walker can reject them there.
+STATEMENTS = {
+    Seq: CHILDREN[Seq],
+    IfThen: lambda n: (n.then,),
+    IfThenElse: lambda n: (n.then, n.else_),
+    GuardedChoice: lambda n: (n.then,) if n.else_ is None else (n.then, n.else_),
+    Loop: CHILDREN[Loop],
+    Choice: _pair,
+}
+ST_STATEMENTS = {cls: STATEMENTS[cls] for cls in (Seq, IfThen, IfThenElse)}
+HP_STATEMENTS = {cls: STATEMENTS[cls] for cls in (Seq, GuardedChoice)}
+TRANSLATABLE = {**ST_STATEMENTS, **HP_STATEMENTS}
+_AND = {And: _pair}
+
+
+def walk(node, children=CHILDREN) -> Iterator:
+    """Every node of the tree under `node`, `node` first, in pre-order and
+    left to right. `children` maps a node class to the node's children; a
+    class it lacks is a leaf."""
+    stack = [node]
+    pop, push, get = stack.pop, stack.extend, children.get
+    while stack:
+        node = pop()
+        yield node
+        kids = get(node.__class__)
+        if kids is not None:
+            push(kids(node)[::-1])
+
+
+def fold(node, combine, children=CHILDREN):
+    """Bottom-up over the tree under `node`: call `combine(n, results)` on
+    every node n, where `results` holds what combine returned for the
+    children of n, in order, and return the result for `node`. Nodes are
+    combined in post-order, left to right, so side effects of combine
+    happen in source order."""
+    get = children.get
+    if get(node.__class__) is None:
+        return combine(node, ())
+    # The reverse of a right-to-left pre-order is the left-to-right post-order.
+    order = []
+    stack = [node]
+    pop, push, visit = stack.pop, stack.extend, order.append
+    while stack:
+        n = pop()
+        kids = get(n.__class__)
+        kids = () if kids is None else kids(n)
+        visit((n, len(kids)))
+        push(kids)
+    results = []
+    keep = results.append
+    for n, k in reversed(order):
+        if k:
+            args = results[-k:]
+            del results[-k:]
+            keep(combine(n, args))
+        else:
+            keep(combine(n, ()))
+    return results[0]
+
+
 def seq_to_list(p: Program) -> list[Program]:
     """Flatten a Seq tree into the statement list it folds, in linear time
     and without recursion, so that long statement lists stay in reach."""
@@ -425,62 +515,15 @@ def list_to_seq(stmts) -> Program:
 def collect_vars(node: Union[Term, Formula, Program]) -> set[Ident]:
     """All identifiers occurring anywhere in a term, formula, or program."""
     out: set[Ident] = set()
-    _collect(node, out)
+    for n in walk(node):
+        cls = n.__class__
+        if cls is Var:
+            out.add(n.ident)
+        elif cls is Assign or cls is RandomAssign:
+            out.add(n.target)
+        elif cls is OdeSystem:
+            out.update(x for x, _ in n.odes)
     return out
-
-
-def _collect(node, out: set[Ident]) -> None:
-    if isinstance(node, Number) or isinstance(node, BoolConst):
-        return
-    if isinstance(node, Var):
-        out.add(node.ident)
-    elif isinstance(node, Neg):
-        _collect(node.operand, out)
-    elif isinstance(node, BinOp):
-        _collect(node.left, out)
-        _collect(node.right, out)
-    elif isinstance(node, Cmp):
-        _collect(node.left, out)
-        _collect(node.right, out)
-    elif isinstance(node, Not):
-        _collect(node.operand, out)
-    elif isinstance(node, (And, Or, Imply, Equiv, Xor)):
-        _collect(node.left, out)
-        _collect(node.right, out)
-    elif isinstance(node, Assign):
-        out.add(node.target)
-        _collect(node.value, out)
-    elif isinstance(node, Seq):
-        _collect(node.first, out)
-        _collect(node.second, out)
-    elif isinstance(node, IfThen):
-        _collect(node.cond, out)
-        _collect(node.then, out)
-    elif isinstance(node, IfThenElse):
-        _collect(node.cond, out)
-        _collect(node.then, out)
-        _collect(node.else_, out)
-    elif isinstance(node, GuardedChoice):
-        _collect(node.guard, out)
-        _collect(node.then, out)
-        if node.else_ is not None:
-            _collect(node.else_, out)
-    elif isinstance(node, RandomAssign):
-        out.add(node.target)
-    elif isinstance(node, TestStmt):
-        _collect(node.cond, out)
-    elif isinstance(node, OdeSystem):
-        for x, rhs in node.odes:
-            out.add(x)
-            _collect(rhs, out)
-        _collect(node.domain, out)
-    elif isinstance(node, Loop):
-        _collect(node.body, out)
-    elif isinstance(node, Choice):
-        _collect(node.left, out)
-        _collect(node.right, out)
-    else:
-        raise TypeError(f"cannot collect variables from {type(node).__name__}")
 
 
 # ---------------------------------------------------------------------------

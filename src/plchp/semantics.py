@@ -16,9 +16,9 @@ from typing import Optional
 from .errors import DivisionByZero, DomainError, EvalError
 from .ir import (
     ADD, And, Assign, BinOp, BoolConst, Cmp, DIV, EQ, Equiv, Formula, GE, GT,
-    GuardedChoice, HP, Ident, IfThen, IfThenElse, Imply, LE, LT, MUL, NE,
-    Neg, Not, Number, Or, POW, Program, RELATIONS, ST, SUB, Seq, State, Term,
-    Var, Xor, number_lexeme,
+    GuardedChoice, HP, HP_STATEMENTS, Ident, IfThen, IfThenElse, Imply, LE,
+    LT, MUL, NE, Neg, Not, Number, Or, POW, Program, RELATIONS, ST, SUB, Seq,
+    State, Term, Var, Xor, number_lexeme, seq_to_list, walk,
 )
 from .translate import (
     formula_hp_to_st, formula_st_to_hp, prog_hp_to_st, prog_st_to_hp,
@@ -111,19 +111,21 @@ def eval_formula(f: Formula, s: State) -> bool:
 
 def run_st(p: Program, s: State) -> State:
     """Execute a loop-free ST statement to completion."""
-    if isinstance(p, Assign):
-        return s.set(p.target, eval_term(p.value, s))
-    if isinstance(p, Seq):
-        return run_st(p.second, run_st(p.first, s))
-    if isinstance(p, IfThen):
-        if eval_formula(p.cond, s):
-            return run_st(p.then, s)
-        return s
-    if isinstance(p, IfThenElse):
-        if eval_formula(p.cond, s):
-            return run_st(p.then, s)
-        return run_st(p.else_, s)
-    raise TypeError(f"run_st executes ST statements, not {type(p).__name__}")
+    todo = [p]  # statements still to run, the next one last
+    while todo:
+        p = todo.pop()
+        if isinstance(p, Assign):
+            s = s.set(p.target, eval_term(p.value, s))
+        elif isinstance(p, Seq):
+            todo += (p.second, p.first)
+        elif isinstance(p, IfThen):
+            if eval_formula(p.cond, s):
+                todo.append(p.then)
+        elif isinstance(p, IfThenElse):
+            todo.append(p.then if eval_formula(p.cond, s) else p.else_)
+        else:
+            raise TypeError(f"run_st executes ST statements, not {type(p).__name__}")
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -156,54 +158,42 @@ def _reach(p: Program, s: State) -> set[State]:
     if isinstance(p, Assign):
         return {s.set(p.target, eval_term(p.value, s))}
     if isinstance(p, Seq):
-        out: set[State] = set()
-        for mid in _reach(p.first, s):
-            out |= _reach(p.second, mid)
-        return out
-    if isinstance(p, GuardedChoice):
-        guard = eval_formula(p.guard, s)
-        out = set()
-        if p.complemented:
-            # (?g; a) ++ (?!g; b): exactly one branch is open.
-            if guard:
-                out |= _reach(p.then, s)
-            elif p.else_ is not None:
-                out |= _reach(p.else_, s)
-            else:
-                out.add(s)
-        else:
-            # (?g; a) ++ b: the default branch is always open.
-            if guard:
-                out |= _reach(p.then, s)
-            out |= _reach(p.else_, s)
-        return out
-    raise TypeError(f"hp_reachable executes hybrid programs, not {type(p).__name__}")
+        states = {s}
+        for stmt in seq_to_list(p):
+            after: set[State] = set()
+            for mid in states:
+                after |= _reach(stmt, mid)
+            states = after
+        return states
+    if not isinstance(p, GuardedChoice):
+        raise TypeError(f"hp_reachable executes hybrid programs, not {type(p).__name__}")
+    # An ELSIF chain nests in the else branches; follow it in a loop.
+    out: set[State] = set()
+    while isinstance(p, GuardedChoice):
+        if eval_formula(p.guard, s):
+            out |= _reach(p.then, s)
+            if p.complemented:  # (?g; a) ++ (?!g; b): exactly one branch is open
+                return out
+        # The else branch is open: the guard failed, or the choice is
+        # (?g; a) ++ b, whose default branch is open whatever the guard.
+        if p.else_ is None:  # (?g; a) ++ ?!g
+            out.add(s)
+            return out
+        p = p.else_
+    out |= _reach(p, s)
+    return out
 
 
 def fully_complemented(p: Program) -> bool:
     """True when every choice is complemented (deterministic program)."""
-    if isinstance(p, Assign):
-        return True
-    if isinstance(p, Seq):
-        return fully_complemented(p.first) and fully_complemented(p.second)
-    if isinstance(p, GuardedChoice):
-        if not p.complemented:
-            return False
-        if not fully_complemented(p.then):
-            return False
-        return p.else_ is None or fully_complemented(p.else_)
-    return False
+    return all(
+        s.__class__ in (Assign, Seq) or (s.__class__ is GuardedChoice and s.complemented)
+        for s in walk(p, HP_STATEMENTS)
+    )
 
 
 def count_choices(p: Program) -> int:
-    if isinstance(p, Seq):
-        return count_choices(p.first) + count_choices(p.second)
-    if isinstance(p, GuardedChoice):
-        inner = count_choices(p.then)
-        if p.else_ is not None:
-            inner += count_choices(p.else_)
-        return 1 + inner
-    return 0
+    return sum(s.__class__ is GuardedChoice for s in walk(p, HP_STATEMENTS))
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +655,4 @@ def _describe_program(node, sigma: State) -> str:
 
 
 def _is_st_only(p) -> bool:
-    if isinstance(p, (IfThen, IfThenElse)):
-        return True
-    if isinstance(p, Seq):
-        return _is_st_only(p.first) or _is_st_only(p.second)
-    return False
+    return any(s.__class__ in (IfThen, IfThenElse) for s in seq_to_list(p))

@@ -39,8 +39,8 @@ from .errors import (
 )
 from .ir import (
     ADD, BinOp, Cmp, DIV, Formula, GE, GT, Ident, LE, LT, MUL, Neg, Number,
-    POW, PlantSpec, Program, ScanCycleModel, State, SUB, TRUE, Var,
-    collect_vars, conjuncts,
+    PlantSpec, Program, ScanCycleModel, State, SUB, TRUE, Var, collect_vars,
+    conjuncts, fold,
 )
 from .semantics import derive_seed, eval_formula, fully_complemented
 # Not called here since evaluation is compiled, but the benchmark's layer
@@ -194,26 +194,29 @@ def _affine_domain_exit(plant: CompiledPlant, v0, end, at, duration, cfg):
 
 def _is_affine_term(t, evolving) -> bool:
     """Degree at most one in the evolving variables, constant coefficients."""
-    if isinstance(t, (Number, Var)):
-        return True
-    if isinstance(t, Neg):
-        return _is_affine_term(t.operand, evolving)
-    if isinstance(t, BinOp):
+
+    # Each node's result: (affine, mentions an evolving variable).
+    def affine(t, kids) -> tuple[bool, bool]:
+        cls = t.__class__
+        if cls is Number:
+            return True, False
+        if cls is Var:
+            return True, t.ident in evolving
+        if cls is Neg:
+            return kids[0]
+        if cls is not BinOp:
+            return False, False
+        (left, left_has), (right, right_has) = kids
+        has = left_has or right_has
         if t.op in (ADD, SUB):
-            return _is_affine_term(t.left, evolving) and _is_affine_term(t.right, evolving)
+            return left and right, has
         if t.op == MUL:
-            left_has = bool(collect_vars(t.left) & evolving)
-            right_has = bool(collect_vars(t.right) & evolving)
-            if left_has and right_has:
-                return False
-            return _is_affine_term(t.left, evolving) and _is_affine_term(t.right, evolving)
+            return left and right and not (left_has and right_has), has
         if t.op == DIV:
-            if collect_vars(t.right) & evolving:
-                return False
-            return _is_affine_term(t.left, evolving)
-        if t.op == POW:
-            return not (collect_vars(t) & evolving)
-    return False
+            return left and not right_has, has
+        return not has, has  # POW
+
+    return fold(t, affine)[0]
 
 
 def _linear_violation(linear, v0: Slots, v1: Slots, duration: float) -> Optional[float]:

@@ -14,7 +14,9 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from ._syntax import LEFT, NUMBER, Dialect, Parser, Token, render_formula, render_term
+from ._syntax import (
+    LEFT, NUMBER, Dialect, Parser, Token, render_formula, render_term, run_nested,
+)
 from .errors import ParseError
 from .ir import (
     And, Assign, Formula, Ident, IfThen, IfThenElse, Or, Program,
@@ -190,54 +192,57 @@ class _Parser(Parser):
 
     _STMT_END = ("END_IF", "ELSE", "ELSIF", "END_PROGRAM")
 
-    def statement_list(self, allow_empty: bool = False) -> list[Program]:
+    # Statement lists and IF statements are generators run by `run_nested`,
+    # so that IF statements nest without limit.
+
+    def statement_list(self, allow_empty: bool = False):
         stmts: list[Program] = []
         while True:
             tok = self.peek()
             if tok.kind == "eof" or (tok.kind == "kw" and tok.value in self._STMT_END):
                 break
-            stmts.append(self.statement())
+            self.reject_unsupported()
+            if tok.kind == "kw" and tok.value == "IF":
+                stmts.append((yield self.if_statement()))
+            else:
+                stmts.append(self.assignment(tok))
         if not stmts and not allow_empty:
             self.fail("statement expected", "assignment or IF")
         return stmts
 
-    def statement(self) -> Program:
-        self.reject_unsupported()
-        tok = self.peek()
-        if tok.kind == "kw" and tok.value == "IF":
-            return self.if_statement()
-        if tok.kind == "ident":
-            target = self.expect_ident()
-            self.expect_op(":=")
-            op = self.peek()
-            value = self.expression()
-            if not isinstance(value, Term):
-                raise ParseError("can only assign arithmetic terms", op.line, op.col)
-            self.expect_op(";")
-            return Assign(target, value, pos=(tok.line, tok.col))
-        self.fail(f"found {self.describe(tok)}", "assignment or IF")
-
-    def if_statement(self) -> Program:
+    def if_statement(self):
         start = self.expect_kw("IF")
         arms: list[tuple[Formula, Program]] = []
         cond = self.formula()
         self.expect_kw("THEN")
-        arms.append((cond, list_to_seq(self.statement_list())))
+        arms.append((cond, list_to_seq((yield self.statement_list()))))
         while self.at_kw("ELSIF"):
             self.next()
             cond = self.formula()
             self.expect_kw("THEN")
-            arms.append((cond, list_to_seq(self.statement_list())))
+            arms.append((cond, list_to_seq((yield self.statement_list()))))
         else_body: Optional[Program] = None
         if self.at_kw("ELSE"):
             self.next()
-            stmts = self.statement_list(allow_empty=True)
+            stmts = yield self.statement_list(allow_empty=True)
             if stmts:  # empty ELSE normalizes away
                 else_body = list_to_seq(stmts)
         self.expect_kw("END_IF")
         if self.at_op(";"):
             self.next()
         return _fold_if(arms, else_body, (start.line, start.col))
+
+    def assignment(self, tok: Token) -> Program:
+        if tok.kind != "ident":
+            self.fail(f"found {self.describe(tok)}", "assignment or IF")
+        target = self.expect_ident()
+        self.expect_op(":=")
+        op = self.peek()
+        value = self.expression()
+        if not isinstance(value, Term):
+            raise ParseError("can only assign arithmetic terms", op.line, op.col)
+        self.expect_op(";")
+        return Assign(target, value, pos=(tok.line, tok.col))
 
     # -- declarations and configuration ---------------------------------------
 
@@ -324,7 +329,7 @@ class _Parser(Parser):
         blocks: list[StVarBlock] = []
         while self.at_kw(*VAR_KINDS):
             blocks.append(self.var_block())
-        body = list_to_seq(self.statement_list())
+        body = list_to_seq(run_nested(self.statement_list()))
         self.expect_kw("END_PROGRAM")
         if self.at_op(";"):
             self.next()
@@ -343,12 +348,15 @@ class _Parser(Parser):
 
 
 def _fold_if(arms, else_body, pos) -> Program:
-    cond, body = arms[0]
-    if len(arms) == 1:
-        if else_body is None:
-            return IfThen(cond, body, pos=pos)
-        return IfThenElse(cond, body, else_body, pos=pos)
-    return IfThenElse(cond, body, _fold_if(arms[1:], else_body, pos), pos=pos)
+    """The IF/ELSIF arms and ELSE body as nested conditionals, each ELSIF
+    in the else branch of the one before."""
+    node = else_body
+    for cond, body in reversed(arms):
+        if node is None:
+            node = IfThen(cond, body, pos=pos)
+        else:
+            node = IfThenElse(cond, body, node, pos=pos)
+    return node
 
 
 def parse_st(text: str) -> StUnit:
@@ -359,7 +367,7 @@ def parse_st(text: str) -> StUnit:
 def parse_st_statements(text: str) -> Program:
     """Parse a bare statement list (no PROGRAM wrapper)."""
     parser = _Parser(text)
-    body = list_to_seq(parser.statement_list())
+    body = list_to_seq(run_nested(parser.statement_list()))
     parser.eof()
     return body
 
@@ -385,24 +393,23 @@ def print_st_formula(f: Formula) -> str:
 
 def print_st_statement(p: Program, indent: int = 0) -> str:
     """Canonical layout: two-space indent, one statement per line."""
-    return "\n".join(_stmt_lines(p, indent))
+    return "\n".join(run_nested(_stmt_lines(p, indent)))
 
 
-def _stmt_lines(p: Program, indent: int) -> list[str]:
+def _stmt_lines(p: Program, indent: int):
+    # Indentation is handed down, so rather than a fold this is a generator
+    # run by `run_nested`, which lets blocks nest without limit.
     pad = "  " * indent
     lines: list[str] = []
     for stmt in seq_to_list(p):
         if isinstance(stmt, Assign):
             lines.append(f"{pad}{stmt.target} := {print_st_term(stmt.value)};")
-        elif isinstance(stmt, IfThen):
+        elif isinstance(stmt, (IfThen, IfThenElse)):
             lines.append(f"{pad}IF ({print_st_formula(stmt.cond)}) THEN")
-            lines.extend(_stmt_lines(stmt.then, indent + 1))
-            lines.append(f"{pad}END_IF;")
-        elif isinstance(stmt, IfThenElse):
-            lines.append(f"{pad}IF ({print_st_formula(stmt.cond)}) THEN")
-            lines.extend(_stmt_lines(stmt.then, indent + 1))
-            lines.append(f"{pad}ELSE")
-            lines.extend(_stmt_lines(stmt.else_, indent + 1))
+            lines += yield _stmt_lines(stmt.then, indent + 1)
+            if isinstance(stmt, IfThenElse):
+                lines.append(f"{pad}ELSE")
+                lines += yield _stmt_lines(stmt.else_, indent + 1)
             lines.append(f"{pad}END_IF;")
         else:
             raise TypeError(f"cannot print {type(stmt).__name__} as an ST statement")

@@ -18,10 +18,11 @@ from .errors import (
     DialectError, MissingEpsilon, NotNormalForm, PlantVariableClash,
 )
 from .ir import (
-    And, Assign, BoolConst, Cmp, EQ, Equiv, Formula, GuardedChoice, HP,
-    Ident, IfThen, IfThenElse, Imply, Not, Number, Or, PlantSpec,
-    Program, RandomAssign, ST, ScanCycleModel, Seq, Term, Var, Xor,
-    collect_vars, list_to_seq, number_lexeme, seq_to_list,
+    And, Assign, CHILDREN, Cmp, EQ, Equiv, Formula, GuardedChoice, HP,
+    HP_STATEMENTS, Ident, IfThen, IfThenElse, Imply, Not, Number, Or,
+    PlantSpec, Program, RandomAssign, ST, ST_STATEMENTS, ScanCycleModel, Seq,
+    Term, Var, Xor, collect_vars, fold, list_to_seq, number_lexeme,
+    seq_to_list, walk,
 )
 from .st_syntax import StConfig, StUnit, StVarBlock
 
@@ -64,52 +65,36 @@ def formula_st_to_hp(f: Formula) -> Formula:
     """Compile an ST formula; XOR is rewritten to (NOT p AND q) OR (NOT q AND p)."""
     if f.dialect == HP:
         raise DialectError("formula_st_to_hp expects an ST-dialect formula")
-    return _f_st_to_hp(f)
-
-
-def _f_st_to_hp(f: Formula) -> Formula:
-    if isinstance(f, BoolConst):
-        return f
-    if isinstance(f, Cmp):
-        return Cmp(f.rel, term_st_to_hp(f.left), term_st_to_hp(f.right))
-    if isinstance(f, Not):
-        return Not(_f_st_to_hp(f.operand))
-    if isinstance(f, And):
-        return And(_f_st_to_hp(f.left), _f_st_to_hp(f.right))
-    if isinstance(f, Or):
-        return Or(_f_st_to_hp(f.left), _f_st_to_hp(f.right))
-    if isinstance(f, Xor):
-        left = _f_st_to_hp(f.left)
-        right = _f_st_to_hp(f.right)
-        return Or(And(Not(left), right), And(Not(right), left))
-    raise DialectError(f"{type(f).__name__} is not an ST formula")
+    return fold(f, _shared_connectives, _CONNECTIVES)
 
 
 def formula_hp_to_st(f: Formula) -> Formula:
     """Compile an HP formula; -> and <-> are rewritten into AND/OR/NOT first."""
     if f.dialect == ST:
         raise DialectError("formula_hp_to_st expects an HP-dialect formula")
-    return _f_hp_to_st(f)
+    return fold(f, _shared_connectives, _CONNECTIVES)
 
 
-def _f_hp_to_st(f: Formula) -> Formula:
-    if isinstance(f, BoolConst):
-        return f
-    if isinstance(f, Cmp):
-        return Cmp(f.rel, term_hp_to_st(f.left), term_hp_to_st(f.right))
-    if isinstance(f, Not):
-        return Not(_f_hp_to_st(f.operand))
-    if isinstance(f, And):
-        return And(_f_hp_to_st(f.left), _f_hp_to_st(f.right))
-    if isinstance(f, Or):
-        return Or(_f_hp_to_st(f.left), _f_hp_to_st(f.right))
-    if isinstance(f, Imply):
-        return Or(Not(_f_hp_to_st(f.left)), _f_hp_to_st(f.right))
-    if isinstance(f, Equiv):
-        left = _f_hp_to_st(f.left)
-        right = _f_hp_to_st(f.right)
+# Comparisons and truth values are leaves, and carry over unchanged.
+_CONNECTIVES = {cls: CHILDREN[cls] for cls in (Not, And, Or, Xor, Imply, Equiv)}
+
+
+def _shared_connectives(f: Formula, kids) -> Formula:
+    """`f` over the connectives both languages have. A formula has the
+    connectives of its own dialect only, so one rewrite serves both ways."""
+    cls = f.__class__
+    if cls is Xor:
+        left, right = kids
+        return Or(And(Not(left), right), And(Not(right), left))
+    if cls is Imply:
+        left, right = kids
+        return Or(Not(left), right)
+    if cls is Equiv:
+        left, right = kids
         return Or(And(Not(left), Not(right)), And(left, right))
-    raise DialectError(f"{type(f).__name__} is not an HP formula")
+    if cls in _CONNECTIVES:
+        return cls(*kids)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -117,25 +102,19 @@ def _f_hp_to_st(f: Formula) -> Formula:
 
 def prog_st_to_hp(s: Program) -> Program:
     """Compile ST statements to the translatable hybrid-program fragment."""
-    if isinstance(s, Assign):
+    return fold(s, _st_to_hp, ST_STATEMENTS)
+
+
+def _st_to_hp(s: Program, kids) -> Program:
+    cls = s.__class__
+    if cls is Assign:
         return Assign(s.target, term_st_to_hp(s.value))
-    if isinstance(s, Seq):
-        return Seq(prog_st_to_hp(s.first), prog_st_to_hp(s.second))
-    if isinstance(s, IfThenElse):
-        return GuardedChoice(
-            formula_st_to_hp(s.cond),
-            prog_st_to_hp(s.then),
-            prog_st_to_hp(s.else_),
-            complemented=True,
-        )
-    if isinstance(s, IfThen):
-        return GuardedChoice(
-            formula_st_to_hp(s.cond),
-            prog_st_to_hp(s.then),
-            None,
-            complemented=True,
-        )
-    raise TypeError(f"cannot compile {type(s).__name__} to a hybrid program")
+    if cls is Seq:
+        return Seq(*kids)
+    if cls is IfThenElse or cls is IfThen:
+        then, else_ = kids if cls is IfThenElse else (kids[0], None)
+        return GuardedChoice(formula_st_to_hp(s.cond), then, else_, complemented=True)
+    raise TypeError(f"cannot compile {cls.__name__} to a hybrid program")
 
 
 def prog_hp_to_st(p: Program) -> tuple[Program, CompileDiagnostics]:
@@ -145,21 +124,18 @@ def prog_hp_to_st(p: Program) -> tuple[Program, CompileDiagnostics]:
     branch; each such linearization is recorded as a warning.
     """
     warnings: list[CompileWarning] = []
-    result = _p_hp_to_st(p, warnings)
-    return result, CompileDiagnostics(tuple(warnings))
 
-
-def _p_hp_to_st(p: Program, warnings: list[Warning]) -> Program:
-    if isinstance(p, Assign):
-        return Assign(p.target, term_hp_to_st(p.value))
-    if isinstance(p, Seq):
-        return Seq(_p_hp_to_st(p.first, warnings), _p_hp_to_st(p.second, warnings))
-    if isinstance(p, GuardedChoice):
+    def hp_to_st(p: Program, kids) -> Program:
+        cls = p.__class__
+        if cls is Assign:
+            return Assign(p.target, term_hp_to_st(p.value))
+        if cls is Seq:
+            return Seq(*kids)
+        if cls is not GuardedChoice:
+            raise NotNormalForm(f"{cls.__name__} has no ST counterpart", getattr(p, "pos", None))
         cond = formula_hp_to_st(p.guard)
-        then = _p_hp_to_st(p.then, warnings)
         if p.else_ is None:
-            return IfThen(cond, then)
-        else_ = _p_hp_to_st(p.else_, warnings)
+            return IfThen(cond, *kids)
         if not p.complemented:
             warnings.append(CompileWarning(
                 "linearized-choice",
@@ -167,10 +143,10 @@ def _p_hp_to_st(p: Program, warnings: list[Warning]) -> Program:
                 "the guarded branch, losing nondeterminism",
                 getattr(p, "pos", None),
             ))
-        return IfThenElse(cond, then, else_)
-    raise NotNormalForm(
-        f"{type(p).__name__} has no ST counterpart", getattr(p, "pos", None)
-    )
+        return IfThenElse(cond, *kids)
+
+    result = fold(p, hp_to_st, HP_STATEMENTS)
+    return result, CompileDiagnostics(tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +221,10 @@ def task_hp_to_st(
 def _zero_one_outputs(ctrl: Program) -> set[Ident]:
     """Bound variables that are only ever assigned literal 0 or 1."""
     assigned: dict[Ident, bool] = {}
-
-    def visit(p: Program):
-        if isinstance(p, Assign):
-            ok = isinstance(p.value, Number) and p.value.value in (0.0, 1.0)
+    for p in walk(ctrl, HP_STATEMENTS):
+        if p.__class__ is Assign:
+            ok = p.value.__class__ is Number and p.value.value in (0.0, 1.0)
             assigned[p.target] = assigned.get(p.target, True) and ok
-        elif isinstance(p, Seq):
-            visit(p.first)
-            visit(p.second)
-        elif isinstance(p, GuardedChoice):
-            visit(p.then)
-            if p.else_ is not None:
-                visit(p.else_)
-
-    visit(ctrl)
     return {x for x, ok in assigned.items() if ok}
 
 

@@ -268,3 +268,74 @@ def test_hp2st_deeply_nested_model(tmp_path):
     code, err = run_process(tmp_path, "hp2st", "deep.dlhp")
     assert code == 1
     assert err == "deep.dlhp:2:151: expression nested too deeply\n"
+
+
+# ---------------------------------------------------------------------------
+# Hostile shapes. Statement lists, ELSIF chains and nested blocks of any size
+# go st2hp -> hp2st -> st2hp and give the same model text both times; a run
+# of prefix operators past the nesting limit is a located error. Texts are
+# compared, not trees: IR equality recurses down a long sequence.
+
+UNIT = ("PROGRAM p\nVAR_INPUT\n  u : LREAL;\nEND_VAR\nVAR_OUTPUT\n  y : LREAL;\nEND_VAR\n"
+        "{}END_PROGRAM\n")
+
+
+def st2hp(tmp_path, source, out):
+    (tmp_path / "plant.dlhp").write_text("t:=0;\n{x'=y, t'=1 & t<=eps}\n")
+    (tmp_path / "assume.dlhp").write_text("eps=1\n")
+    (tmp_path / "safety.dlhp").write_text("x>=0\n")
+    return run_process(tmp_path, "st2hp", source, "--plant", "plant.dlhp",
+                       "--assumptions", "assume.dlhp", "--safety", "safety.dlhp", "--out", out)
+
+
+def round_trip(tmp_path, body):
+    (tmp_path / "source.st").write_text(UNIT.format(body))
+    assert st2hp(tmp_path, "source.st", "model.dlhp")[0] == 0
+    assert run_process(tmp_path, "hp2st", "model.dlhp", "--out", "back.st")[0] == 0
+    assert st2hp(tmp_path, "back.st", "again.dlhp")[0] == 0
+    model = (tmp_path / "model.dlhp").read_text()
+    assert (tmp_path / "again.dlhp").read_text() == model
+    return model
+
+
+def test_round_trip_10000_statements(tmp_path):
+    model = round_trip(tmp_path, "".join(f"y := y + {i};\n" for i in range(10000)))
+    assert model.count("y:=y+") == 10000
+
+
+def test_round_trip_2000_elsif_arms(tmp_path):
+    model = round_trip(tmp_path, "IF u > 0 THEN y := 0;\n"
+                       + "".join(f"ELSIF u > {i} THEN y := {i};\n" for i in range(1, 2000))
+                       + "ELSE y := 1;\nEND_IF;\n")
+    assert model.count("++") == 2000
+
+
+def test_round_trip_1000_nested_ifs(tmp_path):
+    model = round_trip(tmp_path, "IF u > 0 THEN\n" * 1000 + "y := 1;\n" + "END_IF;\n" * 1000)
+    assert model.count("++") == 1000
+
+
+def test_round_trip_1000_nested_braces(tmp_path):
+    (tmp_path / "braces.dlhp").write_text(
+        "eps=1 -> [{ u:=*; " + "{" * 1000 + "y:=u;" + "}" * 1000
+        + " t:=0; {x'=y, t'=1 & t<=eps} }*] x>=0\n")
+    assert run_process(tmp_path, "hp2st", "braces.dlhp", "--out", "braces.st")[0] == 0
+    body = (tmp_path / "braces.st").read_text().split("END_VAR\n\n")[1].split("END_PROGRAM")[0]
+    assert body == "  y := u;\n"
+    round_trip(tmp_path, body)
+
+
+@pytest.mark.parametrize("op, width, body", [
+    ("NOT", 4, "IF {}u > 0 THEN y := 1; END_IF;\n"),
+    ("-", 2, "y := {}u;\n"),
+], ids=["not", "minus"])
+def test_1000_prefix_operators(tmp_path, op, width, body):
+    from plchp._syntax import MAX_NESTING
+
+    # One level less than the limit: a printed negation is `!(` or `NOT(`, and
+    # the complement guard and the IF condition's parentheses add one more.
+    round_trip(tmp_path, body.format(f"{op} " * (MAX_NESTING - 1)))
+    (tmp_path / "deep.st").write_text(UNIT.format(body.format(f"{op} " * 1000)))
+    col = body.index("{") + 1 + MAX_NESTING * width
+    assert st2hp(tmp_path, "deep.st", "deep.dlhp") == (
+        1, f"deep.st:8:{col}: expression nested too deeply\n")
