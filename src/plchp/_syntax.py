@@ -8,7 +8,8 @@ language's spellings, and this module holds the machinery built from them:
 - `Parser`, a token cursor with a precedence-climbing expression parser
   (Pratt, "Top down operator precedence", POPL 1973) that yields a Term or
   a Formula and checks operand kinds;
-- `render_term` and `render_formula`, a minimal-parenthesis printer.
+- `render_term` and `render_formula`, a minimal-parenthesis printer that
+  folds the tree bottom up.
 
 Parser and printer read the same operator table, loosest level first:
 the dialect's connectives, negation, comparisons (non-associative), +/-,
@@ -24,7 +25,8 @@ from functools import partial
 from .errors import ParseError
 from .ir import (
     ADD, DIV, EQ, GE, GT, LE, LT, MUL, NE, POW, SUB,
-    BinOp, BoolConst, Cmp, Formula, Ident, Neg, Not, Number, Term, Var,
+    BinOp, BoolConst, Cmp, Formula, Ident, Neg, Not, Number, Term, Var, fold,
+    operator_key,
 )
 
 LEFT, RIGHT, NONASSOC = "left", "right", "nonassoc"
@@ -33,9 +35,9 @@ NUMBER = r"\d+(\.\d+)?([eE][+-]?\d+)?"
 # Deepest parenthesis nesting an expression may have, and the longest run of
 # prefix operators. Earlier versions accepted up to 109 levels (ST) and 89
 # (dL) before running out of Python stack. The climber spends one frame per
-# parenthesis, and the printer and the evaluators one per operator (the dL
-# printer writes `!(` for each negation), so 150 accepts all of that and
-# stays well inside the default recursion limit.
+# parenthesis, so 150 stays well inside the default recursion limit. Runs of
+# binary operators have no limit: the climber reads them in loops and the
+# printer is a fold.
 MAX_NESTING = 150
 
 
@@ -230,49 +232,58 @@ class Parser:
         check is reported at the operator token.
         """
         d = self.dialect
-        # A run of prefix operators is read in a loop. Each applies to what
-        # follows it up to the first binary operator looser than itself.
-        run = []  # (operator token, its prefix entry, the level around it)
-        tok = self.peek()
-        prefix = d.prefix.get(tok.value)
-        while prefix is not None and prefix[0] >= min_level:
-            if len(run) == MAX_NESTING:
-                raise ParseError("expression nested too deeply", tok.line, tok.col)
-            run.append((tok, prefix, min_level))
-            min_level = prefix[0]
-            self.pos += 1
+        binary = d.binary
+        # Prefix operators, and right-associative operators with their left
+        # operands, wait on a stack for what follows them, so a run of either
+        # is read in a loop. Each applies to what follows it up to the first
+        # binary operator looser than itself: `a ^ b ^ c` is `a ^ (b ^ c)`.
+        run = []  # (operator token, left operand or None, its entry, the level around it)
+        while True:  # an operand with its prefixes, then the operators after it
+            start = len(run)
             tok = self.peek()
             prefix = d.prefix.get(tok.value)
-        if tok.kind == "op" and tok.value == "(":
-            self.nesting += 1
-            if self.nesting > MAX_NESTING:
-                raise ParseError("expression nested too deeply", tok.line, tok.col)
-            self.pos += 1
-            left = self.expression()
-            self.expect_op(")")
-            self.nesting -= 1
-        else:
-            left = self.atom(tok)
-        binary = d.binary
-        while True:
-            op = self.peek()
-            entry = binary.get(op.value)
-            if entry is None or entry[0] < min_level:
-                if not run:
-                    return left
-                tok, (_, formulas, build), min_level = run.pop()
+            while prefix is not None and prefix[0] >= min_level:
+                if len(run) - start == MAX_NESTING:
+                    raise ParseError("expression nested too deeply", tok.line, tok.col)
+                run.append((tok, None, prefix, min_level))
+                min_level = prefix[0]
+                self.pos += 1
+                tok = self.peek()
+                prefix = d.prefix.get(tok.value)
+            if tok.kind == "op" and tok.value == "(":
+                self.nesting += 1
+                if self.nesting > MAX_NESTING:
+                    raise ParseError("expression nested too deeply", tok.line, tok.col)
+                self.pos += 1
+                left = self.expression()
+                self.expect_op(")")
+                self.nesting -= 1
+            else:
+                left = self.atom(tok)
+            while True:
+                op = self.peek()
+                entry = binary.get(op.value)
+                if entry is None or entry[0] < min_level:
+                    if not run:
+                        return left
+                    tok, operand, (*_, formulas, build), min_level = run.pop()
+                    check = self.require_formula if formulas else self.require_term
+                    left = (build(check(left, tok)) if operand is None
+                            else build(check(operand, tok), check(left, tok)))
+                    continue
+                level, assoc, formulas, build = entry
+                self.pos += 1
+                if assoc == RIGHT:
+                    run.append((op, left, entry, min_level))
+                    min_level = level
+                    break
+                right = self.expression(level + 1)
                 check = self.require_formula if formulas else self.require_term
-                left = build(check(left, tok))
-                continue
-            level, assoc, formulas, build = entry
-            self.pos += 1
-            right = self.expression(level if assoc == RIGHT else level + 1)
-            check = self.require_formula if formulas else self.require_term
-            left = build(check(left, op), check(right, op))
-            if assoc == NONASSOC:
-                after = binary.get(self.peek().value)
-                if after is not None and after[0] == level:
-                    self.fail("comparisons are non-associative", d.chain_expected)
+                left = build(check(left, op), check(right, op))
+                if assoc == NONASSOC:
+                    after = binary.get(self.peek().value)
+                    if after is not None and after[0] == level:
+                        self.fail("comparisons are non-associative", d.chain_expected)
 
     def atom(self, tok: Token):
         """A number, a variable or a truth value."""
@@ -332,31 +343,36 @@ def render_formula(f: Formula, d: Dialect, min_level: int = 0) -> str:
 
 
 def _render(node, d: Dialect, min_level: int) -> str:
-    if isinstance(node, Number):
-        return node.lexeme
-    if isinstance(node, Var):
-        return node.ident.name
-    if isinstance(node, BoolConst):
-        return d.bools[node.value]
-    if isinstance(node, Not):
-        return f"{d.not_op}({_render(node.operand, d, 0)})"
-    if isinstance(node, Neg):
-        return _wrap("-" + _render(node.operand, d, d.neg_level), d.neg_level, min_level)
-    if isinstance(node, BinOp):
-        key = node.op
-    elif isinstance(node, Cmp):
-        key = node.rel
-    else:
-        key = type(node)
-    if key not in d.infix:
-        raise TypeError(f"cannot print {type(node).__name__} in {d.name} syntax")
-    text, level, assoc = d.infix[key]
-    # The operand on the associative side may sit at the operator's level;
-    # the other needs strictly tighter binding.
-    right_assoc = assoc == RIGHT
-    text = (_render(node.left, d, level + right_assoc) + text
-            + _render(node.right, d, level + (not right_assoc)))
-    return _wrap(text, level, min_level)
+    """Print bottom up. Each node gives its text and the level its top
+    operator binds at, and a parent parenthesizes an operand that binds
+    looser than its side of the operator needs."""
+    infix, neg_level = d.infix, d.neg_level
+    atom = neg_level + 1  # atoms, and negations printed as `NOT(...)`
+
+    def combine(n, kids):
+        cls = n.__class__
+        if cls is Number:
+            return n.lexeme, atom
+        if cls is Var:
+            return n.ident.name, atom
+        if cls is BoolConst:
+            return d.bools[n.value], atom
+        if cls is Not:
+            return f"{d.not_op}({kids[0][0]})", atom
+        if cls is Neg:
+            return "-" + _wrap(*kids[0], neg_level), neg_level
+        entry = infix.get(operator_key(n))
+        if entry is None:
+            raise TypeError(f"cannot print {cls.__name__} in {d.name} syntax")
+        text, level, assoc = entry
+        # The operand on the associative side may sit at the operator's
+        # level; the other needs strictly tighter binding.
+        right_assoc = assoc == RIGHT
+        (left, left_level), (right, right_level) = kids
+        return (_wrap(left, left_level, level + right_assoc) + text
+                + _wrap(right, right_level, level + (not right_assoc))), level
+
+    return _wrap(*fold(node, combine), min_level)
 
 
 def _wrap(text: str, level: int, min_level: int) -> str:

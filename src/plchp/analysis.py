@@ -85,16 +85,6 @@ def _var_sets(p: Program, kids) -> VarSets:
     )
 
 
-def _first_seen(items) -> tuple[Ident, ...]:
-    out: list[Ident] = []
-    seen: set[Ident] = set()
-    for x in items:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return tuple(out)
-
-
 def classify_io(
     ctrl: Program,
     declared_inputs: tuple[Ident, ...],
@@ -108,7 +98,8 @@ def classify_io(
     """
     vs = var_sets(ctrl)
     # var_sets has checked that ctrl is translatable.
-    outputs = _first_seen(s.target for s in walk(ctrl, TRANSLATABLE) if s.__class__ is Assign)
+    outputs = tuple(dict.fromkeys(
+        s.target for s in walk(ctrl, TRANSLATABLE) if s.__class__ is Assign))
     plant_states = [x for x in plant.state_vars() if x in vs.free]
     candidates = plant_states + [x for x in declared_inputs if x not in plant_states]
     warnings = tuple(
@@ -116,8 +107,8 @@ def classify_io(
         for x in candidates
         if x in vs.bound
     )
-    inputs = tuple(x for x in _first_seen(candidates) if x not in vs.bound)
-    free_order = _first_seen(
+    inputs = tuple(x for x in dict.fromkeys(candidates) if x not in vs.bound)
+    free_order = dict.fromkeys(
         n.ident for n in walk(ctrl) if n.__class__ is Var and n.ident in vs.free
     )
     params = tuple(

@@ -8,6 +8,7 @@ identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -49,7 +50,9 @@ def main(argv=None) -> int:
         return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `plchp` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="plchp",
         description="Bidirectional compiler between PLC structured text and "

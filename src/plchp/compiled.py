@@ -7,27 +7,31 @@ maps each variable to its slot in that list; a slot holds None while its
 variable is unbound.
 
 The closures are a faster form of the reference interpreters `eval_term`,
-`eval_formula` and `run_st`, not a second semantics. They perform the same
-float operations in the same order, left operand before right; connectives
-stay strict, so both sides are evaluated and an error on the right still
-propagates; division and powers make the same checks with the same
-messages; and reading an unbound slot raises `UnboundVariable` at the point
-where the tree walk would read it. The tests hold them to the interpreters
-bit for bit, and to the class of every error raised.
+`eval_formula` and `run_st`, not a second semantics: both take what each
+operator computes from `semantics.OPERATORS` and `semantics.divide`. The
+closures apply them in the same order, left operand before right;
+connectives stay strict, so both sides are evaluated and an error on the
+right still propagates; and reading an unbound slot raises
+`UnboundVariable` at the point where the tree walk would read it. The tests
+hold them to the interpreters bit for bit, and to the class of every error
+raised.
+
+A term or formula compiles in one fold over its tree (`ir.fold`), so any
+length compiles in bounded stack; the closures it builds still run one
+Python frame per level, so a tree deeper than MAX_DEPTH is refused.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Callable
 
-from .errors import DivisionByZero, UnboundVariable
+from .errors import PlchpError, UnboundVariable
 from .ir import (
-    ADD, And, Assign, BinOp, BoolConst, Cmp, DIV, EQ, Equiv, Formula, GE, GT,
-    Ident, IfThen, IfThenElse, Imply, LE, LT, MUL, NE, Neg, Not, Number, Or,
-    POW, Program, SUB, Seq, State, Term, Var, Xor, seq_to_list,
+    Assign, BoolConst, DIV, Formula, Ident, IfThen, IfThenElse,
+    Neg, Not, Number, POW, Program, Seq, State, Term, Var, fold, operator_key,
+    seq_to_list,
 )
-from .semantics import power
+from .semantics import OPERATORS, divide
 
 Slots = list  # list[Optional[float]], indexed by a Layout's slots
 TermFn = Callable[[Slots], float]
@@ -82,48 +86,75 @@ def _deferred(error: str):
     return fail
 
 
+# Deepest expression, counted in nodes from root to leaf, that compiles. A
+# closure calls its operands' closures, one Python frame per level, and the
+# message of a division by zero prints its whole term, three frames per
+# level. At 300 both fit inside the default recursion limit of 1000, with
+# room left for the caller's frames.
+MAX_DEPTH = 300
+
+
 def compile_term(t: Term, layout: Layout) -> TermFn:
-    if isinstance(t, Number):
-        value = t.value
+    if not isinstance(t, Term):
+        return _deferred(f"not a term: {type(t).__name__}")
+    return _compile(t, layout)
+
+
+def compile_formula(f: Formula, layout: Layout) -> FormulaFn:
+    if not isinstance(f, Formula):
+        return _deferred(f"not a formula: {type(f).__name__}")
+    return _compile(f, layout)
+
+
+def _compile(node, layout: Layout):
+    """One fold over the expression, building each node's closure from its
+    operands' closures. Alongside, it counts each node's depth and refuses a
+    tree deeper than MAX_DEPTH."""
+    def combine(n, kids):
+        depth = 1 + max([d for _, d in kids], default=0)
+        if depth > MAX_DEPTH:
+            raise PlchpError(
+                f"expression nested too deeply to compile (more than {MAX_DEPTH} levels)")
+        return _closure(n, [f for f, _ in kids], layout), depth
+    return fold(node, combine)[0]
+
+
+def _closure(n, kids, layout: Layout):
+    """The closure for node `n`, given its operands' closures `kids`."""
+    cls = n.__class__
+    if cls is Number or cls is BoolConst:
+        value = n.value
         return lambda v: value
-    if isinstance(t, Var):
-        name = t.ident
+    if cls is Var:
+        name = n.ident
         i = layout.slot(name)
         return lambda v: read(v, i, name)
-    if isinstance(t, Neg):
-        f = compile_term(t.operand, layout)
+    if cls is Neg:
+        f, = kids
         return lambda v: -f(v)
-    if isinstance(t, BinOp):
-        if t.op in _ARITHMETIC:
-            return _binary(_ARITHMETIC[t.op], t.left, t.right, layout)
-        f = compile_term(t.left, layout)
-        g = compile_term(t.right, layout)
-        if t.op == DIV:
-            def div(v):
-                left = f(v)
-                right = g(v)
-                if right == 0.0:
-                    raise DivisionByZero(f"division by zero in {t}")
-                return left / right
-            return div
-        if t.op == POW:
-            return lambda v: power(f(v), g(v))
-    return _deferred(f"not a term: {type(t).__name__}")
+    if cls is Not:
+        a, = kids
+        return lambda v: not a(v)
+    key = operator_key(n)
+    if key == DIV:
+        f, g = kids
+        return lambda v: divide(f(v), g(v), n)
+    op = OPERATORS[key]
+    if key != POW:
+        return _binary(op, n, kids, layout)
+    f, g = kids
+    return lambda v: op(f(v), g(v))
 
 
-_ARITHMETIC = {ADD: operator.add, SUB: operator.sub, MUL: operator.mul}
-_RELATIONS = {
-    EQ: operator.eq, NE: operator.ne, GT: operator.gt,
-    GE: operator.ge, LT: operator.lt, LE: operator.le,
-}
-
-
-def _binary(op, left: Term, right: Term, layout: Layout) -> Callable[[Slots], object]:
-    """`op(left, right)`. A variable or number operand is read inline
-    rather than through a closure of its own, which saves most of the calls
-    in a typical right-hand side or comparison; the reads keep their order
-    and their unbound check."""
-    if isinstance(left, Var) and isinstance(right, Var):
+def _binary(op, n, kids, layout: Layout) -> Callable[[Slots], object]:
+    """`op(left, right)` for the operands of `n`. A variable or number
+    operand is read inline rather than through its closure, which saves
+    most of the calls in a typical right-hand side or comparison; the reads
+    keep their order and their unbound check. A connective's operands are
+    formulas, so it takes the last case: both sides run, left first, and
+    the connective stays strict."""
+    left, right = n.left, n.right
+    if left.__class__ is Var and right.__class__ is Var:
         x, y = left.ident, right.ident
         i, j = layout.slot(x), layout.slot(y)
 
@@ -136,7 +167,7 @@ def _binary(op, left: Term, right: Term, layout: Layout) -> Callable[[Slots], ob
                 raise UnboundVariable(y)
             return op(a, b)
         return var_var
-    if isinstance(left, Var) and isinstance(right, Number):
+    if left.__class__ is Var and right.__class__ is Number:
         x, b = left.ident, right.value
         i = layout.slot(x)
 
@@ -146,7 +177,7 @@ def _binary(op, left: Term, right: Term, layout: Layout) -> Callable[[Slots], ob
                 raise UnboundVariable(x)
             return op(a, b)
         return var_number
-    if isinstance(left, Number) and isinstance(right, Var):
+    if left.__class__ is Number and right.__class__ is Var:
         a, y = left.value, right.ident
         j = layout.slot(y)
 
@@ -156,8 +187,8 @@ def _binary(op, left: Term, right: Term, layout: Layout) -> Callable[[Slots], ob
                 raise UnboundVariable(y)
             return op(a, b)
         return number_var
-    f = compile_term(left, layout)
-    if isinstance(right, Var):
+    f, g = kids
+    if right.__class__ is Var:
         y = right.ident
         j = layout.slot(y)
 
@@ -168,44 +199,7 @@ def _binary(op, left: Term, right: Term, layout: Layout) -> Callable[[Slots], ob
                 raise UnboundVariable(y)
             return op(a, b)
         return term_var
-    g = compile_term(right, layout)
     return lambda v: op(f(v), g(v))
-
-
-def compile_formula(f: Formula, layout: Layout) -> FormulaFn:
-    if isinstance(f, BoolConst):
-        value = f.value
-        return lambda v: value
-    if isinstance(f, Cmp):
-        return _binary(_RELATIONS[f.rel], f.left, f.right, layout)
-    if isinstance(f, Not):
-        a = compile_formula(f.operand, layout)
-        return lambda v: not a(v)
-    if isinstance(f, (And, Or, Imply, Equiv, Xor)):
-        a = compile_formula(f.left, layout)
-        b = compile_formula(f.right, layout)
-        if isinstance(f, And):
-            def and_(v):
-                left = a(v)
-                right = b(v)
-                return left and right
-            return and_
-        if isinstance(f, Or):
-            def or_(v):
-                left = a(v)
-                right = b(v)
-                return left or right
-            return or_
-        if isinstance(f, Imply):
-            def imply(v):
-                left = a(v)
-                right = b(v)
-                return (not left) or right
-            return imply
-        if isinstance(f, Equiv):
-            return lambda v: a(v) == b(v)
-        return lambda v: a(v) != b(v)
-    return _deferred(f"not a formula: {type(f).__name__}")
 
 
 def compile_st(p: Program, layout: Layout) -> StatementFn:

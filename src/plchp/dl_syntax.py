@@ -25,7 +25,7 @@ from .ir import (
     LE, And, Assign, BoolConst, Choice, Cmp, Equiv, Formula, GuardedChoice,
     Ident, Imply, Loop, Not, Number, OdeSystem, Or, PlantSpec, Program,
     RandomAssign, STATEMENTS, Seq, Term, TestStmt, Var, conjoin, conjuncts,
-    fold, list_to_seq, seq_to_list,
+    fold, list_to_seq, same, seq_to_list,
 )
 
 
@@ -47,7 +47,8 @@ def detect_complement(left_guard: Formula, right_guard: Formula) -> bool:
     stripping double negations. No semantic complement solving."""
     left = _strip_double_neg(left_guard)
     right = _strip_double_neg(right_guard)
-    return Not(left) == right or Not(right) == left
+    return (right.__class__ is Not and same(left, right.operand)
+            or left.__class__ is Not and same(right, left.operand))
 
 
 def _strip_double_neg(f: Formula) -> Formula:

@@ -92,10 +92,6 @@ class Number(Term):
     def value(self) -> float:
         return float(self.lexeme)
 
-    @classmethod
-    def from_value(cls, value: float) -> "Number":
-        return cls(number_lexeme(value))
-
 
 @dataclass(frozen=True)
 class Var(Term):
@@ -484,6 +480,31 @@ def fold(node, combine, children=CHILDREN):
         else:
             keep(combine(n, ()))
     return results[0]
+
+
+def operator_key(n):
+    """What names the operator of node `n`: a BinOp's operator, a Cmp's
+    relation, or else the node's class."""
+    cls = n.__class__
+    return n.op if cls is BinOp else n.rel if cls is Cmp else cls
+
+
+def same(a, b) -> bool:
+    """`a == b` for two terms or formulas, on an explicit stack: inner nodes
+    are compared by operator and leaves by `==`. The generated `==` recurses
+    two frames per level."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        kids = CHILDREN.get(a.__class__)
+        if kids is None:
+            if a != b:
+                return False
+        elif b.__class__ is not a.__class__ or operator_key(a) != operator_key(b):
+            return False
+        else:
+            stack += zip(kids(a), kids(b))
+    return True
 
 
 def seq_to_list(p: Program) -> list[Program]:

@@ -9,8 +9,9 @@ cross-checks both compilers against both semantics.
 
 from __future__ import annotations
 
+import operator
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import DivisionByZero, DomainError, EvalError
@@ -18,7 +19,7 @@ from .ir import (
     ADD, And, Assign, BinOp, BoolConst, Cmp, DIV, EQ, Equiv, Formula, GE, GT,
     GuardedChoice, HP, HP_STATEMENTS, Ident, IfThen, IfThenElse, Imply, LE,
     LT, MUL, NE, Neg, Not, Number, Or, POW, Program, RELATIONS, ST, SUB, Seq,
-    State, Term, Var, Xor, number_lexeme, seq_to_list, walk,
+    State, Term, Var, Xor, list_to_seq, number_lexeme, seq_to_list, walk,
 )
 from .translate import (
     formula_hp_to_st, formula_st_to_hp, prog_hp_to_st, prog_st_to_hp,
@@ -28,33 +29,6 @@ from .translate import (
 
 # ---------------------------------------------------------------------------
 # Evaluation
-
-def eval_term(t: Term, s: State) -> float:
-    """Recursive evaluation; division by zero and bad powers raise instead
-    of producing IEEE special values."""
-    if isinstance(t, Number):
-        return t.value
-    if isinstance(t, Var):
-        return s.get(t.ident)
-    if isinstance(t, Neg):
-        return -eval_term(t.operand, s)
-    if isinstance(t, BinOp):
-        left = eval_term(t.left, s)
-        right = eval_term(t.right, s)
-        if t.op == ADD:
-            return left + right
-        if t.op == SUB:
-            return left - right
-        if t.op == MUL:
-            return left * right
-        if t.op == DIV:
-            if right == 0.0:
-                raise DivisionByZero(f"division by zero in {t}")
-            return left / right
-        if t.op == POW:
-            return power(left, right)
-    raise TypeError(f"not a term: {type(t).__name__}")
-
 
 def power(left: float, right: float) -> float:
     """`left ** right`, with errors instead of complex or infinite results."""
@@ -68,14 +42,42 @@ def power(left: float, right: float) -> float:
         raise DomainError("power overflow") from None
 
 
-_CMP = {
-    EQ: lambda a, b: a == b,
-    NE: lambda a, b: a != b,
-    GT: lambda a, b: a > b,
-    GE: lambda a, b: a >= b,
-    LT: lambda a, b: a < b,
-    LE: lambda a, b: a <= b,
+def divide(left: float, right: float, term: BinOp) -> float:
+    """`left / right`, the operands of `term`; division by zero raises."""
+    if right == 0.0:
+        raise DivisionByZero(f"division by zero in {term}")
+    return left / right
+
+
+# What every operator but division computes, keyed by BinOp operator, Cmp
+# relation or connective class. The interpreters below and the closures of
+# `plchp.compiled` both read it. The connectives are strict functions of
+# two truth values: implication is `<=` on them.
+OPERATORS = {
+    ADD: operator.add, SUB: operator.sub, MUL: operator.mul, POW: power,
+    EQ: operator.eq, NE: operator.ne, GT: operator.gt,
+    GE: operator.ge, LT: operator.lt, LE: operator.le,
+    And: operator.and_, Or: operator.or_, Imply: operator.le,
+    Equiv: operator.eq, Xor: operator.ne,
 }
+
+
+def eval_term(t: Term, s: State) -> float:
+    """Recursive evaluation; division by zero and bad powers raise instead
+    of producing IEEE special values."""
+    if isinstance(t, Number):
+        return t.value
+    if isinstance(t, Var):
+        return s.get(t.ident)
+    if isinstance(t, Neg):
+        return -eval_term(t.operand, s)
+    if isinstance(t, BinOp):
+        left = eval_term(t.left, s)
+        right = eval_term(t.right, s)
+        if t.op == DIV:
+            return divide(left, right, t)
+        return OPERATORS[t.op](left, right)
+    raise TypeError(f"not a term: {type(t).__name__}")
 
 
 def eval_formula(f: Formula, s: State) -> bool:
@@ -84,25 +86,11 @@ def eval_formula(f: Formula, s: State) -> bool:
     if isinstance(f, BoolConst):
         return f.value
     if isinstance(f, Cmp):
-        return _CMP[f.rel](eval_term(f.left, s), eval_term(f.right, s))
+        return OPERATORS[f.rel](eval_term(f.left, s), eval_term(f.right, s))
     if isinstance(f, Not):
         return not eval_formula(f.operand, s)
-    if isinstance(f, And):
-        left = eval_formula(f.left, s)
-        right = eval_formula(f.right, s)
-        return left and right
-    if isinstance(f, Or):
-        left = eval_formula(f.left, s)
-        right = eval_formula(f.right, s)
-        return left or right
-    if isinstance(f, Imply):
-        left = eval_formula(f.left, s)
-        right = eval_formula(f.right, s)
-        return (not left) or right
-    if isinstance(f, Equiv):
-        return eval_formula(f.left, s) == eval_formula(f.right, s)
-    if isinstance(f, Xor):
-        return eval_formula(f.left, s) != eval_formula(f.right, s)
+    if f.__class__ in OPERATORS:
+        return OPERATORS[f.__class__](eval_formula(f.left, s), eval_formula(f.right, s))
     raise TypeError(f"not a formula: {type(f).__name__}")
 
 
@@ -205,18 +193,16 @@ class GenConfig:
 
     max_depth: int = 5
     var_pool: tuple[Ident, ...] = tuple(Ident(n) for n in "abcdef")
-    literal_pool: tuple[float, ...] = (0.0, 1.0, 2.0, 0.5, 3.0, 10.0)
     seed: int = 0
-    weights: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        if not self.var_pool or not self.literal_pool:
-            raise ValueError("variable and literal pools must be non-empty")
+        if not self.var_pool:
+            raise ValueError("the variable pool must be non-empty")
 
-    def weight(self, name: str, default: float) -> float:
-        return self.weights.get(name, default)
+
+LITERALS = (0.0, 1.0, 2.0, 0.5, 3.0, 10.0)
 
 
 _MIX = 0x9E3779B97F4A7C15
@@ -241,8 +227,8 @@ def _pick(rng: random.Random, pairs: list[tuple[str, float]]) -> str:
     return pairs[-1][0]
 
 
-def _literal(rng: random.Random, cfg: GenConfig) -> Number:
-    return Number(number_lexeme(rng.choice(cfg.literal_pool)))
+def _literal(rng: random.Random) -> Number:
+    return Number(number_lexeme(rng.choice(LITERALS)))
 
 
 def gen_term(cfg: GenConfig) -> Term:
@@ -250,11 +236,11 @@ def gen_term(cfg: GenConfig) -> Term:
 
 
 def _gen_term(rng: random.Random, cfg: GenConfig, depth: int) -> Term:
-    if depth <= 0 or rng.random() < cfg.weight("term_leaf", 0.4):
+    if depth <= 0 or rng.random() < 0.4:
         if rng.random() < 0.5:
             return Var(rng.choice(cfg.var_pool))
-        return _literal(rng, cfg)
-    if rng.random() < cfg.weight("term_neg", 0.15):
+        return _literal(rng)
+    if rng.random() < 0.15:
         return Neg(_gen_term(rng, cfg, depth - 1))
     op = rng.choice((ADD, SUB, MUL, DIV, POW))
     return BinOp(op, _gen_term(rng, cfg, depth - 1), _gen_term(rng, cfg, depth - 1))
@@ -266,13 +252,12 @@ def gen_formula(cfg: GenConfig, dialect: str = ST) -> Formula:
 
 
 def _gen_formula(rng: random.Random, cfg: GenConfig, depth: int, dialect: str) -> Formula:
-    if depth <= 0 or rng.random() < cfg.weight("formula_leaf", 0.4):
-        if rng.random() < cfg.weight("formula_const", 0.1):
+    if depth <= 0 or rng.random() < 0.4:
+        if rng.random() < 0.1:
             return BoolConst(rng.random() < 0.5)
         rel = rng.choice(RELATIONS)
         return Cmp(rel, _gen_term(rng, cfg, min(depth, 2)), _gen_term(rng, cfg, min(depth, 2)))
-    names = ["not", "and", "or", "binary2"]
-    choice = _pick(rng, [(n, cfg.weight(f"formula_{n}", 1.0)) for n in names])
+    choice = _pick(rng, [("not", 1.0), ("and", 1.0), ("or", 1.0), ("binary2", 1.0)])
     if choice == "not":
         return Not(_gen_formula(rng, cfg, depth - 1, dialect))
     left = _gen_formula(rng, cfg, depth - 1, dialect)
@@ -293,7 +278,7 @@ def _gen_guard(rng: random.Random, cfg: GenConfig) -> Formula:
     if rng.random() < 0.5:
         right: Term = Var(rng.choice(cfg.var_pool))
     else:
-        right = _literal(rng, cfg)
+        right = _literal(rng)
     return Cmp(rel, left, right)
 
 
@@ -312,10 +297,8 @@ def gen_st(cfg: GenConfig) -> Program:
 def _gen_st(rng: random.Random, cfg: GenConfig, depth: int, allow_seq: bool) -> Program:
     if depth <= 1:
         return _gen_assign(rng, cfg, depth)
-    names = ["assign", "seq", "ifthen", "ifthenelse"]
-    defaults = {"assign": 1.0, "seq": 1.6, "ifthen": 1.0, "ifthenelse": 1.0}
-    weights = [(n, cfg.weight(f"st_{n}", defaults[n])) for n in names if allow_seq or n != "seq"]
-    choice = _pick(rng, weights)
+    weights = (("assign", 1.0), ("seq", 1.6), ("ifthen", 1.0), ("ifthenelse", 1.0))
+    choice = _pick(rng, [(n, w) for n, w in weights if allow_seq or n != "seq"])
     if choice == "assign":
         return _gen_assign(rng, cfg, depth)
     if choice == "seq":
@@ -349,10 +332,8 @@ def _gen_hp(
 ) -> Program:
     if depth <= 1:
         return _gen_assign(rng, cfg, depth)
-    names = ["assign", "seq", "ifelse", "ifthen", "default"]
-    defaults = {"assign": 1.0, "seq": 1.6, "ifelse": 0.8, "ifthen": 0.8, "default": 0.8}
-    weights = [(n, cfg.weight(f"hp_{n}", defaults[n])) for n in names if allow_seq or n != "seq"]
-    choice = _pick(rng, weights)
+    weights = (("assign", 1.0), ("seq", 1.6), ("ifelse", 0.8), ("ifthen", 0.8), ("default", 0.8))
+    choice = _pick(rng, [(n, w) for n, w in weights if allow_seq or n != "seq"])
     if choice in ("ifelse", "ifthen", "default") and budget[0] <= 0:
         choice = "assign" if not allow_seq or rng.random() < 0.5 else "seq"
     if choice == "assign":
@@ -380,7 +361,7 @@ def gen_state(cfg: GenConfig) -> State:
     bindings = {}
     for x in cfg.var_pool:
         if rng.random() < 0.5:
-            bindings[x] = rng.choice(cfg.literal_pool)
+            bindings[x] = rng.choice(LITERALS)
         else:
             bindings[x] = rng.uniform(-10.0, 10.0)
     return State(bindings)
@@ -434,10 +415,7 @@ class _TransparentGen:
             stmts.append(tail)
         if not stmts:
             stmts.append(self.assign(frozenset(mb)))
-        out = stmts[-1]
-        for s in reversed(stmts[:-1]):
-            out = Seq(s, out)
-        return out
+        return list_to_seq(stmts)
 
     def assign(self, must_bound: frozenset[Ident]) -> Assign:
         targets = [x for x in self.pool if x not in self.guard_used]

@@ -42,10 +42,10 @@ from .ir import (
     PlantSpec, Program, ScanCycleModel, State, SUB, TRUE, Var, collect_vars,
     conjuncts, fold,
 )
-from .semantics import derive_seed, eval_formula, fully_complemented
+from .semantics import OPERATORS, derive_seed, fully_complemented
 # Not called here since evaluation is compiled, but the benchmark's layer
 # tracer (perfbench/tracing.py) wraps these names in this module.
-from .semantics import eval_term, run_st  # noqa: F401
+from .semantics import eval_formula, eval_term, run_st  # noqa: F401
 from .translate import prog_hp_to_st
 
 
@@ -224,23 +224,13 @@ def _linear_violation(linear, v0: Slots, v1: Slots, duration: float) -> Optional
     rel, left, right = linear
     d0 = left(v0) - right(v0)
     d1 = left(v1) - right(v1)
-    strict = rel in (LT, GT)
-    if rel in (GT, GE):
-        ok0 = d0 > 0 if strict else d0 >= 0
-        ok1 = d1 > 0 if strict else d1 >= 0
-        if not ok0:
-            return 0.0
-        if ok1:
-            return None
-        # d(t) = d0 + (d1 - d0) * t / duration crosses the boundary once.
-        return duration * d0 / (d0 - d1)
-    ok0 = d0 < 0 if strict else d0 <= 0
-    ok1 = d1 < 0 if strict else d1 <= 0
-    if not ok0:
+    holds = OPERATORS[rel]  # `left rel right` is `d rel 0`
+    if not holds(d0, 0.0):
         return 0.0
-    if ok1:
+    if holds(d1, 0.0):
         return None
-    return duration * (-d0) / (d1 - d0)
+    # d(t) = d0 + (d1 - d0) * t / duration crosses the boundary once.
+    return duration * d0 / (d0 - d1)
 
 
 def _grid_violation(holds, at, duration: float, substeps: int) -> Optional[float]:
@@ -431,12 +421,13 @@ def simulate(
     feeds = [(x, layout.slot(x)) for x in m.inputs]
     clock = plant.clock
     eps = layout.slot(m.epsilon) if isinstance(m.epsilon, Ident) else None
+    assumed = compile_formula(m.assumptions, layout) if cfg.check_assumptions else None
     values = layout.load(initial)
     if values[clock] is None:
         values[clock] = 0.0
     if eps is not None and values[eps] is None:
         values[eps] = epsilon
-    if cfg.check_assumptions and not eval_formula(m.assumptions, layout.state(values)):
+    if assumed is not None and not assumed(values):
         raise PlchpError("initial state does not satisfy the assumptions")
 
     records: list[CycleRecord] = []

@@ -339,3 +339,63 @@ def test_1000_prefix_operators(tmp_path, op, width, body):
     col = body.index("{") + 1 + MAX_NESTING * width
     assert st2hp(tmp_path, "deep.st", "deep.dlhp") == (
         1, f"deep.st:8:{col}: expression nested too deeply\n")
+
+
+# ---------------------------------------------------------------------------
+# Long expressions. Sums, conjunctions and power chains of any length go
+# st2hp -> hp2st -> st2hp and give the same model text both times. Compiled
+# closures run one Python frame per level, so `simulate` and `comply` refuse
+# an expression nested past `compiled.MAX_DEPTH` with a one-line error.
+
+def chain(op, n, operand="u"):
+    return f" {op} ".join([operand] * n)
+
+
+def test_round_trip_10000_term_sum(tmp_path):
+    model = round_trip(tmp_path, f"y := {chain('+', 10000)};\n")
+    assert model.count("u+") == 9999
+
+
+def test_round_trip_10000_conjunct_guard(tmp_path):
+    guard = " AND ".join(f"u > {i}" for i in range(10000))
+    model = round_trip(tmp_path, f"IF {guard} THEN y := 1; END_IF;\n")
+    assert model.count(" & u>") == 2 * 9999  # the guard and its complement
+
+
+def test_round_trip_10000_power_chain(tmp_path):
+    model = round_trip(tmp_path, f"y := {chain('**', 10000)};\n")
+    assert model.count("^") == 9999
+
+
+RUN = '{"init": {"x": 1, "y": 0}, "inputs": {"mode": "constant", "values": {"u": 1}}}'
+
+
+def simulate(tmp_path, model, *argv):
+    (tmp_path / "run.json").write_text(RUN)
+    return run_process(tmp_path, "simulate", "--model", model, "--inputs", "run.json",
+                       "--cycles", "2", "--out", "trace.csv", *argv)
+
+
+def test_300_term_sum_simulates_and_complies(tmp_path):
+    (tmp_path / "small.st").write_text(UNIT.format("y := u;\n"))
+    (tmp_path / "sum.st").write_text(UNIT.format(f"y := {chain('+', 300)};\n"))
+    assert st2hp(tmp_path, "small.st", "small.dlhp")[0] == 0
+    assert st2hp(tmp_path, "sum.st", "sum.dlhp")[0] == 0
+    assert simulate(tmp_path, "small.dlhp", "--st", "sum.st") == (0, "")
+    assert run_process(tmp_path, "comply", "--model", "sum.dlhp", "--trace", "trace.csv") == (0, "")
+    assert simulate(tmp_path, "sum.dlhp") == (0, "")
+
+
+def test_10000_term_sum_is_refused_by_simulate_and_comply(tmp_path):
+    (tmp_path / "small.st").write_text(UNIT.format("y := u;\n"))
+    (tmp_path / "sum.st").write_text(UNIT.format(f"y := {chain('+', 10000)};\n"))
+    assert st2hp(tmp_path, "small.st", "small.dlhp")[0] == 0
+    assert st2hp(tmp_path, "sum.st", "sum.dlhp")[0] == 0
+    assert simulate(tmp_path, "small.dlhp") == (0, "")
+    for code, err in (
+        simulate(tmp_path, "small.dlhp", "--st", "sum.st"),
+        simulate(tmp_path, "sum.dlhp"),
+        run_process(tmp_path, "comply", "--model", "sum.dlhp", "--trace", "trace.csv"),
+    ):
+        assert code == 1
+        assert err.startswith("error: expression nested too deeply") and err.count("\n") == 1
