@@ -1,18 +1,20 @@
 """Static semantics and scan-cycle shape checking.
 
 Free/bound/must-bound variable computation over the translatable program
-fragment, input/output classification for configuration generation,
-validation of parsed safety formulas into scan-cycle models, and extraction
-of a concrete scan cycle duration from the assumptions.
+fragment, input/output classification for configuration generation, and
+the scan-cycle boundary: validation of parsed safety formulas into
+scan-cycle models and of plant fragments, and the one rule that gives a
+model its scan cycle duration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .dl_syntax import DlSafetyFormula, print_dl_formula
-from .errors import ConflictingEpsilon, NotNormalForm
+from .errors import ConflictingEpsilon, MissingEpsilon, NotNormalForm
 from .ir import (
     Assign, Choice, Cmp, EQ, Formula, GuardedChoice, HP_STATEMENTS, Ident, LE,
     GE, Loop, Number, OdeSystem, PlantSpec, Program, RandomAssign,
@@ -138,12 +140,45 @@ def validate_scan_cycle_form(f: DlSafetyFormula) -> ScanCycleModel:
 
     if not stmts[idx:]:
         raise NotNormalForm("missing controller and plant after inputs")
+    plant = plant_fragment(list_to_seq(stmts[max(idx, len(stmts) - 2):]))
+
+    ctrl_stmts = stmts[idx:-2]
+    if not ctrl_stmts:
+        raise NotNormalForm("missing controller between inputs and plant")
+    ctrl = list_to_seq(ctrl_stmts)
+    _check_ctrl(ctrl)
+
+    bound = plant.bound
+    epsilon = bound.value if isinstance(bound, Number) else bound.ident
+
+    if plant.clock in collect_vars(ctrl) | set(inputs):
+        raise NotNormalForm(f"plant clock {plant.clock} appears in ctrl or inputs")
+
+    return ScanCycleModel(
+        assumptions=f.assumptions,
+        inputs=tuple(inputs),
+        ctrl=ctrl,
+        plant=plant,
+        epsilon=epsilon,
+        safety=f.safety,
+    )
+
+
+def plant_fragment(p: Program) -> PlantSpec:
+    """The plant `t:=0; {odes, t'=1 & t<=eps & Q}`: exactly a clock reset
+    followed by the ODE, as a plant file holds it and as a scan-cycle body
+    ends. One precise NotNormalForm reason otherwise."""
+    stmts = seq_to_list(p)
     last = stmts[-1]
     if not isinstance(last, OdeSystem):
         raise NotNormalForm("missing plant ODE at the end of the loop body", _pos(last))
-    if len(stmts) - idx < 2:
+    if len(stmts) < 2:
         raise NotNormalForm("missing clock reset before the plant ODE", _pos(last))
-    reset = stmts[-2]
+    if len(stmts) > 2:
+        raise NotNormalForm(
+            "a plant is a clock reset followed by the plant ODE, with nothing before",
+            _pos(stmts[0]))
+    reset = stmts[0]
     if not (isinstance(reset, Assign) and isinstance(reset.value, Number) and reset.value.value == 0.0):
         raise NotNormalForm("missing clock reset", _pos(reset))
     clock = reset.target
@@ -156,10 +191,9 @@ def validate_scan_cycle_form(f: DlSafetyFormula) -> ScanCycleModel:
         raise NotNormalForm(f"missing clock ODE {clock}'=1", _pos(last))
     plant_odes = tuple((x, rhs) for x, rhs in odes if x != clock)
 
-    domain_parts = conjuncts(last.domain)
     bound = None
     rest: list[Formula] = []
-    for part in domain_parts:
+    for part in conjuncts(last.domain):
         if bound is None:
             candidate = _clock_bound(part, clock)
             if candidate is not None:
@@ -169,32 +203,7 @@ def validate_scan_cycle_form(f: DlSafetyFormula) -> ScanCycleModel:
     if bound is None:
         raise NotNormalForm(f"missing clock bound {clock}<=eps in the evolution domain", _pos(last))
     domain = conjoin([p for p in rest if p != TRUE])
-
-    ctrl_stmts = stmts[idx:-2]
-    if not ctrl_stmts:
-        raise NotNormalForm("missing controller between inputs and plant")
-    ctrl = list_to_seq(ctrl_stmts)
-    _check_ctrl(ctrl)
-
-    plant = PlantSpec(plant_odes, clock, domain, bound)
-    epsilon: Union[float, Ident]
-    if isinstance(bound, Number):
-        epsilon = bound.value
-    else:
-        epsilon = bound.ident
-
-    used = collect_vars(ctrl) | set(inputs)
-    if clock in used:
-        raise NotNormalForm(f"plant clock {clock} appears in ctrl or inputs")
-
-    return ScanCycleModel(
-        assumptions=f.assumptions,
-        inputs=tuple(inputs),
-        ctrl=ctrl,
-        plant=plant,
-        epsilon=epsilon,
-        safety=f.safety,
-    )
+    return PlantSpec(plant_odes, clock, domain, bound)
 
 
 def _clock_bound(part: Formula, clock: Ident) -> Optional[Union[Var, Number]]:
@@ -260,3 +269,26 @@ def extract_epsilon(assumptions: Formula, name: Ident = Ident("eps")) -> Optiona
             )
         value = candidate
     return value
+
+
+def resolve_epsilon(m: ScanCycleModel, override: Optional[float] = None) -> float:
+    """The scan cycle duration of `m`, the one rule every command follows:
+    the override if one is given, else the model's concrete bound, else an
+    `eps = n` conjunct of the assumptions. A symbolic duration with neither,
+    and a duration that is not positive or not finite, raise MissingEpsilon."""
+    epsilon = override
+    if epsilon is None:
+        if isinstance(m.epsilon, float):
+            epsilon = m.epsilon
+        else:
+            epsilon = extract_epsilon(m.assumptions, m.epsilon)
+    if epsilon is None:
+        raise MissingEpsilon(
+            f"scan cycle duration {m.epsilon} is symbolic; the assumptions "
+            "carry no eps = n conjunct and no override was given"
+        )
+    if not epsilon > 0:  # NaN included
+        raise MissingEpsilon(f"scan cycle duration must be positive, got {epsilon}")
+    if epsilon == math.inf:
+        raise MissingEpsilon(f"scan cycle duration must be finite, got {epsilon}")
+    return epsilon

@@ -14,23 +14,17 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import classify_io, validate_scan_cycle_form, var_sets
-from .dl_syntax import (
-    DlSafetyFormula, parse_dl_formula, parse_dl_model, parse_dl_program,
-    print_dl_model,
-)
+from .analysis import classify_io, plant_fragment, validate_scan_cycle_form, var_sets
+from .dl_syntax import parse_dl_formula, parse_dl_model, parse_dl_program, print_dl_model
 from .errors import InputFileError, NotNormalForm, ParseError, PlchpError
-from .ir import (
-    Assign as IrAssign, Ident, Number, PlantSpec, State, TRUE, list_to_seq,
-    seq_to_list,
-)
+from .ir import Ident, State
 from .semantics import GenConfig, difftest
 from .sim import (
     ConstantInputs, CsvInputs, IntegratorConfig, SimConfig, UniformInputs,
     check_compliance, check_safety, read_trace_file, simulate, write_trace_file,
 )
 from .st_syntax import parse_st, print_st
-from .translate import prog_hp_to_st, task_hp_to_st, task_st_to_hp
+from .translate import DEFAULT_NAMES, prog_hp_to_st, task_hp_to_st, task_st_to_hp
 
 
 def main(argv=None) -> int:
@@ -74,11 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dl_file")
     p.add_argument("--epsilon", type=float, help="task interval in seconds (required when symbolic)")
     p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument("--program-name", default="prog0")
-    p.add_argument("--config-name", default="Config0")
-    p.add_argument("--resource-name", default="Res0")
-    p.add_argument("--task-name", default="Main")
-    p.add_argument("--instance-name", default="Inst0")
+    for kind, default in DEFAULT_NAMES.items():
+        p.add_argument(f"--{kind}-name", default=default)
     p.set_defaults(handler=cmd_hp2st)
 
     p = sub.add_parser("analyze", help="print static semantics and I/O classification of a model")
@@ -118,21 +109,9 @@ def _read(args, path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _parse_plant_fragment(text: str) -> PlantSpec:
-    """A plant fragment is `t:=0; {odes & domain}`; reuse the model validator
-    by checking the fragment's shape directly."""
-    prog = parse_dl_program(text)
-    stmts = seq_to_list(prog)
-    # Wrap in a dummy model so validation reports precise reasons.
-    dummy_ctrl = IrAssign(Ident("_dummy"), Number("0"))
-    body = list_to_seq([dummy_ctrl] + stmts)
-    model = validate_scan_cycle_form(DlSafetyFormula(TRUE, body, TRUE))
-    return model.plant
-
-
 def cmd_st2hp(args) -> int:
     unit = parse_st(_read(args, args.st_file))
-    plant = _parse_plant_fragment(_read(args, args.plant))
+    plant = plant_fragment(parse_dl_program(_read(args, args.plant)))
     assumptions = parse_dl_formula(_read(args, args.assumptions))
     safety = parse_dl_formula(_read(args, args.safety))
     formula = task_st_to_hp(unit, plant, assumptions, safety)
@@ -149,13 +128,7 @@ def cmd_st2hp(args) -> int:
 
 def cmd_hp2st(args) -> int:
     model = validate_scan_cycle_form(parse_dl_model(_read(args, args.dl_file)))
-    names = {
-        "program": args.program_name,
-        "config": args.config_name,
-        "resource": args.resource_name,
-        "task": args.task_name,
-        "instance": args.instance_name,
-    }
+    names = {kind: getattr(args, f"{kind}_name") for kind in DEFAULT_NAMES}
     unit, diags = task_hp_to_st(model, epsilon=args.epsilon, names=names)
     for warning in diags.warnings:
         sys.stderr.write(f"warning [{warning.code}]: {warning.message}\n")

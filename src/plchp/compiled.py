@@ -87,10 +87,11 @@ def _deferred(error: str):
 
 
 # Deepest expression, counted in nodes from root to leaf, that compiles. A
-# closure calls its operands' closures, one Python frame per level, and the
-# message of a division by zero prints its whole term, three frames per
-# level. At 300 both fit inside the default recursion limit of 1000, with
-# room left for the caller's frames.
+# closure calls its operands' closures, one Python frame per level. At 300
+# that fits inside the default recursion limit of 1000 with room left for
+# the caller's frames (a test runner or a tracer adds dozens); the message
+# of a division by zero prints its term with the iterative dL printer, so
+# it needs no stack of its own.
 MAX_DEPTH = 300
 
 

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from .dl_syntax import print_dl_term
 from .errors import DivisionByZero, DomainError, EvalError
 from .ir import (
     ADD, And, Assign, BinOp, BoolConst, Cmp, DIV, EQ, Equiv, Formula, GE, GT,
@@ -45,7 +46,7 @@ def power(left: float, right: float) -> float:
 def divide(left: float, right: float, term: BinOp) -> float:
     """`left / right`, the operands of `term`; division by zero raises."""
     if right == 0.0:
-        raise DivisionByZero(f"division by zero in {term}")
+        raise DivisionByZero(f"division by zero in {print_dl_term(term)}")
     return left / right
 
 

@@ -30,12 +30,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .analysis import IoClassification, extract_epsilon
+from .analysis import IoClassification, resolve_epsilon
 from .compiled import Layout, Slots, compile_formula, compile_st, compile_term, read
 from .dl_syntax import print_dl_formula
 from .errors import (
-    InputFileError, MissingEpsilon, MissingInput, NondeterministicCtrl,
-    PlchpError, SchemaError, UnboundVariable,
+    InputFileError, MissingInput, NondeterministicCtrl, PlchpError,
+    SchemaError, UnboundVariable,
 )
 from .ir import (
     ADD, BinOp, Cmp, DIV, Formula, GE, GT, Ident, LE, LT, MUL, Neg, Number,
@@ -43,8 +43,10 @@ from .ir import (
     conjuncts, fold,
 )
 from .semantics import OPERATORS, derive_seed, fully_complemented
-# Not called here since evaluation is compiled, but the benchmark's layer
-# tracer (perfbench/tracing.py) wraps these names in this module.
+# Not called here, since evaluation is compiled and the cycle duration is
+# `resolve_epsilon`'s, but the benchmark's layer tracer
+# (perfbench/tracing.py) wraps these names in this module.
+from .analysis import extract_epsilon  # noqa: F401
 from .semantics import eval_formula, eval_term, run_st  # noqa: F401
 from .translate import prog_hp_to_st
 
@@ -381,24 +383,9 @@ class CycleRecord:
 
 @dataclass(frozen=True)
 class SimConfig:
-    epsilon: Optional[float] = None  # overrides a symbolic model duration
+    epsilon: Optional[float] = None  # overrides the model's duration
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     check_assumptions: bool = False
-
-
-def resolve_epsilon(m: ScanCycleModel, override: Optional[float] = None) -> float:
-    if override is not None:
-        if override <= 0:
-            raise MissingEpsilon(f"scan cycle duration must be positive, got {override}")
-        return override
-    if isinstance(m.epsilon, float):
-        return m.epsilon
-    value = extract_epsilon(m.assumptions, m.epsilon)
-    if value is None:
-        raise MissingEpsilon(
-            f"scan cycle duration {m.epsilon} is symbolic; supply a concrete value"
-        )
-    return value
 
 
 def simulate(
@@ -460,17 +447,18 @@ class SafetyViolation:
 
 
 def check_safety(records: Sequence[CycleRecord], safety: Formula) -> list[SafetyViolation]:
-    """Evaluate the safety property on every pre and post-plant state. The
-    property is compiled once over the layout the records were taken on."""
+    """Evaluate the safety property on every pre and post-plant state of
+    the records of one run. The property is compiled once over the layout
+    they were taken on."""
     violations: list[SafetyViolation] = []
-    layout = None
+    if not records:
+        return violations
+    layout = records[0].layout
+    # Variables the run never had get slots past the snapshot's end.
+    wider = Layout(layout.names)
+    holds = compile_formula(safety, wider)
+    unbound = (None,) * (len(wider.names) - len(layout.names))
     for rec in records:
-        if rec.layout is not layout:
-            layout = rec.layout
-            # Variables the run never had get slots past the snapshot's end.
-            wider = Layout(layout.names)
-            holds = compile_formula(safety, wider)
-            unbound = (None,) * (len(wider.names) - len(layout.names))
         if not holds(rec.pre_values + unbound):
             violations.append(SafetyViolation(rec.index, "pre", rec.pre))
         if not holds(rec.plant_values + unbound):
@@ -489,19 +477,18 @@ def trace_columns(io_spec: IoClassification) -> list[Ident]:
 
 
 def write_trace(stream, records: Sequence[CycleRecord], io_spec: IoClassification) -> None:
-    """One row per cycle: sensors/params from the pre state, actuators from
-    the post-control state. A cell whose variable is unbound there raises
-    UnboundVariable, after the rows before it are written."""
+    """One row per cycle of the records of one run: sensors/params from the
+    pre state, actuators from the post-control state. A cell whose variable
+    is unbound there raises UnboundVariable, after the rows before it are
+    written."""
     columns = trace_columns(io_spec)
     writer = csv.writer(stream)
     writer.writerow([CYCLE_COLUMN] + [c.name for c in columns])
     actuators = set(io_spec.outputs)
-    layout = None
+    slots = records[0].layout.slots if records else {}
+    # (column, 1 to read the post-control snapshot else 0, its slot)
+    cells = [(col, int(col in actuators), slots.get(col)) for col in columns]
     for rec in records:
-        if rec.layout is not layout:
-            layout = rec.layout
-            # (column, 1 to read the post-control snapshot else 0, its slot)
-            cells = [(col, int(col in actuators), layout.slots.get(col)) for col in columns]
         snapshots = (rec.pre_values, rec.ctrl_values)
         row: list = [rec.index]
         for col, phase, i in cells:

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import classify_io, extract_epsilon
+from .analysis import classify_io, extract_epsilon, resolve_epsilon
 from .dl_syntax import DlSafetyFormula, plant_program
-from .errors import (
-    DialectError, MissingEpsilon, NotNormalForm, PlantVariableClash,
-)
+from .errors import DialectError, NotNormalForm, PlantVariableClash
 from .ir import (
     And, Assign, CHILDREN, Cmp, EQ, Equiv, Formula, GuardedChoice, HP,
     HP_STATEMENTS, Ident, IfThen, IfThenElse, Imply, Not, Number, Or,
@@ -154,7 +152,8 @@ def prog_hp_to_st(p: Program) -> tuple[Program, CompileDiagnostics]:
 
 GeneratedNames = dict  # program/config/resource/task/instance name overrides
 
-_DEFAULT_NAMES = {
+# The generated names, and the defaults of hp2st's `--<kind>-name` options.
+DEFAULT_NAMES = {
     "program": "prog0",
     "config": "Config0",
     "resource": "Res0",
@@ -170,25 +169,11 @@ def task_hp_to_st(
 ) -> tuple[StUnit, CompileDiagnostics]:
     """Compile a scan-cycle model into a complete program unit.
 
-    The task interval comes from the model's concrete duration, from an
-    `eps = n` conjunct in the assumptions, or from the `epsilon` override;
-    a symbolic duration with neither raises MissingEpsilon.
+    The task interval is the scan cycle duration that
+    `analysis.resolve_epsilon` gives the model and the `epsilon` override.
     """
-    resolved = dict(_DEFAULT_NAMES)
-    resolved.update(names or {})
-
-    if epsilon is None:
-        if isinstance(m.epsilon, float):
-            epsilon = m.epsilon
-        else:
-            epsilon = extract_epsilon(m.assumptions, m.epsilon)
-            if epsilon is None:
-                raise MissingEpsilon(
-                    f"scan cycle duration {m.epsilon} is symbolic; the assumptions "
-                    "carry no eps = n conjunct and no override was given"
-                )
-    if epsilon <= 0:
-        raise MissingEpsilon(f"scan cycle duration must be positive, got {epsilon}")
+    resolved = DEFAULT_NAMES | (names or {})
+    epsilon = resolve_epsilon(m, epsilon)
 
     body, diags = prog_hp_to_st(m.ctrl)
     io = classify_io(m.ctrl, m.inputs, m.plant)

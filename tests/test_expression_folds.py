@@ -15,7 +15,7 @@ import pytest
 
 from plchp._syntax import RIGHT, render_formula, render_term
 from plchp.compiled import MAX_DEPTH, Layout, compile_formula, compile_term, read
-from plchp.dl_syntax import DL
+from plchp.dl_syntax import DL, print_dl_term
 from plchp.errors import DivisionByZero, EvalError, PlchpError
 from plchp.ir import (
     ADD, DIV, EQ, GE, GT, HP, LE, LT, MUL, NE, ST, SUB, And, BinOp,
@@ -96,7 +96,7 @@ def ref_compile_term(t, layout):
             left = f(v)
             right = g(v)
             if right == 0.0:
-                raise DivisionByZero(f"division by zero in {t}")
+                raise DivisionByZero(f"division by zero in {print_dl_term(t)}")
             return left / right
         return div
     return lambda v: power(f(v), g(v))
