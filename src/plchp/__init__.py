@@ -14,8 +14,8 @@ from .dl_syntax import (
 )
 from .ir import (
     Assign, BinOp, BoolConst, Choice, Cmp, Equiv, Formula, GuardedChoice,
-    Ident, IfThen, IfThenElse, Imply, Loop, Neg, Not, Number, OdeSystem, Or,
-    And, PlantSpec, Program, RandomAssign, ScanCycleModel, Seq, State, Term,
+    Ident, IfThen, Imply, Loop, Neg, Not, Number, OdeSystem, Or, And,
+    PlantSpec, Program, RandomAssign, ScanCycleModel, Seq, State, Term,
     TestStmt, Var, Xor, collect_vars,
 )
 from .semantics import (

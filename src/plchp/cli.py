@@ -14,7 +14,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import classify_io, plant_fragment, validate_scan_cycle_form, var_sets
+from .analysis import (
+    classify_io, plant_fragment, resolve_epsilon, validate_scan_cycle_form, var_sets,
+)
 from .dl_syntax import parse_dl_formula, parse_dl_model, parse_dl_program, print_dl_model
 from .errors import InputFileError, NotNormalForm, ParseError, PlchpError
 from .ir import Ident, State
@@ -77,10 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("difftest", help="differential test of both compilers against both semantics")
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=_int_in(0), default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--vars", type=int, default=6, help="size of the variable pool")
+    p.add_argument("--depth", type=_int_in(1), default=5)
+    p.add_argument("--vars", type=_int_in(1, 26), default=6, help="size of the variable pool")
     p.add_argument("--report", help="write the full PASS/FAIL report to this file")
     p.set_defaults(handler=cmd_difftest)
 
@@ -88,9 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="scan-cycle model (.dlhp)")
     p.add_argument("--st", help="ST unit whose body replaces the compiled controller")
     p.add_argument("--inputs", required=True, help="JSON run configuration")
-    p.add_argument("--cycles", type=int, required=True)
+    p.add_argument("--cycles", type=_int_in(0), required=True)
     p.add_argument("--epsilon", type=float, help="cycle duration override (seconds)")
-    p.add_argument("--substeps", type=int, default=1000)
+    p.add_argument("--substeps", type=_int_in(1), default=1000)
     p.add_argument("--integrator", choices=("auto", "rk4", "affine"), default="auto")
     p.add_argument("--check-assumptions", action="store_true")
     p.add_argument("--out", required=True, help="trace CSV output path")
@@ -102,6 +104,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_comply)
 
     return parser
+
+
+def _int_in(low: int, high: int | None = None):
+    """An argparse type: an integer from `low` to `high`, both included."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bound = f"at least {low}" if high is None else f"from {low} to {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+    return parse
 
 
 def _read(args, path: str) -> str:
@@ -153,6 +169,8 @@ def _io_summary(io_spec) -> str:
 
 def cmd_analyze(args) -> int:
     model = validate_scan_cycle_form(parse_dl_model(_read(args, args.dl_file)))
+    symbolic = not isinstance(model.epsilon, float)
+    epsilon = f"symbolic ({model.epsilon})" if symbolic else resolve_epsilon(model)
     vs = var_sets(model.ctrl)
     io_spec = classify_io(model.ctrl, model.inputs, model.plant)
 
@@ -163,10 +181,7 @@ def cmd_analyze(args) -> int:
     sys.stdout.write(f"BV(ctrl): {names(vs.bound)}\n")
     sys.stdout.write(f"MBV(ctrl): {names(vs.must_bound)}\n")
     sys.stdout.write(_io_summary(io_spec))
-    if isinstance(model.epsilon, float):
-        sys.stdout.write(f"epsilon: {model.epsilon}\n")
-    else:
-        sys.stdout.write(f"epsilon: symbolic ({model.epsilon})\n")
+    sys.stdout.write(f"epsilon: {epsilon}\n")
     return 0
 
 

@@ -27,7 +27,7 @@ from typing import Callable
 
 from .errors import PlchpError, UnboundVariable
 from .ir import (
-    Assign, BoolConst, DIV, Formula, Ident, IfThen, IfThenElse,
+    Assign, BoolConst, DIV, Formula, Ident, IfThen,
     Neg, Not, Number, POW, Program, Seq, State, Term, Var, fold, operator_key,
     seq_to_list,
 )
@@ -220,13 +220,13 @@ def compile_st(p: Program, layout: Layout) -> StatementFn:
             for step in steps:
                 step(v)
         return seq
-    if isinstance(p, (IfThen, IfThenElse)):
+    if isinstance(p, IfThen):
         # An ELSIF chain nests in the else branches; compile it as one list
         # of arms that one loop runs.
         arms = []
-        while isinstance(p, (IfThen, IfThenElse)):
+        while isinstance(p, IfThen):
             arms.append((compile_formula(p.cond, layout), compile_st(p.then, layout)))
-            p = p.else_ if isinstance(p, IfThenElse) else None
+            p = p.else_
         else_ = None if p is None else compile_st(p, layout)
 
         def if_chain(v):

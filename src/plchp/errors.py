@@ -69,6 +69,10 @@ class PlantVariableClash(PlchpError):
     """The plant clock collides with a program variable."""
 
 
+class NotAffine(PlchpError, ValueError):
+    """The affine integrator was asked to integrate a plant that is not affine."""
+
+
 class MissingInput(PlchpError):
     """An input provider has no value for a declared input variable."""
 

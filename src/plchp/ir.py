@@ -187,54 +187,43 @@ class Not(Formula):
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class Connective(Formula):
+    """A binary connective. Each subclass sets its `spelling` (the name
+    dialect errors give it) and its `own` dialect, None when both languages
+    have it."""
+
     left: Formula
     right: Formula
 
     def __post_init__(self):
-        object.__setattr__(self, "_dialect", _merge_dialects("AND", None, (self.left, self.right)))
+        dialect = _merge_dialects(self.spelling, self.own, (self.left, self.right))
+        object.__setattr__(self, "_dialect", dialect)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-    def __post_init__(self):
-        object.__setattr__(self, "_dialect", _merge_dialects("OR", None, (self.left, self.right)))
+class And(Connective):
+    spelling, own = "AND", None
 
 
-@dataclass(frozen=True)
-class Imply(Formula):
+class Or(Connective):
+    spelling, own = "OR", None
+
+
+class Imply(Connective):
     """Implication; hybrid-program dialect only."""
 
-    left: Formula
-    right: Formula
-
-    def __post_init__(self):
-        object.__setattr__(self, "_dialect", _merge_dialects("->", HP, (self.left, self.right)))
+    spelling, own = "->", HP
 
 
-@dataclass(frozen=True)
-class Equiv(Formula):
+class Equiv(Connective):
     """Biconditional; hybrid-program dialect only."""
 
-    left: Formula
-    right: Formula
-
-    def __post_init__(self):
-        object.__setattr__(self, "_dialect", _merge_dialects("<->", HP, (self.left, self.right)))
+    spelling, own = "<->", HP
 
 
-@dataclass(frozen=True)
-class Xor(Formula):
+class Xor(Connective):
     """Exclusive or; structured-text dialect only."""
 
-    left: Formula
-    right: Formula
-
-    def __post_init__(self):
-        object.__setattr__(self, "_dialect", _merge_dialects("XOR", ST, (self.left, self.right)))
+    spelling, own = "XOR", ST
 
 
 TRUE = BoolConst(True)
@@ -260,7 +249,7 @@ def conjoin(parts) -> Formula:
 # ---------------------------------------------------------------------------
 # Programs
 #
-# The two languages share Assign and Seq. IfThen/IfThenElse belong to the ST
+# The two languages share Assign and Seq. IfThen belongs to the ST
 # statement language, GuardedChoice to the translatable hybrid-program
 # fragment. RandomAssign, TestStmt, OdeSystem, Loop, and Choice only appear
 # in raw parsed hybrid programs (the scan-cycle wrapper and ill-formed
@@ -287,22 +276,12 @@ class Seq(Program):
 
 @dataclass(frozen=True)
 class IfThen(Program):
-    """ST conditional without an else branch."""
+    """ST conditional; `else_` is None when there is no ELSE branch, as in
+    GuardedChoice."""
 
     cond: Formula
     then: Program
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False, kw_only=True)
-
-    def __post_init__(self):
-        if self.cond.dialect == HP:
-            raise DialectError("IF condition must be an ST-dialect formula")
-
-
-@dataclass(frozen=True)
-class IfThenElse(Program):
-    cond: Formula
-    then: Program
-    else_: Program
+    else_: Optional[Program] = None
     pos: Optional[Pos] = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
@@ -355,6 +334,16 @@ class TestStmt(Program):
             raise DialectError("test condition must be an HP-dialect formula")
 
 
+def _reject_duplicate_odes(odes, *seen: Ident) -> None:
+    """Raise ValueError unless every equation in `odes` has its own
+    variable, distinct from the names in `seen`."""
+    seen = set(seen)
+    for x, _ in odes:
+        if x in seen:
+            raise ValueError(f"duplicate differential equation for {x}")
+        seen.add(x)
+
+
 @dataclass(frozen=True)
 class OdeSystem(Program):
     """Raw parsed differential equation system `{x'=e, ... & domain}`."""
@@ -366,11 +355,7 @@ class OdeSystem(Program):
     def __post_init__(self):
         if self.domain.dialect == ST:
             raise DialectError("evolution domain must be an HP-dialect formula")
-        seen = set()
-        for x, _ in self.odes:
-            if x in seen:
-                raise ValueError(f"duplicate differential equation for {x}")
-            seen.add(x)
+        _reject_duplicate_odes(self.odes)
 
 
 @dataclass(frozen=True)
@@ -404,6 +389,10 @@ def _pair(n):
     return n.left, n.right
 
 
+def _branches(n):
+    return (n.then,) if n.else_ is None else (n.then, n.else_)
+
+
 # Node class -> the node's children, in field order. Missing classes
 # (numbers, variables, truth values, `x := *`) are leaves; assignment
 # targets and ODE variables are identifiers, not nodes.
@@ -412,8 +401,7 @@ CHILDREN = {
     **dict.fromkeys((Neg, Not), lambda n: (n.operand,)),
     Assign: lambda n: (n.value,),
     Seq: lambda n: (n.first, n.second),
-    IfThen: lambda n: (n.cond, n.then),
-    IfThenElse: lambda n: (n.cond, n.then, n.else_),
+    IfThen: lambda n: (n.cond, n.then) if n.else_ is None else (n.cond, n.then, n.else_),
     GuardedChoice: lambda n: (n.guard, n.then) if n.else_ is None else (n.guard, n.then, n.else_),
     TestStmt: lambda n: (n.cond,),
     OdeSystem: lambda n: (*(rhs for _, rhs in n.odes), n.domain),
@@ -425,13 +413,11 @@ CHILDREN = {
 # and meets them in source order, so a walker can reject them there.
 STATEMENTS = {
     Seq: CHILDREN[Seq],
-    IfThen: lambda n: (n.then,),
-    IfThenElse: lambda n: (n.then, n.else_),
-    GuardedChoice: lambda n: (n.then,) if n.else_ is None else (n.then, n.else_),
+    **dict.fromkeys((IfThen, GuardedChoice), _branches),
     Loop: CHILDREN[Loop],
     Choice: _pair,
 }
-ST_STATEMENTS = {cls: STATEMENTS[cls] for cls in (Seq, IfThen, IfThenElse)}
+ST_STATEMENTS = {cls: STATEMENTS[cls] for cls in (Seq, IfThen)}
 HP_STATEMENTS = {cls: STATEMENTS[cls] for cls in (Seq, GuardedChoice)}
 TRANSLATABLE = {**ST_STATEMENTS, **HP_STATEMENTS}
 _AND = {And: _pair}
@@ -660,11 +646,7 @@ class PlantSpec:
             raise DialectError("evolution domain must be an HP-dialect formula")
         if not isinstance(self.bound, (Var, Number)):
             raise ValueError("clock bound must be a variable or a number literal")
-        seen = {self.clock}
-        for x, _ in self.odes:
-            if x in seen:
-                raise ValueError(f"duplicate differential equation for {x}")
-            seen.add(x)
+        _reject_duplicate_odes(self.odes, self.clock)
 
     def state_vars(self) -> tuple[Ident, ...]:
         return tuple(x for x, _ in self.odes)

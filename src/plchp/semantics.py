@@ -18,7 +18,7 @@ from .dl_syntax import print_dl_term
 from .errors import DivisionByZero, DomainError, EvalError
 from .ir import (
     ADD, And, Assign, BinOp, BoolConst, Cmp, DIV, EQ, Equiv, Formula, GE, GT,
-    GuardedChoice, HP, HP_STATEMENTS, Ident, IfThen, IfThenElse, Imply, LE,
+    GuardedChoice, HP, HP_STATEMENTS, Ident, IfThen, Imply, LE,
     LT, MUL, NE, Neg, Not, Number, Or, POW, Program, RELATIONS, ST, SUB, Seq,
     State, Term, Var, Xor, list_to_seq, number_lexeme, seq_to_list, walk,
 )
@@ -110,8 +110,8 @@ def run_st(p: Program, s: State) -> State:
         elif isinstance(p, IfThen):
             if eval_formula(p.cond, s):
                 todo.append(p.then)
-        elif isinstance(p, IfThenElse):
-            todo.append(p.then if eval_formula(p.cond, s) else p.else_)
+            elif p.else_ is not None:
+                todo.append(p.else_)
         else:
             raise TypeError(f"run_st executes ST statements, not {type(p).__name__}")
     return s
@@ -307,13 +307,9 @@ def _gen_st(rng: random.Random, cfg: GenConfig, depth: int, allow_seq: bool) -> 
             _gen_st(rng, cfg, depth - 1, allow_seq=False),
             _gen_st(rng, cfg, depth - 1, allow_seq=True),
         )
-    if choice == "ifthen":
-        return IfThen(_gen_guard(rng, cfg), _gen_st(rng, cfg, depth - 1, True))
-    return IfThenElse(
-        _gen_guard(rng, cfg),
-        _gen_st(rng, cfg, depth - 1, True),
-        _gen_st(rng, cfg, depth - 1, True),
-    )
+    cond = _gen_guard(rng, cfg)
+    then = _gen_st(rng, cfg, depth - 1, True)
+    return IfThen(cond, then, None if choice == "ifthen" else _gen_st(rng, cfg, depth - 1, True))
 
 
 MAX_CHOICE_NODES = 12  # keeps exact reachability enumeration tractable
@@ -624,7 +620,7 @@ def _describe_program(node, sigma: State) -> str:
             text = print_st_term(node)
         elif isinstance(node, Formula):
             text = print_st_formula(node) if node.dialect != HP else print_dl(node)
-        elif isinstance(node, (IfThen, IfThenElse)) or _is_st_only(node):
+        elif _is_st_only(node):
             text = print_st_statement(node)
         else:
             text = print_dl(node)
@@ -634,4 +630,4 @@ def _describe_program(node, sigma: State) -> str:
 
 
 def _is_st_only(p) -> bool:
-    return any(s.__class__ in (IfThen, IfThenElse) for s in seq_to_list(p))
+    return any(s.__class__ is IfThen for s in seq_to_list(p))

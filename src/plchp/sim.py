@@ -34,7 +34,7 @@ from .analysis import IoClassification, resolve_epsilon
 from .compiled import Layout, Slots, compile_formula, compile_st, compile_term, read
 from .dl_syntax import print_dl_formula
 from .errors import (
-    InputFileError, MissingInput, NondeterministicCtrl, PlchpError,
+    InputFileError, MissingInput, NondeterministicCtrl, NotAffine, PlchpError,
     SchemaError, UnboundVariable,
 )
 from .ir import (
@@ -143,7 +143,7 @@ def integrate_plant(
         plant = CompiledPlant(plant)
     method = cfg.method
     if method == "affine" and not plant.affine:
-        raise ValueError("plant is not affine; use rk4 or auto")
+        raise NotAffine("plant is not affine; use rk4 or auto")
     if method == "auto":
         method = "affine" if plant.affine else "rk4"
     kernel = _integrate_affine if method == "affine" else _integrate_rk4

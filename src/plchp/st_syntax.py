@@ -19,7 +19,7 @@ from ._syntax import (
 )
 from .errors import ParseError
 from .ir import (
-    And, Assign, Formula, Ident, IfThen, IfThenElse, Or, Program,
+    And, Assign, Formula, Ident, IfThen, Or, Program,
     RESERVED_WORDS, Term, Xor, list_to_seq, number_lexeme, seq_to_list,
 )
 
@@ -352,10 +352,7 @@ def _fold_if(arms, else_body, pos) -> Program:
     in the else branch of the one before."""
     node = else_body
     for cond, body in reversed(arms):
-        if node is None:
-            node = IfThen(cond, body, pos=pos)
-        else:
-            node = IfThenElse(cond, body, node, pos=pos)
+        node = IfThen(cond, body, node, pos=pos)
     return node
 
 
@@ -404,10 +401,10 @@ def _stmt_lines(p: Program, indent: int):
     for stmt in seq_to_list(p):
         if isinstance(stmt, Assign):
             lines.append(f"{pad}{stmt.target} := {print_st_term(stmt.value)};")
-        elif isinstance(stmt, (IfThen, IfThenElse)):
+        elif isinstance(stmt, IfThen):
             lines.append(f"{pad}IF ({print_st_formula(stmt.cond)}) THEN")
             lines += yield _stmt_lines(stmt.then, indent + 1)
-            if isinstance(stmt, IfThenElse):
+            if stmt.else_ is not None:
                 lines.append(f"{pad}ELSE")
                 lines += yield _stmt_lines(stmt.else_, indent + 1)
             lines.append(f"{pad}END_IF;")

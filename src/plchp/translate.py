@@ -17,7 +17,7 @@ from .dl_syntax import DlSafetyFormula, plant_program
 from .errors import DialectError, NotNormalForm, PlantVariableClash
 from .ir import (
     And, Assign, CHILDREN, Cmp, EQ, Equiv, Formula, GuardedChoice, HP,
-    HP_STATEMENTS, Ident, IfThen, IfThenElse, Imply, Not, Number, Or,
+    HP_STATEMENTS, Ident, IfThen, Imply, Not, Number, Or,
     PlantSpec, Program, RandomAssign, ST, ST_STATEMENTS, ScanCycleModel, Seq,
     Term, Var, Xor, collect_vars, fold, list_to_seq, number_lexeme,
     seq_to_list, walk,
@@ -109,9 +109,9 @@ def _st_to_hp(s: Program, kids) -> Program:
         return Assign(s.target, term_st_to_hp(s.value))
     if cls is Seq:
         return Seq(*kids)
-    if cls is IfThenElse or cls is IfThen:
-        then, else_ = kids if cls is IfThenElse else (kids[0], None)
-        return GuardedChoice(formula_st_to_hp(s.cond), then, else_, complemented=True)
+    if cls is IfThen:
+        else_ = None if s.else_ is None else kids[1]
+        return GuardedChoice(formula_st_to_hp(s.cond), kids[0], else_, complemented=True)
     raise TypeError(f"cannot compile {cls.__name__} to a hybrid program")
 
 
@@ -131,9 +131,6 @@ def prog_hp_to_st(p: Program) -> tuple[Program, CompileDiagnostics]:
             return Seq(*kids)
         if cls is not GuardedChoice:
             raise NotNormalForm(f"{cls.__name__} has no ST counterpart", getattr(p, "pos", None))
-        cond = formula_hp_to_st(p.guard)
-        if p.else_ is None:
-            return IfThen(cond, *kids)
         if not p.complemented:
             warnings.append(CompileWarning(
                 "linearized-choice",
@@ -141,7 +138,7 @@ def prog_hp_to_st(p: Program) -> tuple[Program, CompileDiagnostics]:
                 "the guarded branch, losing nondeterminism",
                 getattr(p, "pos", None),
             ))
-        return IfThenElse(cond, *kids)
+        return IfThen(formula_hp_to_st(p.guard), *kids)
 
     result = fold(p, hp_to_st, HP_STATEMENTS)
     return result, CompileDiagnostics(tuple(warnings))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from plchp import (
     And, Assign, BinOp, Cmp, DlSafetyFormula, GuardedChoice, Ident,
-    IfThen, IfThenElse, Number, Or, PlantSpec, RandomAssign, Seq, Var,
+    IfThen, Number, Or, PlantSpec, RandomAssign, Seq, Var,
 )
 from plchp.ir import (
     DIV, EQ, GE, GT, LE, LT, MUL, SUB, list_to_seq,
@@ -54,7 +54,7 @@ def conj(*parts):
 # ---------------------------------------------------------------------------
 # The original ST control program (watertank_original.st)
 
-ORIGINAL_GROUP1 = IfThenElse(
+ORIGINAL_GROUP1 = IfThen(
     Cmp(GE, x1, H1),
     Assign(V1.ident, num("0")),
     IfThen(Cmp(LE, x1, L1), Assign(V1.ident, num("1"))),

@@ -249,6 +249,40 @@ def test_simulate_csv_mode_without_path(tmp_path):
     assert "run.json: input mode 'csv' needs a 'path' string" in err
 
 
+# A numeric option out of range is a usage error: exit 2 and a usage line.
+SIMULATE = ("simulate", "--model", data("watertank_safe_model.dlhp"),
+            "--inputs", "run.json", "--out", "trace.csv")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("difftest", "--depth", "0"), "argument --depth: must be at least 1, got 0"),
+    (("difftest", "--vars", "0"), "argument --vars: must be from 1 to 26, got 0"),
+    (("difftest", "--vars", "27"), "argument --vars: must be from 1 to 26, got 27"),
+    (("difftest", "--n", "-1"), "argument --n: must be at least 0, got -1"),
+    ((*SIMULATE, "--cycles", "1", "--substeps", "0"), "argument --substeps: must be at least 1, got 0"),
+    ((*SIMULATE, "--cycles", "-1"), "argument --cycles: must be at least 0, got -1"),
+], ids=["depth 0", "vars 0", "vars 27", "n -1", "substeps 0", "cycles -1"])
+def test_numeric_option_out_of_range_is_a_usage_error(tmp_path, argv, message):
+    code, err = run_process(tmp_path, *argv)
+    assert code == 2
+    assert err.startswith(f"usage: plchp {argv[0]} ")
+    assert err.endswith(f"plchp {argv[0]}: error: {message}\n")
+
+
+def test_affine_integrator_on_a_nonaffine_plant_is_one_error_line(tmp_path):
+    text = (golden.DATA / "watertank_safe_model.dlhp").read_text()
+    (tmp_path / "rk4.dlhp").write_text(text.replace("x2'=V2*P*f2,", "x2'=V2*P*f2-0.002*x2,"))
+    (tmp_path / "run.json").write_text(json.dumps({
+        "params": {str(k): v for k, v in golden.SCENARIO_PARAMS.items()},
+        "init": {str(k): v for k, v in golden.SCENARIO_INIT.items()},
+        "inputs": {"values": {str(k): v for k, v in golden.SCENARIO_INPUTS.items()}},
+    }))
+    assert run_process(tmp_path, "simulate", "--model", "rk4.dlhp", "--inputs", "run.json",
+                       "--cycles", "1", "--epsilon", "10", "--integrator", "affine",
+                       "--out", "trace.csv") == (
+        1, "error: plant is not affine; use rk4 or auto\n")
+
+
 def test_st2hp_deeply_nested_expression(tmp_path):
     (tmp_path / "deep.st").write_text(
         "PROGRAM p\n  x := " + "(" * 1000 + "1" + ")" * 1000 + ";\nEND_PROGRAM\n")

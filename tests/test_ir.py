@@ -4,7 +4,7 @@ import pytest
 
 from plchp import (
     And, Assign, Cmp, Equiv, GuardedChoice, Ident, IfThen, Imply,
-    Not, Number, Seq, State, Var, Xor, collect_vars,
+    Not, Number, OdeSystem, Or, PlantSpec, Seq, State, Var, Xor, collect_vars,
 )
 from plchp.errors import DialectError, UnboundVariable
 from plchp.ir import GE, GT, HP, LE, ST, BinOp, DIV, SUB, TRUE
@@ -99,3 +99,62 @@ def test_positions_do_not_affect_equality():
     s1 = Seq(Assign(x, Number("1")), Assign(x, Number("2")))
     s2 = Seq(Assign(x, Number("1"), pos=(1, 1)), Assign(x, Number("2"), pos=(2, 2)))
     assert s1 == s2
+
+
+# One row per connective: (class, dialect over neutral operands, the operands
+# that mix two dialects under it, the message that mixing gives).
+_a = Cmp(GE, Var(Ident("a")), Number("1"))
+_HP, _ST = Imply(_a, _a), Xor(_a, _a)
+CONNECTIVES = [
+    (And, None, (_ST, _HP), "cannot mix st-dialect and hp-dialect formulas under AND"),
+    (Or, None, (_HP, _ST), "cannot mix hp-dialect and st-dialect formulas under OR"),
+    (Xor, ST, (_HP, _a), "cannot mix st-dialect and hp-dialect formulas under XOR"),
+    (Imply, HP, (_a, _ST), "cannot mix hp-dialect and st-dialect formulas under ->"),
+    (Equiv, HP, (_ST, _a), "cannot mix hp-dialect and st-dialect formulas under <->"),
+]
+
+
+@pytest.mark.parametrize("cls, dialect, mixed, message", CONNECTIVES,
+                         ids=[row[0].__name__ for row in CONNECTIVES])
+def test_connective_dialect_message_and_repr(cls, dialect, mixed, message):
+    f = cls(_a, _a)
+    assert f.dialect == dialect
+    assert cls(_a, _a) == f and hash(cls(_a, _a)) == hash(f)
+    assert repr(f).startswith(f"{cls.__name__}(left=Cmp(rel='ge', ")
+    with pytest.raises(DialectError) as err:
+        cls(*mixed)
+    assert str(err.value) == message
+    if dialect is None:
+        assert cls(_a, _HP).dialect == HP and cls(_ST, _a).dialect == ST
+
+
+def test_not_dialect_and_repr():
+    # NOT has one operand, so it takes that operand's dialect and never mixes.
+    assert Not(_a).dialect is None
+    assert Not(_HP).dialect == HP and Not(_ST).dialect == ST
+    assert repr(Not(_a)).startswith("Not(operand=Cmp(rel='ge', ")
+
+
+def test_connectives_compare_by_class():
+    assert And(_a, _a) != Or(_a, _a)
+    assert Imply(_a, _a) != Equiv(_a, _a)
+    assert len({cls(_a, _a) for cls, *_ in CONNECTIVES}) == len(CONNECTIVES)
+
+
+def test_one_duplicate_ode_message():
+    x, t = Ident("x"), Ident("t")
+    odes = ((x, Number("1")), (x, Number("2")))
+    with pytest.raises(ValueError) as system:
+        OdeSystem(odes, TRUE)
+    with pytest.raises(ValueError) as plant:
+        PlantSpec(odes, t, TRUE, Var(Ident("eps")))
+    assert str(system.value) == str(plant.value) == "duplicate differential equation for x"
+    with pytest.raises(ValueError, match=r"\Aduplicate differential equation for t\Z"):
+        PlantSpec(((t, Number("1")),), t, TRUE, Var(Ident("eps")))
+
+
+def test_if_then_with_else_checks_its_condition():
+    x = Assign(Ident("x"), Number("1"))
+    with pytest.raises(DialectError, match=r"\AIF condition must be an ST-dialect formula\Z"):
+        IfThen(_HP, x, x)
+    assert IfThen(_ST, x, x).else_ == x and IfThen(_ST, x).else_ is None

@@ -110,6 +110,17 @@ def test_non_positive_duration_stops_simulate_as_it_stops_hp2st(tmp_path, capsys
                "--cycles", "3", "--out", str(tmp_path / "trace.csv")) == (1, "", line)
 
 
+def test_analyze_applies_the_duration_rule(tmp_path, capsys):
+    text = (golden.DATA / "watertank_original_model.dlhp").read_text()
+    for bound, expected in (("0", (1, "", "error: scan cycle duration must be positive, got 0.0\n")),
+                            ("0.5", (0, "epsilon: 0.5\n", "")),
+                            ("eps", (0, "epsilon: symbolic (eps)\n", ""))):
+        edited = tmp_path / "model.dlhp"
+        edited.write_text(text.replace("t<=eps", f"t<={bound}"))
+        code, out, err = run(capsys, "analyze", str(edited))
+        assert (code, out[out.find("epsilon:"):], err) == expected
+
+
 def test_division_by_zero_prints_the_term(tmp_path, capsys):
     params = dict(golden.SCENARIO_PARAMS)
     params[next(k for k in params if k.name == "eps")] = 0.0

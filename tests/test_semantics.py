@@ -10,7 +10,7 @@ from plchp import (
 )
 from plchp.errors import DivisionByZero, DomainError, UnboundVariable
 from plchp.ir import (
-    And, BinOp, BoolConst, DIV, GE, IfThen, IfThenElse, POW,
+    And, BinOp, BoolConst, DIV, GE, IfThen, POW,
     SUB, Xor, )
 from plchp.semantics import (
     DiffReport, GenConfig, MAX_CHOICE_NODES, behavioral_var_sets,
@@ -194,9 +194,9 @@ def _st_constructs(p):
         return {"assign"}
     if isinstance(p, Seq):
         return {"seq"} | _st_constructs(p.first) | _st_constructs(p.second)
-    if isinstance(p, IfThen):
+    if isinstance(p, IfThen) and p.else_ is None:
         return {"ifthen"} | _st_constructs(p.then)
-    if isinstance(p, IfThenElse):
+    if isinstance(p, IfThen):
         return {"ifthenelse"} | _st_constructs(p.then) | _st_constructs(p.else_)
     raise AssertionError(type(p))
 

@@ -6,7 +6,7 @@ import pytest
 
 import golden
 from plchp import (
-    Assign, BinOp, BoolConst, Cmp, Ident, IfThen, IfThenElse, Not, Number,
+    Assign, BinOp, BoolConst, Cmp, Ident, IfThen, Not, Number,
     Or, Seq, State, Var,
     parse_st, parse_st_expression, parse_st_statements, print_st,
     print_st_statement, run_st,
@@ -46,10 +46,10 @@ def test_elsif_desugars_to_nested_conditionals():
     body = parse_st_statements(
         "IF a > 1 THEN x:=1; ELSIF a > 0 THEN x:=2; ELSE x:=3; END_IF;"
     )
-    assert body == IfThenElse(
+    assert body == IfThen(
         Cmp("gt", Var(Ident("a")), Number("1")),
         Assign(Ident("x"), Number("1")),
-        IfThenElse(
+        IfThen(
             Cmp("gt", Var(Ident("a")), Number("0")),
             Assign(Ident("x"), Number("2")),
             Assign(Ident("x"), Number("3")),
@@ -57,7 +57,7 @@ def test_elsif_desugars_to_nested_conditionals():
     )
     # without ELSE, the tail is an if-then
     body = parse_st_statements("IF a > 1 THEN x:=1; ELSIF a > 0 THEN x:=2; END_IF;")
-    assert isinstance(body.else_, IfThen)
+    assert isinstance(body.else_, IfThen) and body.else_.else_ is None
 
 
 def test_empty_else_normalizes_to_if_then():

@@ -4,7 +4,7 @@ import pytest
 
 import golden
 from plchp import (
-    And, Assign, Cmp, Equiv, GuardedChoice, Ident, IfThen, IfThenElse,
+    And, Assign, Cmp, Equiv, GuardedChoice, Ident, IfThen,
     Imply, Not, Number, Or, Seq, Var, Xor,
     formula_hp_to_st, formula_st_to_hp, parse_dl_formula, parse_dl_model,
     parse_st, print_st_statement, prog_hp_to_st, prog_st_to_hp,
@@ -105,7 +105,7 @@ def test_default_beta_linearizes_with_warning():
         complemented=False,
     )
     body, diags = prog_hp_to_st(choice)
-    assert body == IfThenElse(
+    assert body == IfThen(
         cmp(GE, Var(Ident("x")), Number("1")),
         Assign(Ident("y"), Number("1")),
         Assign(Ident("y"), Number("0")),

@@ -21,7 +21,7 @@ from plchp.dl_syntax import parse_dl_model, parse_dl_program
 from plchp.errors import DialectError, NotNormalForm, ParseError
 from plchp.ir import (
     ADD, HP, ST, And, Assign, BinOp, BoolConst, Choice, Cmp, DIV, Equiv,
-    GuardedChoice, Ident, IfThen, IfThenElse, Imply, Loop, MUL, Neg, Not,
+    GuardedChoice, Ident, IfThen, Imply, Loop, MUL, Neg, Not,
     Number, OdeSystem, Or, POW, PlantSpec, RandomAssign, SUB, Seq,
     TRUE, TestStmt, Var, Xor, collect_vars, seq_to_list,
 )
@@ -76,10 +76,8 @@ def ref_collect(node, out):
     elif isinstance(node, IfThen):
         ref_collect(node.cond, out)
         ref_collect(node.then, out)
-    elif isinstance(node, IfThenElse):
-        ref_collect(node.cond, out)
-        ref_collect(node.then, out)
-        ref_collect(node.else_, out)
+        if node.else_ is not None:
+            ref_collect(node.else_, out)
     elif isinstance(node, GuardedChoice):
         ref_collect(node.guard, out)
         ref_collect(node.then, out)
@@ -122,13 +120,11 @@ def ref_var_sets(p):
             first.bound | second.bound,
             first.must_bound | second.must_bound,
         )
-    if isinstance(p, (GuardedChoice, IfThen, IfThenElse)):
+    if isinstance(p, (GuardedChoice, IfThen)):
         if isinstance(p, GuardedChoice):
             guard, then, else_ = p.guard, p.then, p.else_
-        elif isinstance(p, IfThenElse):
-            guard, then, else_ = p.cond, p.then, p.else_
         else:
-            guard, then, else_ = p.cond, p.then, None
+            guard, then, else_ = p.cond, p.then, p.else_
         t = ref_var_sets(then)
         e = ref_var_sets(else_) if else_ is not None else VarSets(frozenset(), frozenset(), frozenset())
         return VarSets(
@@ -144,10 +140,10 @@ def ref_read_order(p):
         return ref_term_vars(p.value)
     if isinstance(p, Seq):
         return ref_read_order(p.first) + ref_read_order(p.second)
-    if isinstance(p, (GuardedChoice, IfThen, IfThenElse)):
+    if isinstance(p, (GuardedChoice, IfThen)):
         guard = p.guard if isinstance(p, GuardedChoice) else p.cond
         out = ref_formula_vars(guard) + ref_read_order(p.then)
-        else_ = p.else_ if not isinstance(p, IfThen) else None
+        else_ = p.else_
         if else_ is not None:
             out += ref_read_order(else_)
         return out
@@ -159,9 +155,9 @@ def ref_bound_order(p):
         return [p.target]
     if isinstance(p, Seq):
         return ref_bound_order(p.first) + ref_bound_order(p.second)
-    if isinstance(p, (GuardedChoice, IfThen, IfThenElse)):
+    if isinstance(p, (GuardedChoice, IfThen)):
         out = ref_bound_order(p.then)
-        else_ = p.else_ if not isinstance(p, IfThen) else None
+        else_ = p.else_
         if else_ is not None:
             out += ref_bound_order(else_)
         return out
@@ -268,7 +264,7 @@ def ref_count_choices(p):
 
 
 def ref_is_st_only(p):
-    if isinstance(p, (IfThen, IfThenElse)):
+    if isinstance(p, IfThen):
         return True
     if isinstance(p, Seq):
         return ref_is_st_only(p.first) or ref_is_st_only(p.second)
@@ -319,11 +315,10 @@ def ref_prog_st_to_hp(s):
         return Assign(s.target, s.value)
     if isinstance(s, Seq):
         return Seq(ref_prog_st_to_hp(s.first), ref_prog_st_to_hp(s.second))
-    if isinstance(s, IfThenElse):
-        return GuardedChoice(f(s.cond), ref_prog_st_to_hp(s.then),
-                             ref_prog_st_to_hp(s.else_), complemented=True)
     if isinstance(s, IfThen):
-        return GuardedChoice(f(s.cond), ref_prog_st_to_hp(s.then), None, complemented=True)
+        return GuardedChoice(f(s.cond), ref_prog_st_to_hp(s.then),
+                             None if s.else_ is None else ref_prog_st_to_hp(s.else_),
+                             complemented=True)
     raise TypeError(f"cannot compile {type(s).__name__} to a hybrid program")
 
 
@@ -345,7 +340,7 @@ def ref_p_hp_to_st(p, warnings):
                 "the guarded branch, losing nondeterminism",
                 getattr(p, "pos", None),
             ))
-        return IfThenElse(cond, then, else_)
+        return IfThen(cond, then, else_)
     raise NotNormalForm(f"{type(p).__name__} has no ST counterpart", getattr(p, "pos", None))
 
 
@@ -384,12 +379,9 @@ def ref_stmt_lines(p, indent):
         elif isinstance(stmt, IfThen):
             lines.append(f"{pad}IF ({formula(stmt.cond)}) THEN")
             lines.extend(ref_stmt_lines(stmt.then, indent + 1))
-            lines.append(f"{pad}END_IF;")
-        elif isinstance(stmt, IfThenElse):
-            lines.append(f"{pad}IF ({formula(stmt.cond)}) THEN")
-            lines.extend(ref_stmt_lines(stmt.then, indent + 1))
-            lines.append(f"{pad}ELSE")
-            lines.extend(ref_stmt_lines(stmt.else_, indent + 1))
+            if stmt.else_ is not None:
+                lines.append(f"{pad}ELSE")
+                lines.extend(ref_stmt_lines(stmt.else_, indent + 1))
             lines.append(f"{pad}END_IF;")
         else:
             raise TypeError(f"cannot print {type(stmt).__name__} as an ST statement")
@@ -403,10 +395,8 @@ def ref_print_st_statement(p, indent=0):
 def ref_fold_if(arms, else_body, pos):
     cond, body = arms[0]
     if len(arms) == 1:
-        if else_body is None:
-            return IfThen(cond, body, pos=pos)
-        return IfThenElse(cond, body, else_body, pos=pos)
-    return IfThenElse(cond, body, ref_fold_if(arms[1:], else_body, pos), pos=pos)
+        return IfThen(cond, body, else_body, pos=pos)
+    return IfThen(cond, body, ref_fold_if(arms[1:], else_body, pos), pos=pos)
 
 
 def ref_inline(p):
@@ -477,11 +467,7 @@ def ref_run_st(p, s):
     if isinstance(p, IfThen):
         if eval_formula(p.cond, s):
             return ref_run_st(p.then, s)
-        return s
-    if isinstance(p, IfThenElse):
-        if eval_formula(p.cond, s):
-            return ref_run_st(p.then, s)
-        return ref_run_st(p.else_, s)
+        return s if p.else_ is None else ref_run_st(p.else_, s)
     raise TypeError(f"run_st executes ST statements, not {type(p).__name__}")
 
 
@@ -577,10 +563,9 @@ def plant_bad(p, rng, chance):
         else_ = None if p.else_ is None else plant_bad(p.else_, rng, chance)
         return GuardedChoice(p.guard, plant_bad(p.then, rng, chance), else_,
                              complemented=p.complemented if else_ is not None else True)
-    if isinstance(p, IfThenElse):
-        return IfThenElse(p.cond, plant_bad(p.then, rng, chance), plant_bad(p.else_, rng, chance))
     if isinstance(p, IfThen):
-        return IfThen(p.cond, plant_bad(p.then, rng, chance))
+        return IfThen(p.cond, plant_bad(p.then, rng, chance),
+                      None if p.else_ is None else plant_bad(p.else_, rng, chance))
     return p
 
 
