@@ -5,9 +5,9 @@ connective core; they differ in spellings. A `Dialect` holds one
 language's spellings, and this module holds the machinery built from them:
 
 - a lexer, one compiled master regex dispatching on the group that matched;
-- `Parser`, a token cursor with a precedence-climbing expression parser
-  (Pratt, "Top down operator precedence", POPL 1973) that yields a Term or
-  a Formula and checks operand kinds;
+- `Parser`, a token cursor with an operator-precedence expression parser
+  on one explicit stack (Dijkstra's shunting yard, 1961) that yields a Term
+  or a Formula and checks operand kinds;
 - `render_term` and `render_formula`, a minimal-parenthesis printer that
   folds the tree bottom up.
 
@@ -31,14 +31,6 @@ from .ir import (
 
 LEFT, RIGHT, NONASSOC = "left", "right", "nonassoc"
 NUMBER = r"\d+(\.\d+)?([eE][+-]?\d+)?"
-
-# Deepest parenthesis nesting an expression may have, and the longest run of
-# prefix operators. Earlier versions accepted up to 109 levels (ST) and 89
-# (dL) before running out of Python stack. The climber spends one frame per
-# parenthesis, so 150 stays well inside the default recursion limit. Runs of
-# binary operators have no limit: the climber reads them in loops and the
-# printer is a fold.
-MAX_NESTING = 150
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +102,9 @@ class Dialect:
             for text, key, build in ops:
                 self.binary[text.strip()] = (level, assoc, formulas, build)
                 self.infix[key] = (text, level, assoc)
-        self.prefix = {not_op: (self.not_level, True, Not), "-": (self.neg_level, False, Neg)}
+        # Prefix operators take the same entries and bind as right-associative ones.
+        self.prefix = {not_op: (self.not_level, RIGHT, True, Not),
+                       "-": (self.neg_level, RIGHT, False, Neg)}
 
     def level(self, spelling: str) -> int:
         return self.binary[spelling][0]
@@ -169,7 +163,6 @@ class Parser:
     def __init__(self, text: str):
         self.tokens = self.dialect.tokenize(text)
         self.pos = 0
-        self.nesting = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -232,58 +225,48 @@ class Parser:
         check is reported at the operator token.
         """
         d = self.dialect
-        binary = d.binary
-        # Prefix operators, and right-associative operators with their left
-        # operands, wait on a stack for what follows them, so a run of either
-        # is read in a loop. Each applies to what follows it up to the first
-        # binary operator looser than itself: `a ^ b ^ c` is `a ^ (b ^ c)`.
-        run = []  # (operator token, left operand or None, its entry, the level around it)
-        while True:  # an operand with its prefixes, then the operators after it
-            start = len(run)
-            tok = self.peek()
-            prefix = d.prefix.get(tok.value)
-            while prefix is not None and prefix[0] >= min_level:
-                if len(run) - start == MAX_NESTING:
-                    raise ParseError("expression nested too deeply", tok.line, tok.col)
-                run.append((tok, None, prefix, min_level))
-                min_level = prefix[0]
-                self.pos += 1
+        binary, prefix = d.binary, d.prefix
+        # Everything that waits for an operand waits on one stack, so no
+        # nesting costs a Python frame: prefix operators, binary operators
+        # with their left operands, and open parentheses (entry None). Each
+        # entry keeps the level around it. An operator is reduced at the
+        # first operator after its operand that binds looser than it allows:
+        # `a - b - c` is `(a - b) - c` and `a ^ b ^ c` is `a ^ (b ^ c)`.
+        pending = []  # (token, left operand or None, entry or None, level around it)
+        while True:
+            while True:  # an operand, after its prefixes and open parentheses
                 tok = self.peek()
-                prefix = d.prefix.get(tok.value)
-            if tok.kind == "op" and tok.value == "(":
-                self.nesting += 1
-                if self.nesting > MAX_NESTING:
-                    raise ParseError("expression nested too deeply", tok.line, tok.col)
+                entry = prefix.get(tok.value)
+                if entry is not None and entry[0] >= min_level:
+                    pending.append((tok, None, entry, min_level))
+                    min_level = entry[0]
+                elif tok.kind == "op" and tok.value == "(":
+                    pending.append((tok, None, None, min_level))
+                    min_level = 1
+                else:
+                    break
                 self.pos += 1
-                left = self.expression()
-                self.expect_op(")")
-                self.nesting -= 1
-            else:
-                left = self.atom(tok)
-            while True:
+            left = self.atom(tok)
+            while True:  # then the operators after it
                 op = self.peek()
                 entry = binary.get(op.value)
-                if entry is None or entry[0] < min_level:
-                    if not run:
-                        return left
-                    tok, operand, (*_, formulas, build), min_level = run.pop()
-                    check = self.require_formula if formulas else self.require_term
-                    left = (build(check(left, tok)) if operand is None
-                            else build(check(operand, tok), check(left, tok)))
-                    continue
-                level, assoc, formulas, build = entry
-                self.pos += 1
-                if assoc == RIGHT:
-                    run.append((op, left, entry, min_level))
-                    min_level = level
+                if entry is not None and entry[0] >= min_level:
                     break
-                right = self.expression(level + 1)
+                if not pending:
+                    return left
+                tok, operand, waiting, min_level = pending.pop()
+                if waiting is None:
+                    self.expect_op(")")
+                    continue
+                level, assoc, formulas, build = waiting
                 check = self.require_formula if formulas else self.require_term
-                left = build(check(left, op), check(right, op))
-                if assoc == NONASSOC:
-                    after = binary.get(self.peek().value)
-                    if after is not None and after[0] == level:
-                        self.fail("comparisons are non-associative", d.chain_expected)
+                left = (build(check(left, tok)) if operand is None
+                        else build(check(operand, tok), check(left, tok)))
+                if assoc == NONASSOC and entry is not None and entry[0] == level:
+                    self.fail("comparisons are non-associative", d.chain_expected)
+            self.pos += 1
+            pending.append((op, left, entry, min_level))
+            min_level = entry[0] + (entry[1] != RIGHT)
 
     def atom(self, tok: Token):
         """A number, a variable or a truth value."""

@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("difftest", help="differential test of both compilers against both semantics")
     p.add_argument("--n", type=_int_in(0), default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth", type=_int_in(1), default=5)
+    p.add_argument("--depth", type=_int_in(1, 32), default=5)
     p.add_argument("--vars", type=_int_in(1, 26), default=6, help="size of the variable pool")
     p.add_argument("--report", help="write the full PASS/FAIL report to this file")
     p.set_defaults(handler=cmd_difftest)

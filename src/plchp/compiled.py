@@ -16,9 +16,9 @@ right still propagates; and reading an unbound slot raises
 hold them to the interpreters bit for bit, and to the class of every error
 raised.
 
-A term or formula compiles in one fold over its tree (`ir.fold`), so any
-length compiles in bounded stack; the closures it builds still run one
-Python frame per level, so a tree deeper than MAX_DEPTH is refused.
+A term, formula or ST body compiles in one fold over its tree (`ir.fold`),
+so any length compiles in bounded stack; the closures it builds still run
+one Python frame per level, so a tree deeper than MAX_DEPTH is refused.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable
 
 from .errors import PlchpError, UnboundVariable
 from .ir import (
-    Assign, BoolConst, DIV, Formula, Ident, IfThen,
+    CHILDREN, Assign, BoolConst, DIV, Formula, Ident, IfThen,
     Neg, Not, Number, POW, Program, Seq, State, Term, Var, fold, operator_key,
     seq_to_list,
 )
@@ -86,12 +86,12 @@ def _deferred(error: str):
     return fail
 
 
-# Deepest expression, counted in nodes from root to leaf, that compiles. A
-# closure calls its operands' closures, one Python frame per level. At 300
-# that fits inside the default recursion limit of 1000 with room left for
-# the caller's frames (a test runner or a tracer adds dozens); the message
-# of a division by zero prints its term with the iterative dL printer, so
-# it needs no stack of its own.
+# Deepest tree that compiles, counted in expression nodes and IF statements
+# from root to leaf. A closure calls its children's closures, one Python
+# frame per level; a statement list and an assignment add an uncounted frame,
+# at most one of each between two IFs. So at most about 600 frames run, inside
+# the default recursion limit of 1000 with room for the caller's. A division
+# by zero prints its term with the iterative dL printer, which needs no stack.
 MAX_DEPTH = 300
 
 
@@ -107,22 +107,74 @@ def compile_formula(f: Formula, layout: Layout) -> FormulaFn:
     return _compile(f, layout)
 
 
+def compile_st(p: Program, layout: Layout) -> StatementFn:
+    """A loop-free ST statement as a closure that updates the slots in
+    place. On an error the slots are left part-way; callers discard them."""
+    return _compile(p, layout)
+
+
+def _arms(n: IfThen) -> list:
+    """An IF and its ELSIF arms as one node: each condition and branch, then any ELSE."""
+    kids = []
+    while n.__class__ is IfThen:
+        kids += (n.cond, n.then)
+        n = n.else_
+    if n is not None:
+        kids.append(n)
+    return kids
+
+
+# The compile fold's children: a statement list and an IF chain are one node
+# each, and the statements of hybrid programs are leaves.
+_COMPILED = {
+    **{cls: kids for cls, kids in CHILDREN.items() if not issubclass(cls, Program)},
+    Assign: CHILDREN[Assign], Seq: seq_to_list, IfThen: _arms,
+}
+
+
 def _compile(node, layout: Layout):
-    """One fold over the expression, building each node's closure from its
-    operands' closures. Alongside, it counts each node's depth and refuses a
+    """One fold over the tree, building each node's closure from its
+    children's closures. Alongside, it counts each node's depth and refuses a
     tree deeper than MAX_DEPTH."""
     def combine(n, kids):
-        depth = 1 + max([d for _, d in kids], default=0)
+        cls = n.__class__
+        depth = max([d for _, d in kids], default=0) + (cls is not Seq and cls is not Assign)
         if depth > MAX_DEPTH:
             raise PlchpError(
                 f"expression nested too deeply to compile (more than {MAX_DEPTH} levels)")
         return _closure(n, [f for f, _ in kids], layout), depth
-    return fold(node, combine)[0]
+    return fold(node, combine, _COMPILED)[0]
 
 
 def _closure(n, kids, layout: Layout):
-    """The closure for node `n`, given its operands' closures `kids`."""
+    """The closure for node `n`, given its children's closures `kids`."""
     cls = n.__class__
+    if cls is Assign:
+        i = layout.slot(n.target)
+        f, = kids
+
+        def assign(v):
+            v[i] = f(v)
+        return assign
+    if cls is Seq:
+        def seq(v):
+            for step in kids:
+                step(v)
+        return seq
+    if cls is IfThen:
+        arms = list(zip(kids[0::2], kids[1::2]))
+        else_ = kids[-1] if len(kids) % 2 else None
+
+        def if_chain(v):
+            for cond, then in arms:
+                if cond(v):
+                    then(v)
+                    return
+            if else_ is not None:
+                else_(v)
+        return if_chain
+    if isinstance(n, Program):
+        return _deferred(f"run_st executes ST statements, not {cls.__name__}")
     if cls is Number or cls is BoolConst:
         value = n.value
         return lambda v: value
@@ -202,39 +254,3 @@ def _binary(op, n, kids, layout: Layout) -> Callable[[Slots], object]:
         return term_var
     return lambda v: op(f(v), g(v))
 
-
-def compile_st(p: Program, layout: Layout) -> StatementFn:
-    """A loop-free ST statement as a closure that updates the slots in
-    place. On an error the slots are left part-way; callers discard them."""
-    if isinstance(p, Assign):
-        i = layout.slot(p.target)
-        f = compile_term(p.value, layout)
-
-        def assign(v):
-            v[i] = f(v)
-        return assign
-    if isinstance(p, Seq):
-        steps = [compile_st(s, layout) for s in seq_to_list(p)]
-
-        def seq(v):
-            for step in steps:
-                step(v)
-        return seq
-    if isinstance(p, IfThen):
-        # An ELSIF chain nests in the else branches; compile it as one list
-        # of arms that one loop runs.
-        arms = []
-        while isinstance(p, IfThen):
-            arms.append((compile_formula(p.cond, layout), compile_st(p.then, layout)))
-            p = p.else_
-        else_ = None if p is None else compile_st(p, layout)
-
-        def if_chain(v):
-            for cond, then in arms:
-                if cond(v):
-                    then(v)
-                    return
-            if else_ is not None:
-                else_(v)
-        return if_chain
-    return _deferred(f"run_st executes ST statements, not {type(p).__name__}")

@@ -34,8 +34,8 @@ from .analysis import IoClassification, resolve_epsilon
 from .compiled import Layout, Slots, compile_formula, compile_st, compile_term, read
 from .dl_syntax import print_dl_formula
 from .errors import (
-    InputFileError, MissingInput, NondeterministicCtrl, NotAffine, PlchpError,
-    SchemaError, UnboundVariable,
+    ConflictingEpsilon, InputFileError, MissingInput, NondeterministicCtrl, NotAffine,
+    PlchpError, SchemaError, UnboundVariable,
 )
 from .ir import (
     ADD, BinOp, Cmp, DIV, Formula, GE, GT, Ident, LE, LT, MUL, Neg, Number,
@@ -398,7 +398,8 @@ def simulate(
 ) -> list[CycleRecord]:
     """Run `cycles` scan cycles: read inputs, execute the ST body, evolve
     the plant for exactly the cycle duration. Stops early (keeping the
-    partial record) when the plant leaves its evolution domain."""
+    partial record) when the plant leaves its evolution domain. Raises
+    ConflictingEpsilon when `initial` binds the duration to another value."""
     epsilon = resolve_epsilon(m, cfg.epsilon)
     # The whole state of the run lives in one slot list: every name of the
     # initial state, of the controller, of the plant and the inputs.
@@ -412,7 +413,10 @@ def simulate(
     values = layout.load(initial)
     if values[clock] is None:
         values[clock] = 0.0
-    if eps is not None and values[eps] is None:
+    if eps is not None:
+        if values[eps] not in (None, epsilon):
+            raise ConflictingEpsilon(f"the initial state binds {m.epsilon} to {values[eps]}, "
+                                     f"but the scan cycle duration is {epsilon}")
         values[eps] = epsilon
     if assumed is not None and not assumed(values):
         raise PlchpError("initial state does not satisfy the assumptions")
@@ -571,12 +575,11 @@ class ComplianceReport:
 
     instances: tuple[ComplianceInstance, ...]
     checked: int
-    header: str = ""
 
     def serialize(self) -> str:
         lines = []
-        if self.header:
-            lines.append(f"# {self.header}")
+        if self.checked:
+            lines.append("# first cycle's prior actuator state initialized from the first trace row")
         lines.append(f"checked={self.checked} instances={len(self.instances)}")
         for inst in self.instances:
             lines.append(
@@ -639,8 +642,4 @@ def check_compliance(
             instances[-1] = ComplianceInstance(last.start_cycle, cycle, last.description)
         else:
             instances.append(ComplianceInstance(cycle, cycle, description))
-    return ComplianceReport(
-        tuple(instances),
-        checked=len(rows),
-        header="first cycle's prior actuator state initialized from the first trace row",
-    )
+    return ComplianceReport(tuple(instances), checked=len(rows))

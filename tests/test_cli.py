@@ -255,13 +255,14 @@ SIMULATE = ("simulate", "--model", data("watertank_safe_model.dlhp"),
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("difftest", "--depth", "0"), "argument --depth: must be at least 1, got 0"),
+    (("difftest", "--depth", "0"), "argument --depth: must be from 1 to 32, got 0"),
+    (("difftest", "--depth", "33"), "argument --depth: must be from 1 to 32, got 33"),
     (("difftest", "--vars", "0"), "argument --vars: must be from 1 to 26, got 0"),
     (("difftest", "--vars", "27"), "argument --vars: must be from 1 to 26, got 27"),
     (("difftest", "--n", "-1"), "argument --n: must be at least 0, got -1"),
     ((*SIMULATE, "--cycles", "1", "--substeps", "0"), "argument --substeps: must be at least 1, got 0"),
     ((*SIMULATE, "--cycles", "-1"), "argument --cycles: must be at least 0, got -1"),
-], ids=["depth 0", "vars 0", "vars 27", "n -1", "substeps 0", "cycles -1"])
+], ids=["depth 0", "depth 33", "vars 0", "vars 27", "n -1", "substeps 0", "cycles -1"])
 def test_numeric_option_out_of_range_is_a_usage_error(tmp_path, argv, message):
     code, err = run_process(tmp_path, *argv)
     assert code == 2
@@ -286,29 +287,32 @@ def test_affine_integrator_on_a_nonaffine_plant_is_one_error_line(tmp_path):
 def test_st2hp_deeply_nested_expression(tmp_path):
     (tmp_path / "deep.st").write_text(
         "PROGRAM p\n  x := " + "(" * 1000 + "1" + ")" * 1000 + ";\nEND_PROGRAM\n")
-    code, err = run_process(
+    code, _ = run_process(
         tmp_path, "st2hp", "deep.st", "--plant", data("watertank_plant.dlhp"),
         "--assumptions", data("watertank_safety.dlhp"),
-        "--safety", data("watertank_safety.dlhp"),
+        "--safety", data("watertank_safety.dlhp"), "--out", "deep.dlhp",
     )
-    assert code == 1
-    assert err == "deep.st:2:158: expression nested too deeply\n"
+    assert code == 0
+    assert "x:=1;" in (tmp_path / "deep.dlhp").read_text()
+    assert run_process(tmp_path, "hp2st", "deep.dlhp", "--epsilon", "1", "--out", "back.st")[0] == 0
+    assert "\n  x := 1;\n" in (tmp_path / "back.st").read_text()
 
 
 def test_hp2st_deeply_nested_model(tmp_path):
     (tmp_path / "deep.dlhp").write_text(
         "eps=1 -> [{ u:=*; y:=u; t:=0; {x'=y, t'=1 & t<=eps} }*]\n"
         + "(" * 1000 + "x>=0" + ")" * 1000 + "\n")
-    code, err = run_process(tmp_path, "hp2st", "deep.dlhp")
-    assert code == 1
-    assert err == "deep.dlhp:2:151: expression nested too deeply\n"
+    assert run_process(tmp_path, "hp2st", "deep.dlhp", "--out", "back.st")[0] == 0
+    assert st2hp(tmp_path, "back.st", "again.dlhp")[0] == 0
+    assert (parse_dl_model((tmp_path / "again.dlhp").read_text())
+            == parse_dl_model((tmp_path / "deep.dlhp").read_text()))
 
 
 # ---------------------------------------------------------------------------
-# Hostile shapes. Statement lists, ELSIF chains and nested blocks of any size
-# go st2hp -> hp2st -> st2hp and give the same model text both times; a run
-# of prefix operators past the nesting limit is a located error. Texts are
-# compared, not trees: IR equality recurses down a long sequence.
+# Hostile shapes. Statement lists, ELSIF chains, nested blocks and nested
+# expressions of any size go st2hp -> hp2st -> st2hp and give the same model
+# text both times. Texts are compared, not trees: IR equality recurses down a
+# long sequence.
 
 UNIT = ("PROGRAM p\nVAR_INPUT\n  u : LREAL;\nEND_VAR\nVAR_OUTPUT\n  y : LREAL;\nEND_VAR\n"
         "{}END_PROGRAM\n")
@@ -359,20 +363,24 @@ def test_round_trip_1000_nested_braces(tmp_path):
     round_trip(tmp_path, body)
 
 
-@pytest.mark.parametrize("op, width, body", [
-    ("NOT", 4, "IF {}u > 0 THEN y := 1; END_IF;\n"),
-    ("-", 2, "y := {}u;\n"),
+@pytest.mark.parametrize("op, body", [
+    ("NOT", "IF {}u > 0 THEN y := 1; END_IF;\n"),
+    ("-", "y := {}u;\n"),
 ], ids=["not", "minus"])
-def test_1000_prefix_operators(tmp_path, op, width, body):
-    from plchp._syntax import MAX_NESTING
+def test_1000_prefix_operators(tmp_path, op, body):
+    # A printed negation is `!(` or `NOT(`, and the complement guard adds one
+    # more level, so what st2hp writes nests deeper than what it read.
+    for n in (150, 1000):
+        round_trip(tmp_path, body.format(f"{op} " * n))
 
-    # One level less than the limit: a printed negation is `!(` or `NOT(`, and
-    # the complement guard and the IF condition's parentheses add one more.
-    round_trip(tmp_path, body.format(f"{op} " * (MAX_NESTING - 1)))
-    (tmp_path / "deep.st").write_text(UNIT.format(body.format(f"{op} " * 1000)))
-    col = body.index("{") + 1 + MAX_NESTING * width
-    assert st2hp(tmp_path, "deep.st", "deep.dlhp") == (
-        1, f"deep.st:8:{col}: expression nested too deeply\n")
+
+@pytest.mark.parametrize("body", [
+    "y := " + "(" * 10000 + "u" + ")" * 10000 + ";\n",
+    "IF " + "NOT " * 10000 + "u > 0 THEN y := 1; END_IF;\n",
+    "y := " + "- " * 10000 + "u;\n",
+], ids=["parentheses", "not", "minus"])
+def test_round_trip_10000_deep_expressions(tmp_path, body):
+    round_trip(tmp_path, body)
 
 
 # ---------------------------------------------------------------------------
@@ -433,3 +441,42 @@ def test_10000_term_sum_is_refused_by_simulate_and_comply(tmp_path):
     ):
         assert code == 1
         assert err.startswith("error: expression nested too deeply") and err.count("\n") == 1
+
+
+def nested_ifs(n):
+    return "IF u > 0 THEN\n" * n + "y := 1;\n" + "END_IF;\n" * n
+
+
+def test_250_nested_ifs_simulate_and_comply(tmp_path):
+    (tmp_path / "small.st").write_text(UNIT.format("y := u;\n"))
+    (tmp_path / "deep.st").write_text(UNIT.format(nested_ifs(250)))
+    assert st2hp(tmp_path, "small.st", "small.dlhp")[0] == 0
+    assert st2hp(tmp_path, "deep.st", "deep.dlhp")[0] == 0
+    assert simulate(tmp_path, "small.dlhp", "--st", "deep.st") == (0, "")
+    assert run_process(tmp_path, "comply", "--model", "deep.dlhp", "--trace", "trace.csv") == (0, "")
+    assert simulate(tmp_path, "deep.dlhp") == (0, "")
+
+
+def test_1000_nested_ifs_are_refused_by_simulate_and_comply(tmp_path):
+    (tmp_path / "small.st").write_text(UNIT.format("y := u;\n"))
+    (tmp_path / "deep.st").write_text(UNIT.format(nested_ifs(1000)))
+    assert st2hp(tmp_path, "small.st", "small.dlhp")[0] == 0
+    assert st2hp(tmp_path, "deep.st", "deep.dlhp")[0] == 0
+    assert simulate(tmp_path, "small.dlhp") == (0, "")
+    for outcome in (
+        simulate(tmp_path, "small.dlhp", "--st", "deep.st"),
+        simulate(tmp_path, "deep.dlhp"),
+        run_process(tmp_path, "comply", "--model", "deep.dlhp", "--trace", "trace.csv"),
+    ):
+        assert outcome == (
+            1, "error: expression nested too deeply to compile (more than 300 levels)\n")
+
+
+def test_comply_on_an_empty_trace(tmp_path, capsys):
+    (tmp_path / "small.st").write_text(UNIT.format("y := u;\n"))
+    assert st2hp(tmp_path, "small.st", "small.dlhp")[0] == 0
+    (tmp_path / "run.json").write_text(RUN)
+    assert run_process(tmp_path, "simulate", "--model", "small.dlhp", "--inputs", "run.json",
+                       "--cycles", "0", "--out", "trace.csv") == (0, "")
+    assert run(capsys, "comply", "--model", str(tmp_path / "small.dlhp"),
+               "--trace", str(tmp_path / "trace.csv")) == (0, "checked=0 instances=0\n", "")

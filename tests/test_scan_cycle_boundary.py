@@ -122,12 +122,23 @@ def test_analyze_applies_the_duration_rule(tmp_path, capsys):
 
 
 def test_division_by_zero_prints_the_term(tmp_path, capsys):
+    text = (golden.DATA / "watertank_safe_model.dlhp").read_text()
+    edited = tmp_path / "model.dlhp"
+    edited.write_text(text.replace("(HH-x1)/eps", "(HH-x1)/FL"))
     params = dict(golden.SCENARIO_PARAMS)
-    params[next(k for k in params if k.name == "eps")] = 0.0
-    code, _, err = run(capsys, "simulate", "--model", data("watertank_safe_model.dlhp"),
+    params[next(k for k in params if k.name == "FL")] = 0.0
+    code, _, err = run(capsys, "simulate", "--model", str(edited),
                        "--inputs", run_config(tmp_path, params), "--cycles", "3",
+                       "--epsilon", "10", "--out", str(tmp_path / "trace.csv"))
+    assert (code, err) == (1, "error: division by zero in (HH-x1)/FL\n")
+
+
+def test_simulate_refuses_a_run_that_binds_another_duration(tmp_path, capsys):
+    code, _, err = run(capsys, "simulate", "--model", data("watertank_safe_model.dlhp"),
+                       "--inputs", run_config(tmp_path, golden.SCENARIO_PARAMS), "--cycles", "3",
                        "--epsilon", "1", "--out", str(tmp_path / "trace.csv"))
-    assert (code, err) == (1, "error: division by zero in (HH-x1)/eps\n")
+    assert (code, err) == (
+        1, "error: the initial state binds eps to 10.0, but the scan cycle duration is 1.0\n")
 
 
 # ---------------------------------------------------------------------------

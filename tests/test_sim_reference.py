@@ -24,7 +24,7 @@ from plchp import (
     simulate, validate_scan_cycle_form,
 )
 from plchp.compiled import Layout
-from plchp.errors import MissingInput, PlchpError
+from plchp.errors import ConflictingEpsilon, MissingInput, PlchpError
 from plchp.semantics import eval_formula, run_st
 from plchp.sim import (
     CompiledPlant, ConstantInputs, CsvInputs, IntegratorConfig, SimConfig,
@@ -48,7 +48,10 @@ def reference_simulate(m, body, inputs, cycles, initial, cfg):
     state = initial
     if m.plant.clock not in state:
         state = state.set(m.plant.clock, 0.0)
-    if isinstance(m.epsilon, Ident) and m.epsilon not in state:
+    if isinstance(m.epsilon, Ident):
+        if m.epsilon in state and state.get(m.epsilon) != epsilon:
+            raise ConflictingEpsilon(f"the initial state binds {m.epsilon} to "
+                                     f"{state.get(m.epsilon)}, but the scan cycle duration is {epsilon}")
         state = state.set(m.epsilon, epsilon)
     if cfg.check_assumptions and not eval_formula(m.assumptions, state):
         raise PlchpError("initial state does not satisfy the assumptions")
@@ -271,9 +274,19 @@ def test_unbound_variable_in_safety_property():
 
 
 def test_division_by_zero_in_controller():
+    m = load("watertank_safe_model.dlhp", ("(HH-x1)/eps", "(HH-x1)/FL"))
+    body, _ = prog_hp_to_st(m.ctrl)
+    initial = State(dict(golden.SCENARIO_PARAMS) | dict(golden.SCENARIO_INIT) | {ident("FL"): 0.0})
+    got = assert_same((m, body, ConstantInputs(golden.SCENARIO_INPUTS), 5, initial,
+                       SimConfig(epsilon=10.0)))
+    assert got == {"simulate": ("DivisionByZero", "division by zero in (HH-x1)/FL")}
+
+
+def test_initial_state_binding_another_duration():
     got = assert_same(scenario(initial=State(
         dict(golden.SCENARIO_PARAMS) | dict(golden.SCENARIO_INIT) | {ident("eps"): 0.0})))
-    assert got["simulate"][0] == "DivisionByZero"
+    assert got == {"simulate": (
+        "ConflictingEpsilon", "the initial state binds eps to 0.0, but the scan cycle duration is 10.0")}
 
 
 def test_failing_check_assumptions():
