@@ -171,7 +171,7 @@ def plant_fragment(p: Program) -> PlantSpec:
     stmts = seq_to_list(p)
     last = stmts[-1]
     if not isinstance(last, OdeSystem):
-        raise NotNormalForm("missing plant ODE at the end of the loop body", _pos(last))
+        raise NotNormalForm("missing plant ODE as the last statement", _pos(last))
     if len(stmts) < 2:
         raise NotNormalForm("missing clock reset before the plant ODE", _pos(last))
     if len(stmts) > 2:

@@ -19,19 +19,27 @@ raised.
 A term, formula or ST body compiles in one fold over its tree (`ir.fold`),
 so any length compiles in bounded stack; the closures it builds still run
 one Python frame per level, so a tree deeper than MAX_DEPTH is refused.
+
+One loop runs as emitted Python source instead: `emit_rk4` writes a plant's
+whole RK4 substep loop as one function, with the right-hand sides and the
+evolution domain as straight-line expressions over locals, and `compile()`s
+it once. `Source` writes those expressions with another fold over the same
+trees, and the tests hold it to the interpreters the same way.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+from typing import Callable, Optional
 
 from .errors import PlchpError, UnboundVariable
 from .ir import (
-    CHILDREN, Assign, BoolConst, DIV, Formula, Ident, IfThen,
-    Neg, Not, Number, POW, Program, Seq, State, Term, Var, fold, operator_key,
+    ADD, CHILDREN, And, Assign, BoolConst, DIV, EQ, Equiv, Formula, GE, GT, Ident,
+    IfThen, Imply, LE, LT, MUL, NE, Neg, Not, Number, Or, POW, PlantSpec, Program,
+    SUB, Seq, State, TRUE, Term, Var, Xor, collect_vars, fold, operator_key,
     seq_to_list,
 )
-from .semantics import OPERATORS, divide
+from .semantics import OPERATORS, divide, power
 
 Slots = list  # list[Optional[float]], indexed by a Layout's slots
 TermFn = Callable[[Slots], float]
@@ -254,3 +262,167 @@ def _binary(op, n, kids, layout: Layout) -> Callable[[Slots], object]:
         return term_var
     return lambda v: op(f(v), g(v))
 
+
+# ---------------------------------------------------------------------------
+# Emitted Python source
+
+# The Python operator that computes each entry of `OPERATORS` on floats and
+# truth values (`operator.and_` is `&`, and so on). Division and power are
+# calls of `divide` and `power`.
+_INFIX = {
+    ADD: "+", SUB: "-", MUL: "*",
+    EQ: "==", NE: "!=", GT: ">", GE: ">=", LT: "<", LE: "<=",
+    And: "&", Or: "|", Imply: "<=", Equiv: "==", Xor: "!=",
+}
+
+# Deepest tree written as one nested expression, one pair of parentheses per
+# level. CPython refuses source nested more than 200 parentheses deep, so a
+# deeper tree is written one node per assignment, in evaluation order.
+NESTING = 50
+
+
+class Source:
+    """A Python function being written as source: `line` adds a statement,
+    `expression` the source of a term or formula, and `define` compiles it
+    all once and returns the function it defines.
+
+    An expression performs the closures' operations in their order: each
+    operator of `OPERATORS` as the Python operator that computes it,
+    division and power as calls of `divide` and `power` (a division's term
+    bound as a constant, for its message), left operand before right, and
+    the connectives strict. Literals are `repr` of their value (`inf`, for
+    a literal past the float range, is bound as a constant). Variables
+    are read from locals without an unbound check, so every variable an
+    expression reads must be bound when it runs."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.constants = {"divide": divide, "power": power, "inf": math.inf}
+        self._temps = 0
+
+    def line(self, indent: int, text: str) -> None:
+        self.lines.append("    " * indent + text)
+
+    def expression(self, node, name: Callable[[Ident], str], indent: int) -> str:
+        """The source of term or formula `node`, reading variable x as the
+        local `name(x)`. A tree nested deeper than NESTING is first written
+        as assignments at `indent`, and the source is the local they end in."""
+        def nested(n, kids):
+            height = max([h for _, h in kids], default=-1) + 1
+            return self._operation(n, [text for text, _ in kids], name), height
+        text, height = fold(node, nested)
+        if height <= NESTING:
+            return text
+
+        def flat(n, kids):
+            if not kids:
+                return self._operation(n, kids, name)
+            temp = f"e{self._temps}"
+            self._temps += 1
+            self.line(indent, f"{temp} = {self._operation(n, kids, name)}")
+            return temp
+        return fold(node, flat)
+
+    def _operation(self, n, kids: list[str], name) -> str:
+        """The source of node `n`, given its operands' sources `kids`."""
+        cls = n.__class__
+        if cls is Number or cls is BoolConst:
+            return repr(n.value)
+        if cls is Var:
+            return name(n.ident)
+        if cls is Neg:
+            return f"(-{kids[0]})"
+        if cls is Not:
+            return f"(not {kids[0]})"
+        key = operator_key(n)
+        if key == DIV:
+            return f"divide({kids[0]}, {kids[1]}, {self._constant(n)})"
+        if key == POW:
+            return f"power({kids[0]}, {kids[1]})"
+        return f"({kids[0]} {_INFIX[key]} {kids[1]})"
+
+    def _constant(self, node) -> str:
+        name = f"term{len(self.constants)}"
+        self.constants[name] = node
+        return name
+
+    def define(self, name: str):
+        namespace = dict(self.constants)
+        exec(compile("\n".join(self.lines), f"<plchp {name}>", "exec"), namespace)
+        return namespace[name]
+
+
+def emit_rk4(plant: PlantSpec, layout: Layout):
+    """The RK4 substep loop of `plant` as one compiled Python function
+    `rk4(v, t0, duration, n)`. It runs `n` substeps of `duration / n` on
+    the slot list `v` of `layout` whose clock reads `t0`, and returns the
+    substep end time at which the state first leaves the evolution domain,
+    or None. It reads every slot it needs into locals once, writes the
+    evolving variables and the clock back at the end or at a domain exit,
+    and leaves `v` as it was on an error. Every slot it reads must be bound.
+
+    Each substep is the same float operations in the same order as a loop
+    over closures: the four stages (the stage state `w` moves the clock to
+    the middle of the substep for the second and third and to its end for
+    the fourth), then `v[i] + (a + 2 * b + 2 * c + d) / 6 * h`, then the
+    domain test at the substep end."""
+    evolving = {x: j for j, (x, _) in enumerate(plant.odes)}
+    ode_slots = [layout.slot(x) for x in evolving]
+    clock = layout.slot(plant.clock)
+    domain = None if plant.domain == TRUE else plant.domain
+    mentioned = set().union(*(collect_vars(rhs) for _, rhs in plant.odes))
+    if domain is not None:
+        mentioned |= collect_vars(domain)
+    params = sorted(layout.slot(x) for x in mentioned - set(evolving) - {plant.clock})
+
+    def at(state: str, now: str) -> Callable[[Ident], str]:
+        """Variable names in one stage: the evolving variables are
+        `state`0, `state`1, ..., the clock `now`."""
+        def name(x):
+            j = evolving.get(x)
+            if j is not None:
+                return f"{state}{j}"
+            return now if x == plant.clock else f"p{layout.slot(x)}"
+        return name
+
+    src = Source()
+    line = src.line
+
+    def stage(rate: str, name, update: Optional[str]) -> None:
+        for j, (_, rhs) in enumerate(plant.odes):
+            line(2, f"{rate}{j} = {src.expression(rhs, name, 2)}")
+        if update is not None:
+            for j in range(len(ode_slots)):
+                line(2, f"w{j} = x{j} + {rate}{j} * {update}")
+
+    def write_back(indent: int, now: str) -> None:
+        for j, i in enumerate(ode_slots):
+            line(indent, f"v[{i}] = x{j}")
+        line(indent, f"v[{clock}] = {now}")
+
+    line(0, "def rk4(v, t0, duration, n):")
+    for i in params:
+        line(1, f"p{i} = v[{i}]")
+    for j, i in enumerate(ode_slots):
+        line(1, f"x{j} = v[{i}]")
+    line(1, "clock = t0")
+    line(1, "h = duration / n")
+    line(1, "half = h / 2")
+    line(1, "for k in range(n):")
+    line(2, "t_mid = duration * k / n + half")
+    line(2, "t_next = duration * (k + 1) / n")
+    stage("a", at("x", "clock"), "half")
+    line(2, "clock_mid = t0 + t_mid")
+    stage("b", at("w", "clock_mid"), "half")
+    stage("c", at("w", "clock_mid"), "h")
+    line(2, "clock = t0 + t_next")
+    stage("d", at("w", "clock"), None)
+    for j in range(len(ode_slots)):
+        line(2, f"x{j} = x{j} + (a{j} + 2 * b{j} + 2 * c{j} + d{j}) / 6 * h")
+    if domain is not None:
+        line(2, f"if not {src.expression(domain, at('x', 'clock'), 2)}:")
+        write_back(3, "clock")
+        line(3, "return t_next")
+    write_back(1, "t0 + duration")
+    line(1, "return None")
+    return src.define("rk4")

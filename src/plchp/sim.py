@@ -9,14 +9,16 @@ constant in the evolving variables over the cycle.
 
 The controller, the plant's right-hand sides and its evolution domain are
 compiled once per run into closures over one list of slot-indexed floats
-(see `compiled`), and so is the per-plant analysis. Each cycle runs on that
+(see `compiled`), and so is the per-plant analysis. The RK4 substep loop
+runs as Python source emitted for the plant instead, compiled by the first
+RK4 cycle of a run; an affine run never emits it. Each cycle runs on that
 list in place and records its snapshots as tuples of it, so a cycle builds
 no `State`; a record builds one only when a snapshot is read. The safety
 property and the trace columns are read from the tuples the same way. The
-closures perform the reference interpreters' float operations in the same
-order and raise the same errors, and the tests hold them to `eval_term`,
-`eval_formula` and `run_st` bit for bit, and the whole loop to one built
-from `State`s.
+closures and the emitted loop perform the reference interpreters' float
+operations in the same order and raise the same errors, and the tests hold
+them to `eval_term`, `eval_formula` and `run_st` bit for bit, and the whole
+loop to one built from `State`s.
 
 Compliance checking replays recorded sensor values through a deterministic
 controller and flags rows whose recorded actuations deviate, aggregated
@@ -28,10 +30,13 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .analysis import IoClassification, resolve_epsilon
-from .compiled import Layout, Slots, compile_formula, compile_st, compile_term, read
+from .compiled import (
+    Layout, Slots, compile_formula, compile_st, compile_term, emit_rk4, read,
+)
 from .dl_syntax import print_dl_formula
 from .errors import (
     ConflictingEpsilon, InputFileError, MissingInput, NondeterministicCtrl, NotAffine,
@@ -110,6 +115,11 @@ class CompiledPlant:
                     linear = (part.rel, compile_term(part.left, layout),
                               compile_term(part.right, layout))
                 self.parts.append((part, compile_formula(part, layout), linear))
+
+    @cached_property
+    def rk4(self):
+        """The RK4 substep loop, emitted the first time a cycle needs it."""
+        return emit_rk4(self.spec, self.layout)
 
     def failing_conjunct(self, values: Slots) -> Formula:
         for part, holds, _ in self.parts:
@@ -244,48 +254,24 @@ def _grid_violation(holds, at, duration: float, substeps: int) -> Optional[float
 
 
 def _integrate_rk4(plant: CompiledPlant, v: Slots, duration, cfg) -> Optional[DomainExit]:
-    """One cycle of fixed-step RK4, advancing `v` in place; the stages
-    work on one more slot list."""
-    clock = plant.clock
-    t0 = read(v, clock, plant.spec.clock)
-    n = cfg.substeps
-    h = duration / n
-    half = h / 2
-    rates, domain = plant.rates, plant.domain
-    slots = [i for _, i in plant.odes]
-
-    if domain is not None and not domain(v):
+    """One cycle of fixed-step RK4, advancing `v` in place with the plant's
+    emitted substep loop."""
+    t0 = read(v, plant.clock, plant.spec.clock)
+    if plant.domain is not None and not plant.domain(v):
         return DomainExit(0.0, plant.failing_conjunct(v))
+    # The first stage evaluates every rate before it reads an evolving
+    # variable. The rates have no branches, so evaluated once here they raise
+    # the first stage's error, if any; after that every slot the emitted
+    # loop reads is bound.
+    for f in plant.rates:
+        f(v)
     unbound = [x for x, i in plant.odes if v[i] is None]
     if unbound:
-        # The first stage evaluates every rate before it reads an evolving
-        # variable, so the rates' own errors come first.
-        for f in rates:
-            f(v)
         raise UnboundVariable(unbound[0])
-    w = v.copy()  # the intermediate stage's state
-    for k in range(n):
-        t_mid = duration * k / n + half
-        t_next = duration * (k + 1) / n
-        k1 = [f(v) for f in rates]
-        for i, r in zip(slots, k1):
-            w[i] = v[i] + r * half
-        w[clock] = t0 + t_mid
-        k2 = [f(w) for f in rates]
-        for i, r in zip(slots, k2):
-            w[i] = v[i] + r * half
-        k3 = [f(w) for f in rates]
-        for i, r in zip(slots, k3):
-            w[i] = v[i] + r * h
-        w[clock] = t0 + t_next
-        k4 = [f(w) for f in rates]
-        for i, a, b, c, d in zip(slots, k1, k2, k3, k4):
-            v[i] = v[i] + (a + 2 * b + 2 * c + d) / 6 * h
-        v[clock] = t0 + t_next
-        if domain is not None and not domain(v):
-            return DomainExit(t_next, plant.failing_conjunct(v))
-    v[clock] = t0 + duration
-    return None
+    exit_time = plant.rk4(v, t0, duration, cfg.substeps)
+    if exit_time is None:
+        return None
+    return DomainExit(exit_time, plant.failing_conjunct(v))
 
 
 # ---------------------------------------------------------------------------

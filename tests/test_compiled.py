@@ -1,24 +1,39 @@
-"""The compiled closures against the reference interpreters.
+"""The compiled closures and the emitted source against the reference
+interpreters.
 
 Each case runs a tree through the interpreter (`eval_term`, `eval_formula`,
 `run_st`) and through its compiled closure, and requires the same outcome:
 bit-equal values (`float.hex`, bit-pattern `State` equality), or the same
 `EvalError` subclass with the same message. Random cases come from the
 difftest generators at depth 5, on full states and on states with
-variables left unbound.
+variables left unbound. Terms and formulas written as Python source by
+`Source` are held to the interpreters the same way, on full states, and the
+emitted RK4 loop to a copy of the closure loop it replaced.
 """
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from plchp import State, eval_formula, eval_term, parse_dl_formula, parse_st_statements, run_st
-from plchp.compiled import Layout, compile_formula, compile_st, compile_term
+import golden
+from plchp import (
+    State, eval_formula, eval_term, parse_dl_formula, parse_dl_model, parse_dl_term,
+    parse_st_statements, run_st, simulate, validate_scan_cycle_form,
+)
+from plchp import compiled
+from plchp.compiled import (
+    MAX_DEPTH, Layout, Source, compile_formula, compile_st, compile_term, read,
+)
 from plchp.errors import DivisionByZero, DomainError, EvalError, UnboundVariable
-from plchp.ir import HP, ST, GuardedChoice, Ident, IfThen
+from plchp.ir import HP, ST, TRUE, GuardedChoice, Ident, IfThen, PlantSpec, Var
 from plchp.semantics import GenConfig, gen_formula, gen_st, gen_state, gen_term
+from plchp.sim import (
+    CompiledPlant, ConstantInputs, DomainExit, IntegratorConfig, SimConfig, _integrate_rk4,
+)
 from plchp.st_syntax import parse_st_expression
+from plchp.translate import prog_hp_to_st
 
 SEEDS = range(1000)
 
@@ -165,3 +180,271 @@ def test_non_st_statement_fails_only_when_reached():
     for execute in (lambda: run_st(body, state(a=1)), lambda: run(layout.load(state(a=1)))):
         with pytest.raises(TypeError, match="run_st executes ST statements, not GuardedChoice"):
             execute()
+
+
+# ---------------------------------------------------------------------------
+# Emitted source against the interpreters
+
+def emitted_outcome(node, s):
+    """`node` written by `Source` as the body of a function of the values
+    of `s`, and run on them."""
+    names = {x: f"x{i}" for i, (x, _) in enumerate(s.items())}
+    source = Source()
+    source.line(0, f"def f({', '.join(names.values())}):")
+    text = source.expression(node, names.__getitem__, 1)
+    source.line(1, f"return {text}")
+    f = source.define("f")
+    return outcome(lambda: f(*(value for _, value in s.items())))
+
+
+def check_emitted(interpret, generate):
+    kinds = Counter()
+    for seed in SEEDS:
+        tree = generate(GenConfig(max_depth=5, seed=seed))
+        s = states(seed)[0]  # emitted code reads locals without an unbound check
+        reference = outcome(lambda: interpret(tree, s))
+        assert emitted_outcome(tree, s) == reference, (seed, tree, s)
+        kinds[kind(reference)] += 1
+    return kinds
+
+
+def test_emitted_terms():
+    kinds = check_emitted(eval_term, gen_term)
+    assert {"value", "DivisionByZero", "DomainError"} <= set(kinds)
+
+
+@pytest.mark.parametrize("dialect", [ST, HP])
+def test_emitted_formulas(dialect):
+    kinds = check_emitted(eval_formula, lambda cfg: gen_formula(cfg, dialect))
+    assert {"value", "DivisionByZero"} <= set(kinds)
+
+
+def nested_product(levels, inner):
+    """`1*(1*(...(inner)...))`, right-nested `*` around `inner` until the
+    tree is `levels` deep (`inner` is two deep)."""
+    return "1*(" * (levels - 2) + inner + ")" * (levels - 2)
+
+
+def test_emitted_deep_trees_are_written_flat():
+    s = state(x=3, y=0.5)
+    term = parse_dl_term(nested_product(MAX_DEPTH, "x/y"))
+    formula = parse_dl_formula(nested_product(MAX_DEPTH - 1, "x-y") + ">=0")
+    # Both operands divide by zero: the left one's error is raised.
+    zero = parse_dl_term(f"({nested_product(100, 'x/(y-y)')}) + ({nested_product(100, 'y/(x-x)')})")
+    for tree, interpret in ((term, eval_term), (formula, eval_formula), (zero, eval_term)):
+        assert emitted_outcome(tree, s) == outcome(lambda: interpret(tree, s))
+    assert emitted_outcome(zero, s) == (DivisionByZero, "division by zero in x/(y-y)")
+
+
+# ---------------------------------------------------------------------------
+# The emitted RK4 loop against the closure loop it replaced
+
+def closure_rk4(plant, v, duration, cfg):
+    """The RK4 cycle as a loop over the plant's closures, as it ran before
+    the loop was emitted."""
+    clock = plant.clock
+    t0 = read(v, clock, plant.spec.clock)
+    n = cfg.substeps
+    h = duration / n
+    half = h / 2
+    rates, domain = plant.rates, plant.domain
+    slots = [i for _, i in plant.odes]
+
+    if domain is not None and not domain(v):
+        return DomainExit(0.0, plant.failing_conjunct(v))
+    unbound = [x for x, i in plant.odes if v[i] is None]
+    if unbound:
+        for f in rates:
+            f(v)
+        raise UnboundVariable(unbound[0])
+    w = v.copy()
+    for k in range(n):
+        t_mid = duration * k / n + half
+        t_next = duration * (k + 1) / n
+        k1 = [f(v) for f in rates]
+        for i, r in zip(slots, k1):
+            w[i] = v[i] + r * half
+        w[clock] = t0 + t_mid
+        k2 = [f(w) for f in rates]
+        for i, r in zip(slots, k2):
+            w[i] = v[i] + r * half
+        k3 = [f(w) for f in rates]
+        for i, r in zip(slots, k3):
+            w[i] = v[i] + r * h
+        w[clock] = t0 + t_next
+        k4 = [f(w) for f in rates]
+        for i, a, b, c, d in zip(slots, k1, k2, k3, k4):
+            v[i] = v[i] + (a + 2 * b + 2 * c + d) / 6 * h
+        v[clock] = t0 + t_next
+        if domain is not None and not domain(v):
+            return DomainExit(t_next, plant.failing_conjunct(v))
+    v[clock] = t0 + duration
+    return None
+
+
+def rk4_outcome(integrate, plant, s, duration, substeps):
+    """The slots and domain exit of one RK4 cycle from `s`, or the class
+    and message of the error it raises."""
+    layout = Layout(x for x, _ in s.items())
+    compiled = CompiledPlant(plant, layout)
+    values = layout.load(s)
+    try:
+        domain_exit = integrate(compiled, values, duration,
+                                IntegratorConfig(method="rk4", substeps=substeps))
+    except EvalError as exc:
+        return type(exc), str(exc)
+    return ([value and value.hex() for value in values],
+            domain_exit and (domain_exit.time.hex(), domain_exit.conjunct))
+
+
+def rk4_kind(result):
+    if isinstance(result[0], type):
+        return result[0].__name__
+    if result[1] is None:
+        return "value"
+    return "exit at start" if result[1][0] == "0x0.0p+0" else "exit mid-cycle"
+
+
+def assert_same_rk4(plant, s, duration=1.0, substeps=7):
+    expected = rk4_outcome(closure_rk4, plant, s, duration, substeps)
+    assert rk4_outcome(_integrate_rk4, plant, s, duration, substeps) == expected
+    return rk4_kind(expected)
+
+
+A, B, C, D, T = (Ident(n) for n in "abcdt")
+
+
+def generated_plant(seed):
+    """Rates for a and b and a domain over a, b, the clock t and the
+    parameters c and d."""
+    pool = GenConfig(max_depth=3, var_pool=(A, B, C, D, T), seed=seed)
+    rates = ((A, gen_term(pool)), (B, gen_term(replace(pool, seed=seed + 10**6))))
+    domain = gen_formula(replace(pool, seed=seed + 2 * 10**6), HP) if seed % 4 else TRUE
+    return PlantSpec(odes=rates, clock=T, domain=domain, bound=Var(Ident("eps")))
+
+
+@pytest.mark.parametrize("substeps", [1, 7, 200])
+def test_emitted_rk4_on_generated_plants(substeps):
+    kinds = Counter()
+    for seed in range(150):
+        s = gen_state(GenConfig(var_pool=(A, B, C, D, T), seed=seed))
+        kinds[assert_same_rk4(generated_plant(seed), s, 0.5, substeps)] += 1
+    assert {"value", "exit at start", "DivisionByZero"} <= set(kinds), kinds
+    if substeps > 1:
+        assert kinds["exit mid-cycle"], kinds
+
+
+def hand_plant(rates, domain="true"):
+    return PlantSpec(odes=tuple((Ident(x), parse_dl_term(rhs)) for x, rhs in rates),
+                     clock=T, domain=parse_dl_formula(domain), bound=Var(Ident("eps")))
+
+
+@pytest.mark.parametrize("substeps", [1, 7, 200])
+def test_emitted_rk4_exits_mid_cycle(substeps):
+    # x' = -x leaves x >= 0.5 at ln 2 ≈ 0.69 of the cycle.
+    plant = hand_plant([("x", "0-x"), ("y", "t*x")], "t>=0 & x>=0.5")
+    assert assert_same_rk4(plant, state(x=1, y=0, t=0), 1.0, substeps) == "exit mid-cycle"
+
+
+@pytest.mark.parametrize("rates, stage", [
+    ([("x", "1"), ("y", "1/(x-0.5)")], "second"),  # x is 0.5 at the mid-point
+    ([("x", "1"), ("y", "1/(t-0.5)")], "second"),  # so is the clock
+    ([("x", "1"), ("y", "1/(x-1)")], "fourth"),  # x is 1 at the end
+])
+def test_emitted_rk4_division_by_zero_in_a_later_stage(rates, stage):
+    s = state(x=0, y=0, t=0)
+    for _, rhs in rates:  # the first stage divides by a non-zero value
+        eval_term(parse_dl_term(rhs), s)
+    assert assert_same_rk4(hand_plant(rates), s, 1.0, 1) == "DivisionByZero"
+
+
+@pytest.mark.parametrize("rates, domain, s, message", [
+    ([("x", "c*x")], "true", state(x=1, t=0), "unbound variable c"),  # parameter in a rate
+    ([("x", "0-x")], "x>=d", state(x=1, t=0), "unbound variable d"),  # parameter in the domain
+    ([("x", "1"), ("y", "x")], "true", state(y=1, t=0), "unbound variable x"),  # evolving
+    ([("x", "1"), ("y", "1/0")], "true", state(y=1, t=0), "division by zero in 1/0"),
+])
+def test_emitted_rk4_unbound_variables(rates, domain, s, message):
+    assert assert_same_rk4(hand_plant(rates, domain), s) != "value"
+    assert rk4_outcome(_integrate_rk4, hand_plant(rates, domain), s, 1.0, 7)[1] == message
+
+
+# ---------------------------------------------------------------------------
+# The emitted loop on a deep plant, and who pays for emitting it
+
+def deep_model(rate_levels, domain_levels):
+    # x' = -x in a rate `rate_levels` deep; the domain x >= 0.5, `domain_levels` deep.
+    rate = nested_product(rate_levels, "0-x")
+    domain = nested_product(domain_levels - 1, "x-0.5") + ">=0"
+    return validate_scan_cycle_form(parse_dl_model(
+        f"eps=1 -> [{{ u:=*; y:=u; t:=0; {{x'={rate}, t'=1 & t<=eps & {domain}}} }}*] x>=0"))
+
+
+def deep_case(model, substeps):
+    body, _ = prog_hp_to_st(model.ctrl)
+    cfg = SimConfig(integrator=IntegratorConfig(substeps=substeps))
+    return model, body, ConstantInputs({Ident("u"): 1.0}), 3, state(x=1, y=0), cfg
+
+
+@pytest.mark.parametrize("substeps", [7, 200])
+def test_deep_rk4_plant_simulates(substeps):
+    from test_sim_reference import assert_same
+
+    model = deep_model(MAX_DEPTH, MAX_DEPTH)
+    got = assert_same(deep_case(model, substeps))
+    assert len(got["records"]) == 1 and got["records"][0][-1] is not None  # exits at ln 2
+    assert assert_same_rk4(model.plant, state(x=1, t=0), 1.0, substeps) == "exit mid-cycle"
+
+
+@pytest.mark.parametrize("rate_levels, domain_levels", [
+    (MAX_DEPTH + 1, MAX_DEPTH), (MAX_DEPTH, MAX_DEPTH + 1)])
+def test_deeper_rk4_plant_is_refused(rate_levels, domain_levels):
+    from test_sim_reference import assert_same
+
+    got = assert_same(deep_case(deep_model(rate_levels, domain_levels), 7))
+    assert got == {"simulate": (
+        "PlchpError", f"expression nested too deeply to compile (more than {MAX_DEPTH} levels)")}
+
+
+def counted_compiles(monkeypatch):
+    """How many times `plchp.compiled` calls `compile()` from now on."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return compile(*args)
+
+    monkeypatch.setattr(compiled, "compile", counting, raising=False)
+    return calls
+
+
+def tank_run(edit, method, cycles):
+    text = (golden.DATA / "watertank_safe_model.dlhp").read_text()
+    if edit is not None:
+        text = text.replace(*edit)
+    model = validate_scan_cycle_form(parse_dl_model(text))
+    body, _ = prog_hp_to_st(model.ctrl)
+    initial = State(dict(golden.SCENARIO_PARAMS) | dict(golden.SCENARIO_INIT))
+    cfg = SimConfig(epsilon=10.0, integrator=IntegratorConfig(method=method, substeps=20))
+    records = simulate(model, body, ConstantInputs(golden.SCENARIO_INPUTS), cycles, initial, cfg)
+    assert len(records) == cycles
+
+
+AFFINE = None
+OUTFLOW = ("x2'=V2*P*f2,", "x2'=V2*P*f2-0.002*x2,")
+
+
+@pytest.mark.parametrize("method", ["auto", "affine"])
+def test_affine_runs_emit_nothing(monkeypatch, method):
+    calls = counted_compiles(monkeypatch)
+    tank_run(AFFINE, method, cycles=20)
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("edit, method", [(OUTFLOW, "auto"), (AFFINE, "rk4")])
+def test_rk4_runs_emit_once_per_run(monkeypatch, edit, method):
+    calls = counted_compiles(monkeypatch)
+    tank_run(edit, method, cycles=20)
+    assert calls[0] == 1
+    tank_run(edit, method, cycles=5)
+    assert calls[0] == 2

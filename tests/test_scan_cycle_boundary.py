@@ -166,7 +166,7 @@ EXTRA = "a plant is a clock reset followed by the plant ODE, with nothing before
     ("P:=7; V1:=3;\n" + PLANT, f"plant.dlhp:1:1: {EXTRA}\n"),
     ("\n  x1:=*;\n" + PLANT, f"plant.dlhp:2:3: {EXTRA}\n"),
     (PLANT.split("\n", 1)[1], "plant.dlhp:1:1: missing clock reset before the plant ODE\n"),
-    ("t:=0;\n", "plant.dlhp:1:1: missing plant ODE at the end of the loop body\n"),
+    ("t:=0;\n", "plant.dlhp:1:1: missing plant ODE as the last statement\n"),
     ("t:=1;\n" + PLANT.split("\n", 1)[1], "plant.dlhp:1:1: missing clock reset\n"),
 ], ids=["assignments first", "input first", "ODE only", "reset only", "reset to 1"])
 def test_st2hp_rejects_anything_but_reset_and_ode(capsys, tmp_path, monkeypatch, plant_text, line):
