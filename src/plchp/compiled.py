@@ -22,22 +22,23 @@ one Python frame per level, so a tree deeper than MAX_DEPTH is refused.
 
 One loop runs as emitted Python source instead: `emit_rk4` writes a plant's
 whole RK4 substep loop as one function, with the right-hand sides and the
-evolution domain as straight-line expressions over locals, and `compile()`s
-it once. `Source` writes those expressions with another fold over the same
-trees, and the tests hold it to the interpreters the same way.
+evolution domain as straight-line assignments over locals, one per
+operation, and `compile()`s it once. `Source` writes those assignments with
+another fold over the same trees, and the tests hold it to the interpreters
+the same way.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Optional
 
 from .errors import PlchpError, UnboundVariable
 from .ir import (
-    ADD, CHILDREN, And, Assign, BoolConst, DIV, EQ, Equiv, Formula, GE, GT, Ident,
-    IfThen, Imply, LE, LT, MUL, NE, Neg, Not, Number, Or, POW, PlantSpec, Program,
-    SUB, Seq, State, TRUE, Term, Var, Xor, collect_vars, fold, operator_key,
-    seq_to_list,
+    CHILDREN, Assign, BoolConst, DIV, Formula, Ident, IfThen, Neg, Not, Number,
+    POW, PlantSpec, Program, Seq, State, TRUE, Term, Var, collect_vars, fold,
+    operator_key, seq_to_list,
 )
 from .semantics import OPERATORS, divide, power
 
@@ -266,34 +267,34 @@ def _binary(op, n, kids, layout: Layout) -> Callable[[Slots], object]:
 # ---------------------------------------------------------------------------
 # Emitted Python source
 
-# The Python operator that computes each entry of `OPERATORS` on floats and
-# truth values (`operator.and_` is `&`, and so on). Division and power are
-# calls of `divide` and `power`.
-_INFIX = {
-    ADD: "+", SUB: "-", MUL: "*",
-    EQ: "==", NE: "!=", GT: ">", GE: ">=", LT: "<", LE: "<=",
-    And: "&", Or: "|", Imply: "<=", Equiv: "==", Xor: "!=",
+# The Python operator that computes each function of `OPERATORS` on floats
+# and truth values. `_INFIX` reads each entry's symbol from it, so a new
+# entry that is neither here nor `power` fails at import. Power, and
+# division (not in `OPERATORS`), are calls of `power` and `divide`.
+_SYMBOL = {
+    operator.add: "+", operator.sub: "-", operator.mul: "*",
+    operator.eq: "==", operator.ne: "!=", operator.gt: ">",
+    operator.ge: ">=", operator.lt: "<", operator.le: "<=",
+    operator.and_: "&", operator.or_: "|",
 }
-
-# Deepest tree written as one nested expression, one pair of parentheses per
-# level. CPython refuses source nested more than 200 parentheses deep, so a
-# deeper tree is written one node per assignment, in evaluation order.
-NESTING = 50
+_INFIX = {key: _SYMBOL[f] for key, f in OPERATORS.items() if f is not power}
 
 
 class Source:
     """A Python function being written as source: `line` adds a statement,
-    `expression` the source of a term or formula, and `define` compiles it
-    all once and returns the function it defines.
+    `assign` the statements that evaluate a term or formula, and `define`
+    compiles it all once and returns the function it defines.
 
-    An expression performs the closures' operations in their order: each
-    operator of `OPERATORS` as the Python operator that computes it,
-    division and power as calls of `divide` and `power` (a division's term
-    bound as a constant, for its message), left operand before right, and
-    the connectives strict. Literals are `repr` of their value (`inf`, for
-    a literal past the float range, is bound as a constant). Variables
-    are read from locals without an unbound check, so every variable an
-    expression reads must be bound when it runs."""
+    A term or formula is written one operation per assignment, in the
+    closures' order: each operator of `OPERATORS` as the Python operator
+    that computes it, division and power as calls of `divide` and `power`
+    (a division's term bound as a constant, for its message), left operand
+    before right, and the connectives strict. No line nests parentheses, so
+    CPython's limit of 200 nested parentheses never applies. Literals are
+    `repr` of their value (`inf`, for a literal past the float range, is
+    bound as a constant). Variables are read from locals without an
+    unbound check, so every variable a tree reads must be bound when it
+    runs."""
 
     def __init__(self):
         self.lines: list[str] = []
@@ -303,43 +304,41 @@ class Source:
     def line(self, indent: int, text: str) -> None:
         self.lines.append("    " * indent + text)
 
-    def expression(self, node, name: Callable[[Ident], str], indent: int) -> str:
-        """The source of term or formula `node`, reading variable x as the
-        local `name(x)`. A tree nested deeper than NESTING is first written
-        as assignments at `indent`, and the source is the local they end in."""
-        def nested(n, kids):
-            height = max([h for _, h in kids], default=-1) + 1
-            return self._operation(n, [text for text, _ in kids], name), height
-        text, height = fold(node, nested)
-        if height <= NESTING:
-            return text
-
-        def flat(n, kids):
-            if not kids:
-                return self._operation(n, kids, name)
-            temp = f"e{self._temps}"
-            self._temps += 1
-            self.line(indent, f"{temp} = {self._operation(n, kids, name)}")
-            return temp
-        return fold(node, flat)
+    def assign(self, target: str, node, name: Callable[[Ident], str], indent: int) -> None:
+        """Assignments at `indent` that evaluate term or formula `node`
+        into the local `target`, reading variable x as the local
+        `name(x)`."""
+        def write(n, kids):
+            text = self._operation(n, kids, name)
+            if n is node:
+                local = target
+            elif not kids:
+                return text  # a literal or a variable is an operand as it is
+            else:
+                local = f"e{self._temps}"
+                self._temps += 1
+            self.line(indent, f"{local} = {text}")
+            return local
+        fold(node, write)
 
     def _operation(self, n, kids: list[str], name) -> str:
-        """The source of node `n`, given its operands' sources `kids`."""
+        """The source of one operation `n` on its operands `kids`, each a
+        local or a literal."""
         cls = n.__class__
         if cls is Number or cls is BoolConst:
             return repr(n.value)
         if cls is Var:
             return name(n.ident)
         if cls is Neg:
-            return f"(-{kids[0]})"
+            return f"-{kids[0]}"
         if cls is Not:
-            return f"(not {kids[0]})"
+            return f"not {kids[0]}"
         key = operator_key(n)
         if key == DIV:
             return f"divide({kids[0]}, {kids[1]}, {self._constant(n)})"
         if key == POW:
             return f"power({kids[0]}, {kids[1]})"
-        return f"({kids[0]} {_INFIX[key]} {kids[1]})"
+        return f"{kids[0]} {_INFIX[key]} {kids[1]}"
 
     def _constant(self, node) -> str:
         name = f"term{len(self.constants)}"
@@ -390,7 +389,7 @@ def emit_rk4(plant: PlantSpec, layout: Layout):
 
     def stage(rate: str, name, update: Optional[str]) -> None:
         for j, (_, rhs) in enumerate(plant.odes):
-            line(2, f"{rate}{j} = {src.expression(rhs, name, 2)}")
+            src.assign(f"{rate}{j}", rhs, name, 2)
         if update is not None:
             for j in range(len(ode_slots)):
                 line(2, f"w{j} = x{j} + {rate}{j} * {update}")
@@ -420,7 +419,8 @@ def emit_rk4(plant: PlantSpec, layout: Layout):
     for j in range(len(ode_slots)):
         line(2, f"x{j} = x{j} + (a{j} + 2 * b{j} + 2 * c{j} + d{j}) / 6 * h")
     if domain is not None:
-        line(2, f"if not {src.expression(domain, at('x', 'clock'), 2)}:")
+        src.assign("inside", domain, at("x", "clock"), 2)
+        line(2, "if not inside:")
         write_back(3, "clock")
         line(3, "return t_next")
     write_back(1, "t0 + duration")

@@ -51,9 +51,9 @@ def divide(left: float, right: float, term: BinOp) -> float:
 
 
 # What every operator but division computes, keyed by BinOp operator, Cmp
-# relation or connective class. The interpreters below and the closures of
-# `plchp.compiled` both read it. The connectives are strict functions of
-# two truth values: implication is `<=` on them.
+# relation or connective class. The interpreters below, the closures of
+# `plchp.compiled` and the source it emits all read it. The connectives are
+# strict functions of two truth values: implication is `<=` on them.
 OPERATORS = {
     ADD: operator.add, SUB: operator.sub, MUL: operator.mul, POW: power,
     EQ: operator.eq, NE: operator.ne, GT: operator.gt,

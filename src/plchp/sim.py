@@ -138,10 +138,15 @@ def integrate_plant(
 
     The clock advances by exactly `duration` (the implied bound
     `clock <= eps` is enforced by the caller's choice of duration, not
-    re-checked here). A caller integrating the same plant many times passes
-    it compiled once, as a `CompiledPlant`. Given a `State`, this returns
-    a new one; given a slot list of a `CompiledPlant`'s layout, it advances
-    that list in place and returns it, leaving it part-way on an error.
+    re-checked here). Given a `State`, this returns a new one; given a slot
+    list of a `CompiledPlant`'s layout, it advances that list in place and
+    returns it, or on an error leaves it as it was (both integrators write
+    it only once the cycle's step is computed).
+
+    Given a `PlantSpec`, this compiles the plant for this one call, and an
+    RK4 call also emits and `compile()`s its substep loop (about 1.1 ms).
+    A caller integrating the same plant repeatedly passes it compiled once,
+    as a `CompiledPlant`, which emits the loop at most once.
     """
     if duration < 0:
         raise ValueError("duration must be non-negative")

@@ -191,8 +191,8 @@ def emitted_outcome(node, s):
     names = {x: f"x{i}" for i, (x, _) in enumerate(s.items())}
     source = Source()
     source.line(0, f"def f({', '.join(names.values())}):")
-    text = source.expression(node, names.__getitem__, 1)
-    source.line(1, f"return {text}")
+    source.assign("result", node, names.__getitem__, 1)
+    source.line(1, "return result")
     f = source.define("f")
     return outcome(lambda: f(*(value for _, value in s.items())))
 
