@@ -51,8 +51,8 @@ def divide(left: float, right: float, term: BinOp) -> float:
 
 
 # What every operator but division computes, keyed by BinOp operator, Cmp
-# relation or connective class. The interpreters below, the closures of
-# `plchp.compiled` and the source it emits all read it. The connectives are
+# relation or connective class. The interpreters below and the source that
+# `plchp.compiled` emits both read it. The connectives are
 # strict functions of two truth values: implication is `<=` on them.
 OPERATORS = {
     ADD: operator.add, SUB: operator.sub, MUL: operator.mul, POW: power,

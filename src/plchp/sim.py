@@ -8,17 +8,18 @@ fixed-step RK4 with an exact closed form when every right-hand side is
 constant in the evolving variables over the cycle.
 
 The controller, the plant's right-hand sides and its evolution domain are
-compiled once per run into closures over one list of slot-indexed floats
-(see `compiled`), and so is the per-plant analysis. The RK4 substep loop
-runs as Python source emitted for the plant instead, compiled by the first
-RK4 cycle of a run; an affine run never emits it. Each cycle runs on that
+compiled once per run into Python functions over one list of slot-indexed
+floats (see `compiled`), and so is the per-plant analysis. The RK4 substep
+loop is emitted for the plant too, by the first RK4 cycle of a run; an
+affine run never emits it. The runs of one process share the code objects,
+so a run of a model seen before compiles nothing. Each cycle runs on that
 list in place and records its snapshots as tuples of it, so a cycle builds
 no `State`; a record builds one only when a snapshot is read. The safety
 property and the trace columns are read from the tuples the same way. The
-closures and the emitted loop perform the reference interpreters' float
-operations in the same order and raise the same errors, and the tests hold
-them to `eval_term`, `eval_formula` and `run_st` bit for bit, and the whole
-loop to one built from `State`s.
+emitted code performs the reference interpreters' float operations in the
+same order and raises the same errors, and the tests hold it to
+`eval_term`, `eval_formula` and `run_st` bit for bit, and the whole loop to
+one built from `State`s.
 
 Compliance checking replays recorded sensor values through a deterministic
 controller and flags rows whose recorded actuations deviate, aggregated
@@ -35,7 +36,7 @@ from typing import Optional, Sequence
 
 from .analysis import IoClassification, resolve_epsilon
 from .compiled import (
-    Layout, Slots, compile_formula, compile_st, compile_term, emit_rk4, read,
+    Layout, Slots, Source, compile_formula, compile_st, emit_rk4, read,
 )
 from .dl_syntax import print_dl_formula
 from .errors import (
@@ -91,30 +92,36 @@ def plant_is_affine(plant: PlantSpec) -> bool:
 
 class CompiledPlant:
     """A plant compiled once for all the cycles of a run: right-hand sides,
-    evolution domain and its conjuncts as closures over one layout (a new
-    one unless given), plus the per-plant analysis (affinity, which
-    conjuncts are solved exactly)."""
+    evolution domain and its conjuncts as functions emitted into one module
+    over one layout (a new one unless given), plus the per-plant analysis
+    (affinity, which conjuncts are solved exactly)."""
 
     def __init__(self, plant: PlantSpec, layout: Optional[Layout] = None):
         self.spec = plant
         self.layout = layout = Layout() if layout is None else layout
         self.odes = [(x, layout.slot(x)) for x, _ in plant.odes]
         self.clock = layout.slot(plant.clock)
-        self.rates = [compile_term(rhs, layout) for _, rhs in plant.odes]
         self.affine = plant_is_affine(plant)
-        self.domain = None if plant.domain == TRUE else compile_formula(plant.domain, layout)
-        # (conjunct, its closure, (relation, left, right) when it is a
+        src = Source()
+        rates = [src.function(rhs, layout) for _, rhs in plant.odes]
+        domain = None if plant.domain == TRUE else src.function(plant.domain, layout)
+        # (conjunct, its function, (relation, left, right) when it is a
         # comparison affine in the evolving variables, else None)
-        self.parts = []
-        if self.domain is not None:
+        parts = []
+        if domain is not None:
             evolving = set(plant.state_vars()) | {plant.clock}
             for part in conjuncts(plant.domain):
                 linear = None
                 if isinstance(part, Cmp) and part.rel in (LT, LE, GT, GE) and \
                         _is_affine_term(part.left, evolving) and _is_affine_term(part.right, evolving):
-                    linear = (part.rel, compile_term(part.left, layout),
-                              compile_term(part.right, layout))
-                self.parts.append((part, compile_formula(part, layout), linear))
+                    linear = (part.rel, src.function(part.left, layout),
+                              src.function(part.right, layout))
+                parts.append((part, src.function(part, layout), linear))
+        defined = src.module().get
+        self.rates = [defined(f) for f in rates]
+        self.domain = defined(domain)
+        self.parts = [(part, defined(holds), linear and (linear[0], *map(defined, linear[1:])))
+                      for part, holds, linear in parts]
 
     @cached_property
     def rk4(self):
@@ -144,9 +151,11 @@ def integrate_plant(
     it only once the cycle's step is computed).
 
     Given a `PlantSpec`, this compiles the plant for this one call, and an
-    RK4 call also emits and `compile()`s its substep loop (about 1.1 ms).
-    A caller integrating the same plant repeatedly passes it compiled once,
-    as a `CompiledPlant`, which emits the loop at most once.
+    RK4 call also emits its substep loop. The process shares the code
+    objects, so only the first call on a plant runs `compile()`; a repeated
+    call still writes the source, about 0.4 ms for an RK4 call on the
+    water-tank plant. A caller integrating the same plant repeatedly passes
+    it compiled once, as a `CompiledPlant`, which emits the loop at most once.
     """
     if duration < 0:
         raise ValueError("duration must be non-negative")

@@ -1,16 +1,20 @@
-"""The compiled closures and the emitted source against the reference
+"""The compiled functions and the emitted source against the reference
 interpreters.
 
 Each case runs a tree through the interpreter (`eval_term`, `eval_formula`,
-`run_st`) and through its compiled closure, and requires the same outcome:
+`run_st`) and through its compiled function, and requires the same outcome:
 bit-equal values (`float.hex`, bit-pattern `State` equality), or the same
 `EvalError` subclass with the same message. Random cases come from the
-difftest generators at depth 5, on full states and on states with
-variables left unbound. Terms and formulas written as Python source by
-`Source` are held to the interpreters the same way, on full states, and the
-emitted RK4 loop to a copy of the closure loop it replaced.
+difftest generators at depth 5 (ST bodies also at depths 1 to 4), on full
+states and on states with variables left unbound, which run on the
+interpreter fallback. Terms and formulas written by `Source.assign` are held
+to the interpreters the same way, on full states, and the emitted RK4 loop
+to a copy of the closure loop it replaced. Last, the water-tank runs count
+what they pay for: RK4 loop emissions, `compile()` calls and interpreter
+fallbacks.
 """
 
+import io
 import random
 from collections import Counter
 from dataclasses import replace
@@ -19,18 +23,19 @@ import pytest
 
 import golden
 from plchp import (
-    State, eval_formula, eval_term, parse_dl_formula, parse_dl_model, parse_dl_term,
-    parse_st_statements, run_st, simulate, validate_scan_cycle_form,
+    State, classify_io, eval_formula, eval_term, parse_dl_formula, parse_dl_model,
+    parse_dl_term, parse_st_statements, run_st, simulate, validate_scan_cycle_form,
 )
-from plchp import compiled
+from plchp import compiled, sim
 from plchp.compiled import (
     MAX_DEPTH, Layout, Source, compile_formula, compile_st, compile_term, read,
 )
-from plchp.errors import DivisionByZero, DomainError, EvalError, UnboundVariable
+from plchp.errors import DivisionByZero, DomainError, EvalError, PlchpError, UnboundVariable
 from plchp.ir import HP, ST, TRUE, GuardedChoice, Ident, IfThen, PlantSpec, Var
 from plchp.semantics import GenConfig, gen_formula, gen_st, gen_state, gen_term
 from plchp.sim import (
     CompiledPlant, ConstantInputs, DomainExit, IntegratorConfig, SimConfig, _integrate_rk4,
+    check_compliance, check_safety, read_trace, write_trace,
 )
 from plchp.st_syntax import parse_st_expression
 from plchp.translate import prog_hp_to_st
@@ -240,8 +245,8 @@ def test_emitted_deep_trees_are_written_flat():
 # The emitted RK4 loop against the closure loop it replaced
 
 def closure_rk4(plant, v, duration, cfg):
-    """The RK4 cycle as a loop over the plant's closures, as it ran before
-    the loop was emitted."""
+    """The RK4 cycle as a loop over the plant's compiled rates and domain,
+    as it ran before the loop was emitted."""
     clock = plant.clock
     t0 = read(v, clock, plant.spec.clock)
     n = cfg.substeps
@@ -428,23 +433,120 @@ def tank_run(edit, method, cycles):
     cfg = SimConfig(epsilon=10.0, integrator=IntegratorConfig(method=method, substeps=20))
     records = simulate(model, body, ConstantInputs(golden.SCENARIO_INPUTS), cycles, initial, cfg)
     assert len(records) == cycles
+    return model, records
 
 
 AFFINE = None
 OUTFLOW = ("x2'=V2*P*f2,", "x2'=V2*P*f2-0.002*x2,")
+RUNS = [(AFFINE, "auto"), (OUTFLOW, "auto"), (AFFINE, "rk4")]
+
+
+def counted_rk4_emissions(monkeypatch):
+    """How many times a run emits the RK4 loop from now on."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return compiled.emit_rk4(*args)
+
+    monkeypatch.setattr(sim, "emit_rk4", counting)
+    return calls
 
 
 @pytest.mark.parametrize("method", ["auto", "affine"])
-def test_affine_runs_emit_nothing(monkeypatch, method):
-    calls = counted_compiles(monkeypatch)
+def test_affine_runs_never_emit_the_rk4_loop(monkeypatch, method):
+    emissions = counted_rk4_emissions(monkeypatch)
     tank_run(AFFINE, method, cycles=20)
-    assert calls[0] == 0
+    assert emissions[0] == 0
 
 
 @pytest.mark.parametrize("edit, method", [(OUTFLOW, "auto"), (AFFINE, "rk4")])
 def test_rk4_runs_emit_once_per_run(monkeypatch, edit, method):
-    calls = counted_compiles(monkeypatch)
+    emissions = counted_rk4_emissions(monkeypatch)
     tank_run(edit, method, cycles=20)
-    assert calls[0] == 1
+    assert emissions[0] == 1
     tank_run(edit, method, cycles=5)
-    assert calls[0] == 2
+    assert emissions[0] == 2
+
+
+@pytest.mark.parametrize("edit, method", RUNS)
+def test_compiles_do_not_grow_with_the_cycle_count(monkeypatch, edit, method):
+    calls = counted_compiles(monkeypatch)
+    counts = []
+    for cycles in (1, 20):
+        compiled._code.cache_clear()
+        before = calls[0]
+        tank_run(edit, method, cycles)
+        counts.append(calls[0] - before)
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("edit, method", RUNS)
+def test_a_repeated_run_compiles_nothing(monkeypatch, edit, method):
+    calls = counted_compiles(monkeypatch)
+    compiled._code.cache_clear()
+    tank_run(edit, method, cycles=20)
+    first = calls[0]
+    assert first > 0
+    tank_run(edit, method, cycles=20)
+    assert calls[0] == first
+
+
+# ---------------------------------------------------------------------------
+# The interpreter fallback: taken only when a slot read is unbound
+
+def counted_fallbacks(monkeypatch):
+    """How many times emitted code runs each reference interpreter from now on."""
+    calls = Counter()
+    for interpret in (eval_term, eval_formula, run_st):
+        def counting(*args, interpret=interpret):
+            calls[interpret.__name__] += 1
+            return interpret(*args)
+        monkeypatch.setattr(compiled, interpret.__name__, counting)
+    return calls
+
+
+@pytest.mark.parametrize("edit, method", RUNS)
+def test_tank_runs_never_fall_back(monkeypatch, edit, method):
+    calls = counted_fallbacks(monkeypatch)
+    model, records = tank_run(edit, method, cycles=20)
+    assert check_safety(records, model.safety) == []
+    io_spec = classify_io(model.ctrl, model.inputs, model.plant)
+    trace = io.StringIO()
+    write_trace(trace, records, io_spec)
+    trace.seek(0)
+    _, rows = read_trace(trace)
+    assert check_compliance(model.ctrl, rows, io_spec).instances == ()
+    assert calls == Counter()
+    # The counter counts: a body with a free variable unbound falls back.
+    body = parse_st_statements("IF a > 0 THEN y := z; END_IF;")
+    assert st_outcomes(body, state(a=1, y=0)) == ((UnboundVariable, "unbound variable z"),) * 2
+    assert calls == Counter(run_st=1)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_emitted_st_bodies_at_each_depth(depth):
+    kinds = Counter()
+    for seed in range(300):
+        body = gen_st(GenConfig(max_depth=depth, seed=seed))
+        for s in states(seed):  # a partial state runs on the interpreter
+            reference, emitted = st_outcomes(body, s)
+            assert emitted == reference, (seed, body, s)
+            kinds[kind(reference)] += 1
+    assert {"value", "UnboundVariable"} <= set(kinds), kinds
+
+
+def test_long_elsif_chain_and_deep_nesting_run_in_process():
+    # The chain is written flat and each nested IF is a function of its own,
+    # so neither meets CPython's limit of 100 indentation levels.
+    arms = "".join(f"ELSIF u < {k} THEN y := {k};\n" for k in range(1, 2000))
+    chain = parse_st_statements(f"IF u < 0 THEN y := 0;\n{arms}ELSE y := u; END_IF;\n")
+    deepest = MAX_DEPTH - 2  # each IF is a level, and its guard two more
+    nested = parse_st_statements("IF u > 0 THEN\n" * deepest + "y := 1;\n" + "END_IF;\n" * deepest)
+    for body in (chain, nested):
+        for u in (-1, 0.5, 1234.5, 5000):
+            reference, emitted = st_outcomes(body, state(u=u, y=-2))
+            assert emitted == reference and not isinstance(reference, tuple)
+    too_deep = "IF u > 0 THEN\n" * (deepest + 1) + "y := 1;\n" + "END_IF;\n" * (deepest + 1)
+    with pytest.raises(PlchpError, match="expression nested too deeply"):
+        compile_st(parse_st_statements(too_deep), Layout())
