@@ -4,10 +4,15 @@ Both languages have the same term language and the same comparison and
 connective core; they differ in spellings. A `Dialect` holds one
 language's spellings, and this module holds the machinery built from them:
 
-- a lexer, one compiled master regex dispatching on the group that matched;
+- a lexer, one compiled master regex dispatching on the group that matched.
+  Each match takes the spaces, tabs and carriage returns before its lexeme,
+  so layout costs no match of its own; a token is a `Token` named tuple,
+  and its column is its offset from the start of its line;
 - `Parser`, a token cursor with an operator-precedence expression parser
   on one explicit stack (Dijkstra's shunting yard, 1961) that yields a Term
-  or a Formula and checks operand kinds;
+  or a Formula and checks operand kinds. The hot paths index the token
+  list directly, and one parse builds one `Var` per name and one `Number`
+  per lexeme, which its trees share;
 - `render_term` and `render_formula`, a minimal-parenthesis printer that
   folds the tree bottom up.
 
@@ -19,8 +24,8 @@ the dialect's connectives, negation, comparisons (non-associative), +/-,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .errors import ParseError
 from .ir import (
@@ -33,8 +38,7 @@ LEFT, RIGHT, NONASSOC = "left", "right", "nonassoc"
 NUMBER = r"\d+(\.\d+)?([eE][+-]?\d+)?"
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # kw | ident | number | duration | unsupported | op | eof
     value: str
     line: int
@@ -60,16 +64,18 @@ class Dialect:
         self.classify = classify
         self.comment_close = comment[1]
         self.duration = duration
-        self.pattern = re.compile("|".join([
+        # Layout before a lexeme is part of its match. A match with no
+        # group is layout up to the end of the text or to a character
+        # that starts no lexeme.
+        self.pattern = re.compile(r"[ \t\r]*(?:" + "|".join([
             r"(?P<newline>\n)",
-            r"(?P<space>[ \t\r]+)",
             r"(?P<line_comment>//[^\n]*)",
             f"(?P<comment>{re.escape(comment[0])})",
             *([r"(?P<duration>[Tt]#)"] if duration else []),
             r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)",
             f"(?P<number>{NUMBER})",
             "(?P<op>" + "|".join(map(re.escape, operators)) + ")",
-        ]))
+        ]) + ")?")
 
         self.not_op = not_op
         self.bools = bools  # (false, true)
@@ -77,20 +83,20 @@ class Dialect:
         self.chain_expected = chain_expected
         self.operand_expected = operand_expected
 
-        # One row per binary level, loosest first: (associativity, formula
-        # operands?, (printed text, node key, build) per operator). None
-        # marks the level of negation; unary minus binds tightest.
+        # One row per binary level, loosest first: (associativity, operand
+        # class, (printed text, node key, build) per operator). None marks
+        # the level of negation; unary minus binds tightest.
         rels = (("=", EQ), (ne_op, NE), (">", GT), (">=", GE), ("<", LT), ("<=", LE))
-        rows = [(assoc, True, [(f" {s} ", cls, cls) for s, cls in ops]) for assoc, ops in connectives]
+        rows = [(assoc, Formula, [(f" {s} ", cls, cls) for s, cls in ops]) for assoc, ops in connectives]
         rows += [
             None,
-            (NONASSOC, False, [(cmp_space + s + cmp_space, rel, partial(Cmp, rel)) for s, rel in rels]),
-            (LEFT, False, [("+", ADD, partial(BinOp, ADD)), ("-", SUB, partial(BinOp, SUB))]),
-            (LEFT, False, [("*", MUL, partial(BinOp, MUL)), ("/", DIV, partial(BinOp, DIV))]),
-            (RIGHT, False, [(pow_op, POW, partial(BinOp, POW))]),
+            (NONASSOC, Term, [(cmp_space + s + cmp_space, rel, partial(Cmp, rel)) for s, rel in rels]),
+            (LEFT, Term, [("+", ADD, partial(BinOp, ADD)), ("-", SUB, partial(BinOp, SUB))]),
+            (LEFT, Term, [("*", MUL, partial(BinOp, MUL)), ("/", DIV, partial(BinOp, DIV))]),
+            (RIGHT, Term, [(pow_op, POW, partial(BinOp, POW))]),
         ]
         self.neg_level = len(rows) + 1
-        # Parsing: spelling -> (level, associativity, formula operands?, build).
+        # Parsing: spelling -> (level, associativity, operand class, build).
         # Printing: BinOp op, Cmp relation or node class -> (text, level, associativity).
         self.binary: dict[str, tuple] = {}
         self.infix: dict[object, tuple] = {}
@@ -98,57 +104,55 @@ class Dialect:
             if row is None:
                 self.not_level = level
                 continue
-            assoc, formulas, ops = row
+            assoc, operands, ops = row
             for text, key, build in ops:
-                self.binary[text.strip()] = (level, assoc, formulas, build)
+                self.binary[text.strip()] = (level, assoc, operands, build)
                 self.infix[key] = (text, level, assoc)
         # Prefix operators take the same entries and bind as right-associative ones.
-        self.prefix = {not_op: (self.not_level, RIGHT, True, Not),
-                       "-": (self.neg_level, RIGHT, False, Neg)}
+        self.prefix = {not_op: (self.not_level, RIGHT, Formula, Not),
+                       "-": (self.neg_level, RIGHT, Term, Neg)}
 
     def level(self, spelling: str) -> int:
         return self.binary[spelling][0]
 
     def tokenize(self, text: str) -> list[Token]:
+        """The tokens of `text`, then an eof token. A column is the offset
+        from the start of its line, counted in characters from 1."""
         tokens: list[Token] = []
-        match = self.pattern.match
-        pos, line, col, n = 0, 1, 1, len(text)
-        while pos < n:
+        append, match, classify = tokens.append, self.pattern.match, self.classify
+        new = tuple.__new__  # builds a Token without the call of its Python-level __new__
+        pos, line, line_start, end_at = 0, 1, -1, len(text)
+        while True:
             m = match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
             kind = m.lastgroup
-            end = m.end()
-            if kind == "newline":
+            if kind is None:
+                break
+            start, pos = m.span(kind)
+            if kind == "op" or kind == "number":
+                append(new(Token, (kind, text[start:pos], line, start - line_start, 0.0)))
+            elif kind == "word":
+                append(new(Token, (*classify(text[start:pos]), line, start - line_start, 0.0)))
+            elif kind == "newline":
                 line += 1
-                col = 1
-            elif kind == "space":
-                col += end - pos
-            elif kind == "line_comment":
-                pass  # the newline that ends it resets the column
+                line_start = start
             elif kind == "comment":
-                close = text.find(self.comment_close, end)
+                close = text.find(self.comment_close, pos)
                 if close < 0:
-                    raise ParseError("unterminated comment", line, col)
-                end = close + len(self.comment_close)
-                newlines = text.count("\n", pos, end)
+                    raise ParseError("unterminated comment", line, start - line_start)
+                pos = close + len(self.comment_close)
+                newlines = text.count("\n", start, pos)
                 if newlines:
                     line += newlines
-                    col = end - text.rfind("\n", pos, end)
-                else:
-                    col += end - pos
+                    line_start = text.rfind("\n", start, pos)
             elif kind == "duration":
-                token, end = self.duration(text, pos, line, col)
-                tokens.append(token)
-                col += end - pos
-            else:
-                value = m.group()
-                if kind == "word":
-                    kind, value = self.classify(value)
-                tokens.append(Token(kind, value, line, col))
-                col += end - pos
-            pos = end
-        tokens.append(Token("eof", "", line, col))
+                token, pos = self.duration(text, start, line, start - line_start)
+                append(token)
+            elif pos == end_at:  # a line comment closes the input, which ends where it starts
+                end_at = start
+        end = m.end()
+        if end < len(text):
+            raise ParseError(f"unexpected character {text[end]!r}", line, end - line_start)
+        append(Token("eof", "", line, min(end, end_at) - line_start))
         return tokens
 
 
@@ -163,6 +167,9 @@ class Parser:
     def __init__(self, text: str):
         self.tokens = self.dialect.tokenize(text)
         self.pos = 0
+        # Terms carry no position, so a parse builds one Var per name and one
+        # Number per lexeme. The keys cannot clash: no name starts with a digit.
+        self.leaves: dict[str, Term] = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -175,24 +182,31 @@ class Parser:
         return tok
 
     def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == "op" and tok.value in ops
 
     def expect_op(self, op: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.value != op:
+        tok = self.tokens[self.pos]
+        if tok.value != op or tok.kind != "op":
             self.fail(f"found {self.describe(tok)}", f"'{op}'")
-        return self.next()
+        self.pos += 1
+        return tok
 
     def expect_ident(self) -> Ident:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "ident":
             self.fail(f"found {self.describe(tok)}", "identifier")
-        self.next()
+        self.pos += 1
+        return (self.leaves.get(tok.value) or self.leaf(tok)).ident
+
+    def leaf(self, tok: Token) -> Term:
+        """The Var or Number of an identifier or number token first met here."""
         try:
-            return Ident(tok.value)
+            leaf = Var(Ident(tok.value)) if tok.kind == "ident" else Number(tok.value)
         except ValueError as exc:  # a reserved word of the other language
             raise ParseError(str(exc), tok.line, tok.col) from None
+        self.leaves[tok.value] = leaf
+        return leaf
 
     def fail(self, message: str, expected: str | None = None):
         tok = self.peek()
@@ -211,12 +225,12 @@ class Parser:
     # -- expressions ---------------------------------------------------------
 
     def formula(self) -> Formula:
-        tok = self.peek()
-        return self.require_formula(self.expression(), tok)
+        tok = self.tokens[self.pos]
+        return self.require(self.expression(), Formula, tok)
 
     def term(self) -> Term:
-        tok = self.peek()
-        return self.require_term(self.expression(), tok)
+        tok = self.tokens[self.pos]
+        return self.require(self.expression(), Term, tok)
 
     def expression(self, min_level: int = 1):
         """An expression whose binary operators bind at `min_level` or tighter.
@@ -225,7 +239,7 @@ class Parser:
         check is reported at the operator token.
         """
         d = self.dialect
-        binary, prefix = d.binary, d.prefix
+        binary, prefix, tokens = d.binary, d.prefix, self.tokens
         # Everything that waits for an operand waits on one stack, so no
         # nesting costs a Python frame: prefix operators, binary operators
         # with their left operands, and open parentheses (entry None). Each
@@ -235,7 +249,7 @@ class Parser:
         pending = []  # (token, left operand or None, entry or None, level around it)
         while True:
             while True:  # an operand, after its prefixes and open parentheses
-                tok = self.peek()
+                tok = tokens[self.pos]
                 entry = prefix.get(tok.value)
                 if entry is not None and entry[0] >= min_level:
                     pending.append((tok, None, entry, min_level))
@@ -248,7 +262,7 @@ class Parser:
                 self.pos += 1
             left = self.atom(tok)
             while True:  # then the operators after it
-                op = self.peek()
+                op = tokens[self.pos]
                 entry = binary.get(op.value)
                 if entry is not None and entry[0] >= min_level:
                     break
@@ -258,10 +272,9 @@ class Parser:
                 if waiting is None:
                     self.expect_op(")")
                     continue
-                level, assoc, formulas, build = waiting
-                check = self.require_formula if formulas else self.require_term
-                left = (build(check(left, tok)) if operand is None
-                        else build(check(operand, tok), check(left, tok)))
+                level, assoc, operands, build = waiting
+                left = (build(self.require(left, operands, tok)) if operand is None
+                        else build(self.require(operand, operands, tok), self.require(left, operands, tok)))
                 if assoc == NONASSOC and entry is not None and entry[0] == level:
                     self.fail("comparisons are non-associative", d.chain_expected)
             self.pos += 1
@@ -270,25 +283,20 @@ class Parser:
 
     def atom(self, tok: Token):
         """A number, a variable or a truth value."""
-        if tok.kind == "number":
+        if tok.kind == "ident" or tok.kind == "number":
             self.pos += 1
-            return Number(tok.value)
-        if tok.kind == "ident":
-            return Var(self.expect_ident())
+            return self.leaves.get(tok.value) or self.leaf(tok)
         if tok.kind == "kw" and tok.value in ("TRUE", "FALSE"):
             self.pos += 1
             return BoolConst(tok.value == "TRUE")
         self.fail(f"found {self.describe(tok)}", self.dialect.operand_expected)
 
-    def require_term(self, value, at: Token) -> Term:
-        if isinstance(value, Term):
+    def require(self, value, kind: type, at: Token):
+        """`value` if it is a `kind` (Term or Formula), else the error at `at`."""
+        if isinstance(value, kind):
             return value
-        raise ParseError("expected an arithmetic term", at.line, at.col)
-
-    def require_formula(self, value, at: Token) -> Formula:
-        if isinstance(value, Formula):
-            return value
-        raise ParseError(self.dialect.formula_expected, at.line, at.col)
+        message = "expected an arithmetic term" if kind is Term else self.dialect.formula_expected
+        raise ParseError(message, at.line, at.col)
 
 
 def run_nested(parse):

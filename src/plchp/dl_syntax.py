@@ -123,7 +123,7 @@ class _Parser(Parser):
     def statement_list(self):
         stmts: list[Program] = []
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             if tok.kind == "eof" or (tok.kind == "op" and tok.value in self._LIST_END):
                 return stmts
             if tok.kind == "op" and tok.value == "{":
@@ -132,7 +132,7 @@ class _Parser(Parser):
                 stmts.append(self.statement())
 
     def statement(self) -> Program:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "ident":
             target = self.expect_ident()
             self.expect_op(":=")
@@ -166,12 +166,17 @@ class _Parser(Parser):
     def braced_group(self, start: Token):
         """One braced group: an ODE system, a block, an inner choice, or a loop."""
         self.expect_op("{")
-        if self.peek().kind == "ident" and self.peek(1).kind == "op" and self.peek(1).value == "'":
+        if self.tokens[self.pos].kind == "ident" and self.tokens[self.pos + 1].value == "'":
             return self.ode_system(start)
-        branches = [(yield self.branch_body(start))]
-        while self.at_op("++"):
-            self.next()
-            branches.append((yield self.branch_body(start)))
+        branches = []
+        while True:
+            stmts = yield self.statement_list()
+            if not stmts:
+                raise ParseError("empty choice branch", start.line, start.col)
+            branches.append(list_to_seq(stmts))
+            if not self.at_op("++"):
+                break
+            self.pos += 1
         self.expect_op("}")
         node = branches[0]
         for right in branches[1:]:
@@ -180,12 +185,6 @@ class _Parser(Parser):
             self.next()
             return Loop(node, pos=(start.line, start.col))
         return node
-
-    def branch_body(self, start: Token):
-        stmts = yield self.statement_list()
-        if not stmts:
-            raise ParseError("empty choice branch", start.line, start.col)
-        return list_to_seq(stmts)
 
     def make_choice(self, left: Program, right: Program, at: Token) -> Program:
         """Shape a parsed choice: guarded forms become GuardedChoice."""
@@ -209,7 +208,7 @@ class _Parser(Parser):
             self.expect_op("'")
             self.expect_op("=")
             at = self.peek()
-            odes.append((x, self.require_term(self.expression(_TERM_LEVEL), at)))
+            odes.append((x, self.require(self.expression(_TERM_LEVEL), Term, at)))
             if self.at_op(","):
                 self.next()
                 continue
@@ -228,7 +227,7 @@ class _Parser(Parser):
 
     def safety_formula(self) -> DlSafetyFormula:
         tok = self.peek()
-        assumptions = self.require_formula(self.expression(_ASSUMPTION_LEVEL), tok)
+        assumptions = self.require(self.expression(_ASSUMPTION_LEVEL), Formula, tok)
         self.expect_op("->")
         self.expect_op("[")
         open_brace = self.peek()

@@ -174,8 +174,7 @@ class _Parser(Parser):
             return f"keyword {tok.value}"
         return super().describe(tok)
 
-    def reject_unsupported(self):
-        tok = self.peek()
+    def reject_unsupported(self, tok: Token):
         if tok.kind == "unsupported":
             raise ParseError(
                 f"unsupported construct {tok.value} (outside the translatable subset)",
@@ -183,9 +182,12 @@ class _Parser(Parser):
             )
 
     def atom(self, tok: Token):
-        if tok.kind == "ident" and self.peek(1).kind == "op" and self.peek(1).value == "(":
-            raise ParseError(f"function call {tok.value}(...) is not supported", tok.line, tok.col)
-        self.reject_unsupported()
+        if tok.kind == "ident":
+            after = self.tokens[self.pos + 1]
+            if after.value == "(" and after.kind == "op":
+                raise ParseError(f"function call {tok.value}(...) is not supported", tok.line, tok.col)
+        else:
+            self.reject_unsupported(tok)
         return super().atom(tok)
 
     # -- statements ----------------------------------------------------------
@@ -198,10 +200,10 @@ class _Parser(Parser):
     def statement_list(self, allow_empty: bool = False):
         stmts: list[Program] = []
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             if tok.kind == "eof" or (tok.kind == "kw" and tok.value in self._STMT_END):
                 break
-            self.reject_unsupported()
+            self.reject_unsupported(tok)
             if tok.kind == "kw" and tok.value == "IF":
                 stmts.append((yield self.if_statement()))
             else:
@@ -237,7 +239,7 @@ class _Parser(Parser):
             self.fail(f"found {self.describe(tok)}", "assignment or IF")
         target = self.expect_ident()
         self.expect_op(":=")
-        op = self.peek()
+        op = self.tokens[self.pos]
         value = self.expression()
         if not isinstance(value, Term):
             raise ParseError("can only assign arithmetic terms", op.line, op.col)

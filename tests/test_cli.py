@@ -385,9 +385,10 @@ def test_round_trip_10000_deep_expressions(tmp_path, body):
 
 # ---------------------------------------------------------------------------
 # Long expressions. Sums, conjunctions and power chains of any length go
-# st2hp -> hp2st -> st2hp and give the same model text both times. Compiled
-# closures run one Python frame per level, so `simulate` and `comply` refuse
-# an expression nested past `compiled.MAX_DEPTH` with a one-line error.
+# st2hp -> hp2st -> st2hp and give the same model text both times. The
+# interpreters that compiled code falls back on recurse one Python frame per
+# level, so `simulate` and `comply` refuse an expression nested past
+# `compiled.MAX_DEPTH` with a one-line error.
 
 def chain(op, n, operand="u"):
     return f" {op} ".join([operand] * n)

@@ -1,11 +1,12 @@
 """The expression folds against recursive reference copies.
 
-The printer (`_syntax.render_term`/`render_formula`) and the closure
-compiler (`compiled.compile_term`/`compile_formula`) are folds over the IR.
-Each is held here to a test-local copy of its plain recursive form, over
-the difftest generators at depths 1 to 5: the printer by text, the closures
-by `float.hex` value or by error class and message, and by the slot layout
-they build. `ir.same` is held to the generated `==`.
+The printer (`_syntax.render_term`/`render_formula`) and the compiler
+(`compiled.compile_term`/`compile_formula`, which emit Python source) are
+folds over the IR. Each is held here to a test-local copy of its plain
+recursive form, over the difftest generators at depths 1 to 5: the printer
+by text, the compiled functions by `float.hex` value or by error class and
+message, and by the slot layout they build. `ir.same` is held to the
+generated `==`.
 """
 
 import operator
