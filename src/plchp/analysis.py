@@ -99,9 +99,15 @@ def classify_io(
     Whatever remains free (and is not the clock) is a parameter.
     """
     vs = var_sets(ctrl)
-    # var_sets has checked that ctrl is translatable.
-    outputs = tuple(dict.fromkeys(
-        s.target for s in walk(ctrl, TRANSLATABLE) if s.__class__ is Assign))
+    # var_sets has checked that ctrl is translatable. One pass collects the
+    # assignment targets and the free variables, each in first-seen order.
+    assigned, read = {}, {}
+    for n in walk(ctrl):
+        if n.__class__ is Assign:
+            assigned[n.target] = None
+        elif n.__class__ is Var and n.ident in vs.free:
+            read[n.ident] = None
+    outputs = tuple(assigned)
     plant_states = [x for x in plant.state_vars() if x in vs.free]
     candidates = plant_states + [x for x in declared_inputs if x not in plant_states]
     warnings = tuple(
@@ -110,11 +116,8 @@ def classify_io(
         if x in vs.bound
     )
     inputs = tuple(x for x in dict.fromkeys(candidates) if x not in vs.bound)
-    free_order = dict.fromkeys(
-        n.ident for n in walk(ctrl) if n.__class__ is Var and n.ident in vs.free
-    )
     params = tuple(
-        x for x in free_order
+        x for x in read
         if x not in inputs and x not in vs.bound and x != plant.clock
     )
     return IoClassification(inputs, outputs, params, warnings)
@@ -150,10 +153,7 @@ def validate_scan_cycle_form(f: DlSafetyFormula) -> ScanCycleModel:
 
     bound = plant.bound
     epsilon = bound.value if isinstance(bound, Number) else bound.ident
-
-    if plant.clock in collect_vars(ctrl) | set(inputs):
-        raise NotNormalForm(f"plant clock {plant.clock} appears in ctrl or inputs")
-
+    # ScanCycleModel refuses a plant clock that appears in ctrl or inputs.
     return ScanCycleModel(
         assumptions=f.assumptions,
         inputs=tuple(inputs),

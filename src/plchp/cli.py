@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -122,7 +123,10 @@ def _int_in(low: int, high: int | None = None):
 
 def _read(args, path: str) -> str:
     args._current_file = path
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise InputFileError(path, "not UTF-8 text") from None
 
 
 def cmd_st2hp(args) -> int:
@@ -212,17 +216,26 @@ def _load_run_config(args, model) -> tuple:
             raise InputFileError(path, f"{key!r} must be a JSON object")
         return value
 
-    def bindings(obj: dict, key: str, value=float) -> dict:
+    def finite(v) -> float:
+        # json reads NaN, Infinity and 1e999 as floats that are not finite.
+        x = float(v)
+        if not math.isfinite(x):
+            raise ValueError(f"not a finite number: {v!r}")
+        return x
+
+    def bindings(obj: dict, key: str, value=finite) -> dict:
         """Member `key` of `obj`: an object binding variables to values."""
-        pairs = member(obj, key, {})
-        try:
-            return {Ident(k): value(v) for k, v in pairs.items()}
-        except (TypeError, ValueError) as exc:
-            raise InputFileError(path, f"{key!r}: {exc}") from None
+        out = {}
+        for name, v in member(obj, key, {}).items():
+            try:
+                out[Ident(name)] = value(v)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputFileError(path, f"{key!r}: {name!r}: {exc}") from None
+        return out
 
     def bounds(pair) -> tuple[float, float]:
         lo, hi = pair
-        return float(lo), float(hi)
+        return finite(lo), finite(hi)
 
     if not isinstance(raw, dict):
         raise InputFileError(path, "a run configuration is a JSON object")
@@ -236,7 +249,7 @@ def _load_run_config(args, model) -> tuple:
         ranges = bindings(spec, "ranges", bounds)
         try:
             seed = int(spec.get("seed", 0))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputFileError(path, f"'seed': {exc}") from None
         provider = UniformInputs(ranges, seed=seed)
     elif mode == "csv":

@@ -222,10 +222,6 @@ class Source:
         _, lines, text, _ = self._write(node, name)
         return lines + [f"{target} = {text}"]
 
-    def assign(self, target: str, node, name: Callable[[Ident], str], indent: int) -> None:
-        for text in self.render(target, node, name):
-            self.line(indent, text)
-
     def _write(self, node, name) -> tuple:
         """One fold over `node` that writes it and refuses it when it is
         deeper than MAX_DEPTH. A term or formula gives (depth, lines, text,

@@ -29,12 +29,9 @@ class EvalError(PlchpError):
 
 
 class UnboundVariable(EvalError):
-    def __init__(self, name, context: str | None = None):
+    def __init__(self, name):
         self.name = name
-        msg = f"unbound variable {name!s}"
-        if context:
-            msg += f" in {context}"
-        super().__init__(msg)
+        super().__init__(f"unbound variable {name!s}")
 
 
 class DivisionByZero(EvalError):

@@ -18,7 +18,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
-from .errors import DialectError, UnboundVariable
+from .errors import DialectError, NotNormalForm, UnboundVariable
 
 # Words that may not be used as identifiers in either surface syntax.
 RESERVED_WORDS = frozenset({
@@ -669,4 +669,4 @@ class ScanCycleModel:
             raise DialectError("assumptions and safety must be HP-dialect formulas")
         clock = self.plant.clock
         if clock in self.inputs or clock in collect_vars(self.ctrl):
-            raise ValueError(f"plant clock {clock} must not appear in ctrl or inputs")
+            raise NotNormalForm(f"plant clock {clock} appears in ctrl or inputs")

@@ -32,6 +32,7 @@ import csv
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isfinite
 from typing import Optional, Sequence
 
 from .analysis import IoClassification, resolve_epsilon
@@ -510,8 +511,9 @@ def write_trace_file(path, records, io_spec) -> None:
 
 def read_trace(stream) -> tuple[list[str], list[dict]]:
     """Parse a trace CSV; `#`-prefixed lines are comments. A malformed
-    column name, short row or non-numeric cell raises InputFileError with
-    the stream's name and the line."""
+    column name, a row whose length is not the header's, or a cell that is
+    not a finite number raises InputFileError with the stream's name and
+    the line."""
     source = getattr(stream, "name", "<trace>")
     line = 0
 
@@ -539,23 +541,32 @@ def read_trace(stream) -> tuple[list[str], list[dict]]:
     for raw in reader:
         if not raw:
             continue
-        if len(raw) < len(header):
+        if len(raw) != len(header):
             raise InputFileError(
                 source, f"row has {len(raw)} cells but the header has {len(header)}", line)
         row: dict = {}
         for col, (name, key, cell) in enumerate(zip(header, keys, raw), 1):
             try:
-                row[key] = int(cell) if name == CYCLE_COLUMN else float(cell)
+                if name == CYCLE_COLUMN:
+                    row[key] = int(cell)
+                    continue
+                row[key] = value = float(cell)
             except ValueError:
                 raise InputFileError(
                     source, f"column {col} ({name}): not a number: {cell!r}", line) from None
+            if not isfinite(value):
+                raise InputFileError(
+                    source, f"column {col} ({name}): not a finite number: {cell!r}", line)
         rows.append(row)
     return header, rows
 
 
 def read_trace_file(path) -> tuple[list[str], list[dict]]:
     with open(path, "r", encoding="utf-8") as handle:
-        return read_trace(handle)
+        try:
+            return read_trace(handle)
+        except UnicodeDecodeError:
+            raise InputFileError(path, "not UTF-8 text") from None
 
 
 # ---------------------------------------------------------------------------

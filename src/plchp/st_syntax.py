@@ -10,6 +10,7 @@ rejected with an error naming the construct.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -72,8 +73,8 @@ class StConfig:
     host: Ident = Ident("PLC")
 
     def __post_init__(self):
-        if self.interval <= 0:
-            raise ValueError("task interval must be positive")
+        if not 0 < self.interval < math.inf:
+            raise ValueError("task interval must be positive and finite")
         if self.priority < 0:
             raise ValueError("task priority must be non-negative")
 
@@ -288,6 +289,8 @@ class _Parser(Parser):
         dur = self.peek()
         if dur.kind != "duration":
             self.fail(f"found {self.describe(dur)}", "duration literal T#<n> s|ms")
+        if not 0 < dur.seconds < math.inf:
+            self.fail("task interval must be positive and finite")
         self.next()
         self.expect_op(",")
         self.expect_kw("PRIORITY")

@@ -16,10 +16,11 @@ from plchp import (
 from plchp.dl_syntax import print_dl_model, print_dl
 from plchp.errors import EvalError
 from plchp.semantics import (
-    GenConfig, behavioral_var_sets, derive_seed, eval_formula, eval_term,
+    GenConfig, derive_seed, eval_formula, eval_term,
     fully_complemented, gen_formula, gen_hp, gen_st, gen_state, gen_term,
-    gen_transparent_hp, hp_reachable, run_st,
+    hp_reachable, run_st,
 )
+from oracle import behavioral_var_sets, gen_transparent_hp
 from plchp.sim import ConstantInputs, SimConfig, UniformInputs, check_safety, simulate
 from plchp.st_syntax import print_st, tokenize
 from plchp.translate import (

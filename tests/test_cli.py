@@ -249,6 +249,28 @@ def test_simulate_csv_mode_without_path(tmp_path):
     assert "run.json: input mode 'csv' needs a 'path' string" in err
 
 
+@pytest.mark.parametrize("config_text, line", [
+    ('{"params": {"HH": NaN}}', "'params': 'HH': not a finite number: nan"),
+    ('{"init": {"x1": Infinity}}', "'init': 'x1': not a finite number: inf"),
+    ('{"inputs": {"values": {"f1": -1e999}}}', "'values': 'f1': not a finite number: -inf"),
+    ('{"inputs": {"mode": "uniform", "ranges": {"f1": [0, 1e999]}}}',
+     "'ranges': 'f1': not a finite number: inf"),
+    ('{"inputs": {"mode": "uniform", "seed": Infinity}}',
+     "'seed': cannot convert float infinity to integer"),
+], ids=["NaN", "Infinity", "-1e999", "range", "seed"])
+def test_simulate_refuses_a_number_that_is_not_finite(tmp_path, config_text, line):
+    assert _simulate_with(tmp_path, config_text) == (1, f"error: run.json: {line}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("comply", "--model", "bad.txt", "--trace", "trace.csv"),
+    ("comply", "--model", data("watertank_safe_model.dlhp"), "--trace", "bad.txt"),
+], ids=["model", "trace"])
+def test_a_file_that_is_not_utf8_is_one_line(tmp_path, argv):
+    (tmp_path / "bad.txt").write_bytes(b"cycle,f1\n0,\xff\n")
+    assert run_process(tmp_path, *argv) == (1, "error: bad.txt: not UTF-8 text\n")
+
+
 # A numeric option out of range is a usage error: exit 2 and a usage line.
 SIMULATE = ("simulate", "--model", data("watertank_safe_model.dlhp"),
             "--inputs", "run.json", "--out", "trace.csv")

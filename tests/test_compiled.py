@@ -196,7 +196,8 @@ def emitted_outcome(node, s):
     names = {x: f"x{i}" for i, (x, _) in enumerate(s.items())}
     source = Source()
     source.line(0, f"def f({', '.join(names.values())}):")
-    source.assign("result", node, names.__getitem__, 1)
+    for text in source.render("result", node, names.__getitem__):
+        source.line(1, text)
     source.line(1, "return result")
     f = source.define("f")
     return outcome(lambda: f(*(value for _, value in s.items())))

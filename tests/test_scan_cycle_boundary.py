@@ -1,12 +1,16 @@
-"""The scan-cycle boundary: one plant decoder and one cycle-duration rule.
+"""The scan-cycle boundary: one plant decoder, one cycle-duration rule and
+one plant-clock rule.
 
 `analysis.plant_fragment` decodes the plant both as the end of a model's
 loop body and as the `--plant` file of `st2hp`; `analysis.resolve_epsilon`
 gives `simulate` its cycle duration and `hp2st` its task interval. Here the
 two commands are held to the same value or the same error on one table of
 models, and each decoder's rejections are held to one located line.
+`ir.ScanCycleModel` alone refuses a plant clock in the controller or the
+inputs, whether the model is validated from a file or built directly.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -17,6 +21,7 @@ from plchp.analysis import plant_fragment, validate_scan_cycle_form
 from plchp.cli import main
 from plchp.dl_syntax import parse_dl_model, parse_dl_program
 from plchp.errors import NotNormalForm
+from plchp.ir import Assign, Ident, Number, Seq
 from plchp.translate import task_hp_to_st
 
 PLANT = "t:=0;\n{x1'=V1*f1-V2*P*f2, x2'=V2*P*f2, t'=1 & t<=eps & x1>=0 & x2>=0}\n"
@@ -180,3 +185,34 @@ def test_plant_fragment_is_the_plant_of_a_model():
         == whole.plant == golden.PLANT
     with pytest.raises(NotNormalForm, match="^1:7: missing clock ODE t'=1$"):
         plant_fragment(parse_dl_program("t:=0; {x'=1, s'=1 & t<=eps}"))
+
+
+# ---------------------------------------------------------------------------
+# One plant-clock rule
+
+CLOCK_CLASH = "plant clock t appears in ctrl or inputs"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: {"ctrl": Seq(m.ctrl, Assign(Ident("t"), Number("1")))},
+    lambda m: {"inputs": m.inputs + (Ident("t"),)},
+], ids=["ctrl", "inputs"])
+def test_a_model_built_directly_refuses_the_clock(edit):
+    good = model("eps=1")
+    with pytest.raises(NotNormalForm) as caught:
+        dataclasses.replace(good, **edit(good))
+    assert str(caught.value) == CLOCK_CLASH and caught.value.location is None
+
+
+@pytest.mark.parametrize("command", ["hp2st", "analyze"])
+@pytest.mark.parametrize("body, line", [
+    ("i:=*; y:=t;", f"m.dlhp:{CLOCK_CLASH}\n"),
+    ("t:=*; y:=1;", f"m.dlhp:{CLOCK_CLASH}\n"),
+    ("i:=*; ?y>=1; y:=t;", "m.dlhp:1:19: test outside guarded choice\n"),
+], ids=["ctrl", "inputs", "shape first"])
+def test_commands_refuse_the_clock_in_ctrl_or_inputs(capsys, tmp_path, monkeypatch, command,
+                                                     body, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.dlhp").write_text(
+        f"eps=1 -> [{{ {body} t:=0; {{x'=y, t'=1 & t<=eps}} }}*] x>=0\n")
+    assert run(capsys, command, "m.dlhp") == (1, "", line)

@@ -13,10 +13,9 @@ from plchp.ir import (
     And, BinOp, BoolConst, DIV, GE, IfThen, POW,
     SUB, Xor, )
 from plchp.semantics import (
-    DiffReport, GenConfig, MAX_CHOICE_NODES, behavioral_var_sets,
-    count_choices, difftest, derive_seed, gen_state,
-    gen_transparent_hp,
+    DiffReport, GenConfig, MAX_CHOICE_NODES, difftest, derive_seed, gen_state,
 )
+from oracle import behavioral_var_sets, count_choices, gen_transparent_hp
 from plchp.translate import prog_st_to_hp
 
 

