@@ -247,11 +247,13 @@ def _load_run_config(args, model) -> tuple:
         provider = ConstantInputs(bindings(spec, "values"))
     elif mode == "uniform":
         ranges = bindings(spec, "ranges", bounds)
+        seed = spec.get("seed", 0)
         try:
-            seed = int(spec.get("seed", 0))
+            if seed.__class__ is bool or int(seed) != seed:
+                raise ValueError(f"not an integer: {json.dumps(seed)}")
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputFileError(path, f"'seed': {exc}") from None
-        provider = UniformInputs(ranges, seed=seed)
+        provider = UniformInputs(ranges, seed=int(seed))
     elif mode == "csv":
         trace = spec.get("path")
         if not isinstance(trace, str):

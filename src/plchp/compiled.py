@@ -10,12 +10,11 @@ The emitted code is a faster form of the reference interpreters `eval_term`,
 `eval_formula` and `run_st`, not a second semantics: it takes what each
 operator computes from `semantics.OPERATORS` and `semantics.divide`, applies
 them in the same order, left operand before right, and keeps the
-connectives strict. It reads slots without an unbound check; instead each
-function first checks the slots it may read before writing them (every
-variable of a term or formula, the free variables of an ST body) and, if one
-is unbound, runs that call on the reference interpreter, which raises where
-its walk reads the slot. The tests hold the two to each other bit for bit,
-and to the class and message of every error.
+connectives strict. Each variable read loads its slot into a local and
+raises UnboundVariable there if the slot is None, so an error is the one
+the interpreters raise at the same point of the same left-to-right walk,
+and every call runs the emitted code alone. The tests hold the two to each
+other bit for bit, and to the class and message of every error.
 
 A tree is written in one fold (`ir.fold`), in bounded stack. The source stays
 inside CPython's compiler limits: no line nests parentheses, an ELSIF chain
@@ -31,14 +30,13 @@ import math
 import operator
 from typing import Callable
 
-from .analysis import var_sets
 from .errors import PlchpError, UnboundVariable
 from .ir import (
     CHILDREN, Assign, BoolConst, DIV, Formula, Ident, IfThen, Neg, Not, Number,
     POW, PlantSpec, Program, Seq, State, TRUE, Term, Var, collect_vars, fold,
     operator_key, seq_to_list,
 )
-from .semantics import OPERATORS, divide, eval_formula, eval_term, power, run_st
+from .semantics import OPERATORS, divide, power
 
 Slots = list  # list[Optional[float]], indexed by a Layout's slots
 TermFn = Callable[[Slots], float]
@@ -87,10 +85,9 @@ def read(values: Slots, i: int, name: Ident) -> float:
 
 # Deepest tree that compiles, counted in expression nodes and IF statements
 # from root to leaf. The emitted code runs each IF branch that holds an IF as
-# a function of its own, one Python frame per level, and the interpreters it
-# falls back on recurse one frame per expression level; so either runs at
-# most about 300 frames, inside the default recursion limit of 1000 with room
-# for the caller's. A division by zero prints its term with the iterative dL
+# a function of its own, one Python frame per level, so it runs at most about
+# 300 frames, inside the default recursion limit of 1000 with room for the
+# caller's. A division by zero prints its term with the iterative dL
 # printer, which needs no stack.
 MAX_DEPTH = 300
 
@@ -144,14 +141,6 @@ _SYMBOL = {
 }
 _INFIX = {key: _SYMBOL[f] for key, f in OPERATORS.items() if f is not power}
 
-# What a function of each kind runs when a slot it reads is unbound: the
-# reference interpreter on the tree, over the State of the slots.
-_INTERPRETED = {
-    Term: ["return eval_term({tree}, layout.state(v))"],
-    Formula: ["return eval_formula({tree}, layout.state(v))"],
-    Program: ["v[:] = layout.load(run_st({tree}, layout.state(v)))", "return"],
-}
-
 
 @functools.lru_cache(maxsize=128)
 def _code(text: str):
@@ -161,7 +150,7 @@ def _code(text: str):
 
 class Source:
     """A Python module being written: `function` adds a function of a slot
-    list for a tree, `line` a statement, `assign` the statements that
+    list for a tree, `line` a statement, `render` the statements that
     evaluate a term or formula, and `module` runs it all, compiled once.
 
     A term or formula is written one operation per assignment: each
@@ -173,8 +162,7 @@ class Source:
     def __init__(self):
         self.lines: list[str] = []
         self.constants = {
-            "divide": divide, "power": power, "inf": math.inf,
-            "eval_term": eval_term, "eval_formula": eval_formula, "run_st": run_st,
+            "divide": divide, "power": power, "inf": math.inf, "UnboundVariable": UnboundVariable,
         }
         self._temps = 0
         self._functions = 0
@@ -185,34 +173,14 @@ class Source:
     def function(self, node, layout: Layout) -> str:
         """Add `node` as a function of a slot list `v` of `layout`, and
         return its name. For a term or formula it returns the value; for an
-        ST statement it updates `v` in place. It first checks the slots it
-        may read before writing them, and runs the reference interpreter
-        instead if one is unbound."""
-        reads: set[int] = set()
-
-        def name(x: Ident) -> str:
-            i = layout.slot(x)
-            reads.add(i)
-            return f"v[{i}]"
-
-        written = self._write(node, name)
+        ST statement it updates `v` in place. Each variable read loads its
+        slot into a local, which raises UnboundVariable where it is None."""
+        written = self._write(node, lambda x: f"v[{layout.slot(x)}]", checked=True)
         body = written[1]
         if not isinstance(node, Program):
             body.append(f"return {written[2]}")
-        else:
-            try:
-                reads = {layout.slots[x] for x in var_sets(node).free}
-            except TypeError:  # a hybrid statement, which fails when reached
-                pass
-        self.constants["layout"] = layout
-        tree = self._constant(node)
         function = self._name()
         self.line(0, f"def {function}(v):")
-        if reads:
-            self.line(1, "if " + " or ".join(f"v[{i}] is None" for i in sorted(reads)) + ":")
-            kind = next(cls for cls in _INTERPRETED if isinstance(node, cls))
-            for text in _INTERPRETED[kind]:
-                self.line(2, text.format(tree=tree))
         self.lines += ["    " + text for text in body]
         return function
 
@@ -222,12 +190,13 @@ class Source:
         _, lines, text, _ = self._write(node, name)
         return lines + [f"{target} = {text}"]
 
-    def _write(self, node, name) -> tuple:
+    def _write(self, node, name, checked: bool = False) -> tuple:
         """One fold over `node` that writes it and refuses it when it is
         deeper than MAX_DEPTH. A term or formula gives (depth, lines, text,
         pending): the assignments that evaluate its operands, and its own
         operation, or operand when `pending` is false. A statement gives
-        (depth, lines, holds an IF). Lines are unindented."""
+        (depth, lines, holds an IF). Lines are unindented. When `checked`,
+        each variable read is a local that raises UnboundVariable if None."""
         def combine(n, kids):
             cls = n.__class__
             depth = max([kid[0] for kid in kids], default=0)
@@ -249,12 +218,17 @@ class Source:
             if isinstance(n, Program):
                 message = f"run_st executes ST statements, not {cls.__name__}"
                 return depth, [f"raise TypeError({message!r})"], False
+            if cls is Var and checked:
+                temp = self._temp()
+                x = n.ident
+                self.constants[f"n_{x.name}"] = x
+                return depth, [f"{temp} = {name(x)}",
+                               f"if {temp} is None: raise UnboundVariable(n_{x.name})"], temp, False
             lines, operands = [], []
             for _, kid_lines, text, pending in kids:
                 lines += kid_lines
                 if pending:
-                    temp = f"e{self._temps}"
-                    self._temps += 1
+                    temp = self._temp()
                     lines.append(f"{temp} = {text}")
                     text = temp
                 operands.append(text)
@@ -312,6 +286,10 @@ class Source:
         name = f"tree{len(self.constants)}"
         self.constants[name] = node
         return name
+
+    def _temp(self) -> str:
+        self._temps += 1
+        return f"e{self._temps - 1}"
 
     def _name(self) -> str:
         self._functions += 1

@@ -106,7 +106,7 @@ class CompiledPlant:
         src = Source()
         rates = [src.function(rhs, layout) for _, rhs in plant.odes]
         domain = None if plant.domain == TRUE else src.function(plant.domain, layout)
-        # (conjunct, its function, (relation, left, right) when it is a
+        # (conjunct, its function, (relation, left - right) when it is a
         # comparison affine in the evolving variables, else None)
         parts = []
         if domain is not None:
@@ -115,13 +115,12 @@ class CompiledPlant:
                 linear = None
                 if isinstance(part, Cmp) and part.rel in (LT, LE, GT, GE) and \
                         _is_affine_term(part.left, evolving) and _is_affine_term(part.right, evolving):
-                    linear = (part.rel, src.function(part.left, layout),
-                              src.function(part.right, layout))
+                    linear = (part.rel, src.function(BinOp(SUB, part.left, part.right), layout))
                 parts.append((part, src.function(part, layout), linear))
         defined = src.module().get
         self.rates = [defined(f) for f in rates]
         self.domain = defined(domain)
-        self.parts = [(part, defined(holds), linear and (linear[0], *map(defined, linear[1:])))
+        self.parts = [(part, defined(holds), linear and (linear[0], defined(linear[1])))
                       for part, holds, linear in parts]
 
     @cached_property
@@ -248,9 +247,9 @@ def _is_affine_term(t, evolving) -> bool:
 
 def _linear_violation(linear, v0: Slots, v1: Slots, duration: float) -> Optional[float]:
     """Exact first-violation time of a comparison linear in time."""
-    rel, left, right = linear
-    d0 = left(v0) - right(v0)
-    d1 = left(v1) - right(v1)
+    rel, difference = linear
+    d0 = difference(v0)
+    d1 = difference(v1)
     holds = OPERATORS[rel]  # `left rel right` is `d rel 0`
     if not holds(d0, 0.0):
         return 0.0
@@ -510,10 +509,10 @@ def write_trace_file(path, records, io_spec) -> None:
 
 
 def read_trace(stream) -> tuple[list[str], list[dict]]:
-    """Parse a trace CSV; `#`-prefixed lines are comments. A malformed
-    column name, a row whose length is not the header's, or a cell that is
-    not a finite number raises InputFileError with the stream's name and
-    the line."""
+    """Parse a trace CSV; `#`-prefixed lines are comments. A malformed or
+    repeated column name, a row whose length is not the header's, or a cell
+    that is not a finite number raises InputFileError with the stream's name
+    and the line."""
     source = getattr(stream, "name", "<trace>")
     line = 0
 
@@ -533,6 +532,9 @@ def read_trace(stream) -> tuple[list[str], list[dict]]:
         raise SchemaError([CYCLE_COLUMN])
     keys: list = []
     for col, name in enumerate(header, 1):
+        first = header.index(name) + 1
+        if first != col:
+            raise InputFileError(source, f"column {col}: {name} is also column {first}", line)
         try:
             keys.append(CYCLE_COLUMN if name == CYCLE_COLUMN else Ident(name))
         except ValueError as exc:

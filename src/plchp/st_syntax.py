@@ -249,15 +249,26 @@ class _Parser(Parser):
 
     # -- declarations and configuration ---------------------------------------
 
-    def var_block(self) -> StVarBlock:
+    def var_block(self, declared: set) -> StVarBlock:
+        """A VAR block; each name it declares joins `declared`, and one
+        already there is an error at the name."""
         kw = self.next()
         kind = VAR_KINDS[kw.value]
         decls: list[tuple[Ident, str]] = []
+
+        def declare() -> Ident:
+            tok = self.peek()
+            name = self.expect_ident()
+            if name in declared:
+                raise ParseError(f"duplicate variable declaration: {name}", tok.line, tok.col)
+            declared.add(name)
+            return name
+
         while not self.at_kw("END_VAR"):
-            names = [self.expect_ident()]
+            names = [declare()]
             while self.at_op(","):
                 self.next()
-                names.append(self.expect_ident())
+                names.append(declare())
             self.expect_op(":")
             ty = self.peek()
             if ty.kind == "kw" and ty.value in TYPES:
@@ -332,8 +343,9 @@ class _Parser(Parser):
         self.expect_kw("PROGRAM")
         program_name = self.expect_ident()
         blocks: list[StVarBlock] = []
+        declared: set[Ident] = set()
         while self.at_kw(*VAR_KINDS):
-            blocks.append(self.var_block())
+            blocks.append(self.var_block(declared))
         body = list_to_seq(run_nested(self.statement_list()))
         self.expect_kw("END_PROGRAM")
         if self.at_op(";"):
@@ -346,10 +358,7 @@ class _Parser(Parser):
         tok = self.peek()
         if tok.kind != "eof":
             self.fail(f"unexpected trailing input: {self.describe(tok)}", "end of file")
-        try:
-            return StUnit(program_name, tuple(blocks), body, config)
-        except ValueError as exc:  # duplicate declarations
-            raise ParseError(str(exc), 1, 1) from None
+        return StUnit(program_name, tuple(blocks), body, config)
 
 
 def _fold_if(arms, else_body, pos) -> Program:

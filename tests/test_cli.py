@@ -257,7 +257,11 @@ def test_simulate_csv_mode_without_path(tmp_path):
      "'ranges': 'f1': not a finite number: inf"),
     ('{"inputs": {"mode": "uniform", "seed": Infinity}}',
      "'seed': cannot convert float infinity to integer"),
-], ids=["NaN", "Infinity", "-1e999", "range", "seed"])
+    # Nor is a seed that is not an integer read as one.
+    ('{"inputs": {"mode": "uniform", "seed": 1.9}}', "'seed': not an integer: 1.9"),
+    ('{"inputs": {"mode": "uniform", "seed": true}}', "'seed': not an integer: true"),
+    ('{"inputs": {"mode": "uniform", "seed": "7"}}', "'seed': not an integer: \"7\""),
+], ids=["NaN", "Infinity", "-1e999", "range", "seed", "seed 1.9", "seed true", "seed string"])
 def test_simulate_refuses_a_number_that_is_not_finite(tmp_path, config_text, line):
     assert _simulate_with(tmp_path, config_text) == (1, f"error: run.json: {line}\n")
 
@@ -407,9 +411,8 @@ def test_round_trip_10000_deep_expressions(tmp_path, body):
 
 # ---------------------------------------------------------------------------
 # Long expressions. Sums, conjunctions and power chains of any length go
-# st2hp -> hp2st -> st2hp and give the same model text both times. The
-# interpreters that compiled code falls back on recurse one Python frame per
-# level, so `simulate` and `comply` refuse an expression nested past
+# st2hp -> hp2st -> st2hp and give the same model text both times.
+# `simulate` and `comply` refuse an expression nested past
 # `compiled.MAX_DEPTH` with a one-line error.
 
 def chain(op, n, operand="u"):

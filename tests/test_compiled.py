@@ -6,12 +6,13 @@ Each case runs a tree through the interpreter (`eval_term`, `eval_formula`,
 bit-equal values (`float.hex`, bit-pattern `State` equality), or the same
 `EvalError` subclass with the same message. Random cases come from the
 difftest generators at depth 5 (ST bodies also at depths 1 to 4), on full
-states and on states with variables left unbound, which run on the
-interpreter fallback. Terms and formulas written by `Source.assign` are held
-to the interpreters the same way, on full states, and the emitted RK4 loop
-to a copy of the closure loop it replaced. Last, the water-tank runs count
-what they pay for: RK4 loop emissions, `compile()` calls and interpreter
-fallbacks.
+states and on states with variables left unbound, where the compiled code
+raises from its own check at the first unbound read. Terms and formulas
+written by `Source.render`, which reads without a check, are held to the
+interpreters the same way on full states, and the emitted RK4 loop to a copy
+of the closure loop it replaced. Last, the water-tank runs count what they
+pay for, RK4 loop emissions and `compile()` calls, and show that no module
+they compile calls an interpreter.
 """
 
 import io
@@ -412,16 +413,16 @@ def test_deeper_rk4_plant_is_refused(rate_levels, domain_levels):
         "PlchpError", f"expression nested too deeply to compile (more than {MAX_DEPTH} levels)")}
 
 
-def counted_compiles(monkeypatch):
-    """How many times `plchp.compiled` calls `compile()` from now on."""
-    calls = [0]
+def compiled_sources(monkeypatch):
+    """The source text of each `compile()` call of `plchp.compiled` from now on."""
+    texts = []
 
-    def counting(*args):
-        calls[0] += 1
-        return compile(*args)
+    def recording(text, *args):
+        texts.append(text)
+        return compile(text, *args)
 
-    monkeypatch.setattr(compiled, "compile", counting, raising=False)
-    return calls
+    monkeypatch.setattr(compiled, "compile", recording, raising=False)
+    return texts
 
 
 def tank_run(edit, method, cycles):
@@ -472,44 +473,34 @@ def test_rk4_runs_emit_once_per_run(monkeypatch, edit, method):
 
 @pytest.mark.parametrize("edit, method", RUNS)
 def test_compiles_do_not_grow_with_the_cycle_count(monkeypatch, edit, method):
-    calls = counted_compiles(monkeypatch)
+    texts = compiled_sources(monkeypatch)
     counts = []
     for cycles in (1, 20):
         compiled._code.cache_clear()
-        before = calls[0]
+        before = len(texts)
         tank_run(edit, method, cycles)
-        counts.append(calls[0] - before)
+        counts.append(len(texts) - before)
     assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("edit, method", RUNS)
 def test_a_repeated_run_compiles_nothing(monkeypatch, edit, method):
-    calls = counted_compiles(monkeypatch)
+    texts = compiled_sources(monkeypatch)
     compiled._code.cache_clear()
     tank_run(edit, method, cycles=20)
-    first = calls[0]
+    first = len(texts)
     assert first > 0
     tank_run(edit, method, cycles=20)
-    assert calls[0] == first
+    assert len(texts) == first
 
 
 # ---------------------------------------------------------------------------
-# The interpreter fallback: taken only when a slot read is unbound
-
-def counted_fallbacks(monkeypatch):
-    """How many times emitted code runs each reference interpreter from now on."""
-    calls = Counter()
-    for interpret in (eval_term, eval_formula, run_st):
-        def counting(*args, interpret=interpret):
-            calls[interpret.__name__] += 1
-            return interpret(*args)
-        monkeypatch.setattr(compiled, interpret.__name__, counting)
-    return calls
-
+# One execution path: the emitted code never calls an interpreter
 
 @pytest.mark.parametrize("edit, method", RUNS)
 def test_tank_runs_never_fall_back(monkeypatch, edit, method):
-    calls = counted_fallbacks(monkeypatch)
+    texts = compiled_sources(monkeypatch)
+    compiled._code.cache_clear()
     model, records = tank_run(edit, method, cycles=20)
     assert check_safety(records, model.safety) == []
     io_spec = classify_io(model.ctrl, model.inputs, model.plant)
@@ -518,11 +509,12 @@ def test_tank_runs_never_fall_back(monkeypatch, edit, method):
     trace.seek(0)
     _, rows = read_trace(trace)
     assert check_compliance(model.ctrl, rows, io_spec).instances == ()
-    assert calls == Counter()
-    # The counter counts: a body with a free variable unbound falls back.
+    # A body with a free variable unbound raises from its own read of it.
     body = parse_st_statements("IF a > 0 THEN y := z; END_IF;")
     assert st_outcomes(body, state(a=1, y=0)) == ((UnboundVariable, "unbound variable z"),) * 2
-    assert calls == Counter(run_st=1)
+    assert texts
+    for text in texts:
+        assert not any(name in text for name in ("eval_term", "eval_formula", "run_st(")), text
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
@@ -530,7 +522,7 @@ def test_emitted_st_bodies_at_each_depth(depth):
     kinds = Counter()
     for seed in range(300):
         body = gen_st(GenConfig(max_depth=depth, seed=seed))
-        for s in states(seed):  # a partial state runs on the interpreter
+        for s in states(seed):  # a partial state raises at its first unbound read
             reference, emitted = st_outcomes(body, s)
             assert emitted == reference, (seed, body, s)
             kinds[kind(reference)] += 1

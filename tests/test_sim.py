@@ -296,6 +296,9 @@ def test_trace_missing_cycle_column():
     ("cycle,f1\n0,nan\n", "<trace>:2: column 2 (f1): not a finite number: 'nan'"),
     ("cycle,f1\n0,1\n1,-inf\n", "<trace>:3: column 2 (f1): not a finite number: '-inf'"),
     ("cycle,f1\n0,1.5,9\n", "<trace>:2: row has 3 cells but the header has 2"),
+    ("cycle,f1,f1\n0,1.0,2.0\n", "<trace>:1: column 3: f1 is also column 2"),
+    ("cycle,cycle,f1\n0,5,2.0\n", "<trace>:1: column 2: cycle is also column 1"),
+    ("# note\ncycle,f1, f1\n0,1,2\n", "<trace>:2: column 3: f1 is also column 2"),
 ])
 def test_malformed_trace_names_the_line(text, message):
     with pytest.raises(InputFileError) as info:

@@ -27,7 +27,7 @@ from plchp.compiled import Layout
 from plchp.errors import ConflictingEpsilon, MissingInput, PlchpError
 from plchp.semantics import eval_formula, run_st
 from plchp.sim import (
-    CompiledPlant, ConstantInputs, CsvInputs, IntegratorConfig, SimConfig,
+    CompiledPlant, ConstantInputs, CsvInputs, InputProvider, IntegratorConfig, SimConfig,
     UniformInputs, resolve_epsilon, trace_columns, write_trace,
 )
 from plchp.translate import prog_hp_to_st
@@ -306,6 +306,36 @@ def test_passing_check_assumptions():
 def test_unbound_variable_in_assumptions():
     got = assert_same(without("FL", model="original", check_assumptions=True))
     assert got == {"simulate": ("UnboundVariable", "unbound variable FL")}
+
+
+class LoggedInputs(InputProvider):
+    """u = 2 every cycle, noting each cycle it is asked for."""
+
+    def __init__(self):
+        self.asked = []
+
+    def values(self, cycle):
+        self.asked.append(cycle)
+        return {ident("u"): 2.0}
+
+
+def test_unbound_read_first_reached_at_a_later_cycle():
+    # x falls by 1 a cycle from 3.5; the branch that reads the unbound z is
+    # first taken at cycle 3, when x is 0.5.
+    model = validate_scan_cycle_form(parse_dl_model(
+        "eps=1 -> [{ u:=*; {?x<1; y:=z;} ++ {?!(x<1); y:=u;} t:=0; "
+        "{x'=0-1, t'=1 & t<=eps} }*] x>=-100"))
+    body, _ = prog_hp_to_st(model.ctrl)
+    initial = State({ident("x"): 3.5, ident("y"): 0.0})
+    for cycles in (3, 6):
+        inputs = LoggedInputs()
+        got = assert_same((model, body, inputs, cycles, initial, SimConfig()))
+        if cycles == 3:  # the cycles before it run
+            assert [rec[2]["x"] for rec in got["records"]] == [
+                (3.5).hex(), (2.5).hex(), (1.5).hex()]
+        else:
+            assert got == {"simulate": ("UnboundVariable", "unbound variable z")}
+        assert inputs.asked == list(range(min(cycles, 4))) * 2  # the reference, then simulate
 
 
 def test_symbolic_epsilon_without_a_value():

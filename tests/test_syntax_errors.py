@@ -69,7 +69,7 @@ CASES = [
     (parse_st_statements, "IF a > 0 THEN END_IF;",
      "1:15: statement expected (expected assignment or IF)"),
     (parse_st, "PROGRAM p VAR x : REAL; END_VAR VAR x : REAL; END_VAR x:=1; END_PROGRAM",
-     "1:1: duplicate variable declaration: x"),
+     "1:37: duplicate variable declaration: x"),
     # -- hybrid programs ----------------------------------------------------
     (parse_dl_program, "x := 1;\n\t\ty := $;",
      "2:8: unexpected character '$'"),
@@ -120,6 +120,9 @@ CASES = [
      "2:52: task interval must be positive and finite"),
     (parse_st, _TASK.format("T#1e400 s"),
      "2:52: task interval must be positive and finite"),
+    # -- a name declared twice in one list, before a later syntax error -------
+    (parse_st, "PROGRAM p VAR x, y,\n  x : REAL; END_VAR x := ; END_PROGRAM",
+     "2:3: duplicate variable declaration: x"),
 ]
 
 
