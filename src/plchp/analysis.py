@@ -16,9 +16,9 @@ from typing import Optional, Union
 from .dl_syntax import DlSafetyFormula, print_dl_formula
 from .errors import ConflictingEpsilon, MissingEpsilon, NotNormalForm
 from .ir import (
-    Assign, Choice, Cmp, EQ, Formula, GuardedChoice, HP_STATEMENTS, Ident, LE,
-    GE, Loop, Number, OdeSystem, PlantSpec, Program, RandomAssign,
-    ScanCycleModel, Seq, TRANSLATABLE, TRUE, TestStmt, Var, collect_vars,
+    Assign, CHILDREN, Choice, Cmp, EQ, Formula, GuardedChoice, HP_STATEMENTS,
+    Ident, IfThen, LE, GE, Loop, Number, OdeSystem, PlantSpec, Program,
+    RandomAssign, ScanCycleModel, Seq, TRUE, TestStmt, Var,
     conjoin, conjuncts, fold, list_to_seq, seq_to_list, walk,
 )
 
@@ -59,32 +59,49 @@ def var_sets(p: Program) -> VarSets:
     variables are free, BV is the union of the branches, MBV the intersection
     (an absent branch contributes nothing).
     """
-    return fold(p, _var_sets, TRANSLATABLE)
+    return _facts(p)[0]
 
 
-_NONE = VarSets(frozenset(), frozenset(), frozenset())
+# The translatable statements, with the right-hand side of an assignment and
+# the guard of a conditional as children, so a fold meets them in source order.
+_FACT_CHILDREN = {cls: CHILDREN[cls] for cls in (Assign, Seq, IfThen, GuardedChoice)}
 
 
-def _var_sets(p: Program, kids) -> VarSets:
-    cls = p.__class__
-    if cls is Assign:
-        target = frozenset((p.target,))
-        return VarSets(frozenset(collect_vars(p.value)), target, target)
-    if cls is Seq:
-        first, second = kids
-        return VarSets(
-            first.free | (second.free - first.must_bound),
-            first.bound | second.bound,
-            first.must_bound | second.must_bound,
-        )
-    if cls not in TRANSLATABLE:
-        raise TypeError(f"var_sets is defined on the translatable fragment, not {cls.__name__}")
-    t, e = kids if len(kids) == 2 else (kids[0], _NONE)
-    return VarSets(
-        frozenset(collect_vars(p.guard if cls is GuardedChoice else p.cond)) | t.free | e.free,
-        t.bound | e.bound,
-        t.must_bound & e.must_bound,
-    )
+def _facts(p: Program) -> tuple[VarSets, dict[Ident, None], dict[Ident, None]]:
+    """The VarSets of a translatable program, and the variables it reads and
+    assigns, each in first-seen order, from one fold. Only a parent reads the
+    sets of its children, so each step grows the larger operand in place, and
+    Seq and ELSIF chains cost set work linear in their length."""
+    read, assigned = {}, {}
+
+    def combine(n, kids):
+        cls = n.__class__
+        if cls is Assign:
+            assigned[n.target] = None
+            return kids[0], {n.target}, {n.target}
+        if cls is Seq:
+            (f1, b1, m1), (f2, b2, m2) = kids
+            f2 -= m1  # iterates the smaller of the two sets
+            return _grow(f1, f2), _grow(b1, b2), _grow(m1, m2)
+        if cls is IfThen or cls is GuardedChoice:
+            guard, (ft, bt, mt), (fe, be, me) = (
+                kids if len(kids) == 3 else (*kids, (set(), set(), set())))
+            return _grow(_grow(guard, ft), fe), _grow(bt, be), mt & me
+        if n is p or isinstance(n, Program):
+            raise TypeError(f"var_sets is defined on the translatable fragment, not {cls.__name__}")
+        found = [v.ident for v in walk(n) if v.__class__ is Var]
+        read.update(dict.fromkeys(found))
+        return set(found)
+
+    free, bound, must = fold(p, combine, _FACT_CHILDREN)
+    return VarSets(frozenset(free), frozenset(bound), frozenset(must)), read, assigned
+
+
+def _grow(a: set, b: set) -> set:
+    if len(a) < len(b):
+        a, b = b, a
+    a |= b
+    return a
 
 
 def classify_io(
@@ -98,16 +115,7 @@ def classify_io(
     declared inputs plus plant state read by the controller, minus outputs.
     Whatever remains free (and is not the clock) is a parameter.
     """
-    vs = var_sets(ctrl)
-    # var_sets has checked that ctrl is translatable. One pass collects the
-    # assignment targets and the free variables, each in first-seen order.
-    assigned, read = {}, {}
-    for n in walk(ctrl):
-        if n.__class__ is Assign:
-            assigned[n.target] = None
-        elif n.__class__ is Var and n.ident in vs.free:
-            read[n.ident] = None
-    outputs = tuple(assigned)
+    vs, read, assigned = _facts(ctrl)
     plant_states = [x for x in plant.state_vars() if x in vs.free]
     candidates = plant_states + [x for x in declared_inputs if x not in plant_states]
     warnings = tuple(
@@ -115,12 +123,10 @@ def classify_io(
         for x in candidates
         if x in vs.bound
     )
-    inputs = tuple(x for x in dict.fromkeys(candidates) if x not in vs.bound)
-    params = tuple(
-        x for x in read
-        if x not in inputs and x not in vs.bound and x != plant.clock
-    )
-    return IoClassification(inputs, outputs, params, warnings)
+    inputs = dict.fromkeys(x for x in candidates if x not in vs.bound)
+    # A variable read but not free is bound before it is read.
+    params = tuple(x for x in read if x not in inputs and x not in vs.bound and x != plant.clock)
+    return IoClassification(tuple(inputs), tuple(assigned), params, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +138,14 @@ def validate_scan_cycle_form(f: DlSafetyFormula) -> ScanCycleModel:
     return the structured model; one precise NotNormalForm reason otherwise."""
     stmts = seq_to_list(f.body)
 
-    idx = 0
-    inputs: list[Ident] = []
-    while idx < len(stmts) and isinstance(stmts[idx], RandomAssign):
-        target = stmts[idx].target
-        if target in inputs:
-            raise NotNormalForm(f"duplicate input {target}", _pos(stmts[idx]))
-        inputs.append(target)
-        idx += 1
+    inputs: dict[Ident, None] = {}
+    for s in stmts:
+        if not isinstance(s, RandomAssign):
+            break
+        if s.target in inputs:
+            raise NotNormalForm(f"duplicate input {s.target}", _pos(s))
+        inputs[s.target] = None
+    idx = len(inputs)
 
     if not stmts[idx:]:
         raise NotNormalForm("missing controller and plant after inputs")

@@ -269,7 +269,6 @@ def _load_run_config(args, model) -> tuple:
     return State(params | init), provider
 
 
-
 def cmd_simulate(args) -> int:
     model = validate_scan_cycle_form(parse_dl_model(_read(args, args.model)))
     if args.st:
@@ -304,7 +303,3 @@ def cmd_comply(args) -> int:
     report = check_compliance(model.ctrl, rows, io_spec)
     sys.stdout.write(report.serialize())
     return 1 if report.instances else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -419,7 +419,6 @@ STATEMENTS = {
 }
 ST_STATEMENTS = {cls: STATEMENTS[cls] for cls in (Seq, IfThen)}
 HP_STATEMENTS = {cls: STATEMENTS[cls] for cls in (Seq, GuardedChoice)}
-TRANSLATABLE = {**ST_STATEMENTS, **HP_STATEMENTS}
 _AND = {And: _pair}
 
 

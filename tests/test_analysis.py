@@ -1,5 +1,10 @@
 """Static semantics, I/O classification, normal-form validation, epsilon."""
 
+import gc
+import math
+import signal
+import time
+
 import pytest
 
 import golden
@@ -13,6 +18,8 @@ from plchp.dl_syntax import DlSafetyFormula, parse_dl_program
 from plchp.errors import ConflictingEpsilon, NotNormalForm
 from plchp.ir import TRUE
 from plchp.semantics import GenConfig, gen_hp
+from plchp.st_syntax import parse_st, parse_st_statements
+from plchp.translate import task_st_to_hp
 
 
 def ident(n):
@@ -132,6 +139,15 @@ def test_validate_rejects_missing_plant():
         validate_scan_cycle_form(bad)
 
 
+def test_validate_rejects_duplicate_input():
+    lines = (golden.DATA / "watertank_safe_model.dlhp").read_text().splitlines()
+    lines.insert(5, "  f1:=*;")  # after f1:=*; f2:=*;
+    with pytest.raises(NotNormalForm) as info:
+        validate_scan_cycle_form(parse_dl_model("\n".join(lines)))
+    assert str(info.value) == "6:3: duplicate input f1"
+    assert info.value.location == (6, 3)
+
+
 def test_validate_accepts_reassociated_bound():
     # bound written with flipped operands and nested conjunction
     body = "y:=1; t:=0; {x'=1, t'=1 & (x>=0 & eps>=t) & x<=10}"
@@ -153,3 +169,88 @@ def test_extract_epsilon_custom_name():
     f = parse_dl_formula("cycle=0.5 & x>=0")
     assert extract_epsilon(f, ident("cycle")) == 0.5
     assert extract_epsilon(f) is None
+
+
+# ---------------------------------------------------------------------------
+# Cost growth: the analysis of a controller is linear in its size, so eight
+# times the statements take about eight times as long. Work that grows with
+# statements times variables takes 64 times as long and more.
+
+SCALE_LIMIT = 24
+
+
+class _TooSlow(Exception):
+    pass
+
+
+def _seconds(run, limit: float) -> float:
+    """Wall time of `run()` with the garbage collector off, as timeit takes
+    it; inf once the run passes `limit` seconds, where a timer cuts it short."""
+    def cut(signum, frame):
+        if running:
+            raise _TooSlow
+
+    running = True
+    old = signal.signal(signal.SIGALRM, cut)
+    gc.collect()
+    gc.disable()
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    start = time.perf_counter()
+    try:
+        run()
+        elapsed, running = time.perf_counter() - start, False
+    except _TooSlow:
+        elapsed = math.inf
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+        gc.enable()
+    return elapsed
+
+
+def _growth(small, large) -> float:
+    """Best of three times of `large` over best of three of `small`; a
+    large run is cut short once it passes SCALE_LIMIT times the small one."""
+    t_small = min(_seconds(small, 60.0) for _ in range(3))
+    t_large = min(_seconds(large, SCALE_LIMIT * t_small) for _ in range(3))
+    return t_large / t_small
+
+
+def _distinct_model(n: int) -> DlSafetyFormula:
+    """`v<i> := u<i> + 1` for i < n, with n inputs and n outputs, as st2hp builds it."""
+    inputs = ", ".join(f"u{i}" for i in range(n))
+    outputs = ", ".join(f"v{i}" for i in range(n))
+    body = "\n".join(f"v{i} := u{i} + 1;" for i in range(n))
+    unit = parse_st(f"PROGRAM p VAR_INPUT {inputs} : REAL; END_VAR "
+                    f"VAR_OUTPUT {outputs} : REAL; END_VAR\n{body}\nEND_PROGRAM")
+    return task_st_to_hp(unit, golden.PLANT, golden.ASSUMPTIONS, golden.SAFETY)
+
+
+def _elsif_chain(arms: int):
+    return parse_st_statements("\n".join(
+        f"{'ELSIF' if i else 'IF'} c{i} > 0 THEN y{i} := x{i};" for i in range(arms)) + " END_IF;")
+
+
+def test_model_analysis_is_linear_in_the_controller():
+    def analysis(f):
+        def run():
+            m = validate_scan_cycle_form(f)
+            var_sets(m.ctrl)
+            classify_io(m.ctrl, m.inputs, m.plant)
+        return run
+
+    small, large = _distinct_model(1000), _distinct_model(8000)
+    growth = _growth(analysis(small), analysis(large))
+    assert growth <= SCALE_LIMIT
+    io = classify_io(validate_scan_cycle_form(large).ctrl, (), golden.PLANT)
+    assert len(io.outputs) == len(io.params) == 8000
+
+
+def test_elsif_chain_analysis_is_linear_in_its_arms():
+    def analysis(p):
+        return lambda: (var_sets(p), classify_io(p, (), golden.PLANT))
+
+    small, large = _elsif_chain(500), _elsif_chain(4000)
+    growth = _growth(analysis(small), analysis(large))
+    assert growth <= SCALE_LIMIT
+    assert len(var_sets(large).bound) == 4000

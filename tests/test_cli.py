@@ -200,15 +200,28 @@ def test_version_flag(capsys):
 SRC = str(golden.DATA.parent.parent / "src")
 
 
-def run_process(tmp_path, *argv):
+def process(cwd, *argv):
+    """`python -m plchp ARGV`, run in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "plchp.cli", *argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "plchp", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def run_process(tmp_path, *argv):
+    proc = process(tmp_path, *argv)
     assert "Traceback" not in proc.stderr
     return proc.returncode, proc.stderr
+
+
+def test_python_m_plchp_runs_main(tmp_path, capsys):
+    model = data("watertank_safe_model.dlhp")
+    proc = process(tmp_path, "analyze", model)
+    code, out, _ = run(capsys, "analyze", model)
+    assert code == 0 and out.startswith("FV(ctrl): ")
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 def _simulate_with(tmp_path, config_text):
