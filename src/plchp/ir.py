@@ -7,7 +7,8 @@ valid in both) so connectives that exist in only one language cannot leak
 into the other: the constructors refuse to mix dialects.
 
 Everything in this module is immutable after construction and safe to share
-between threads.
+between threads. Identifiers are interned: one object per name; `==` is
+`is`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterator, Optional, Union
 
 from .errors import DialectError, NotNormalForm, UnboundVariable
@@ -39,27 +40,51 @@ ST = "st"
 Pos = tuple  # (line, col), attached by the parsers, excluded from equality
 
 
-@dataclass(frozen=True)
+# Name -> its one Ident. Entries are never removed; a process holds one per
+# distinct name it has seen.
+_INTERNED: dict[str, "Ident"] = {}
+
+
 class Ident:
-    """A variable name, valid in both surface syntaxes."""
+    """A variable name, valid in both surface syntaxes.
 
-    name: str
+    Interned: `Ident(name)` returns the one object for that name, so `==`
+    is `is`, and the hash is the identity hash. Both run in C, and every
+    dict and set keyed by variables (states, trace rows, layouts) pays
+    for them. The name is checked the first time it is seen. The object
+    is immutable like a frozen dataclass, and copying or unpickling it
+    gives back the same object.
+    """
 
-    def __post_init__(self):
-        if not _IDENT_RE.match(self.name):
-            raise ValueError(f"invalid identifier: {self.name!r}")
-        if self.name.upper() in RESERVED_WORDS:
-            raise ValueError(f"reserved keyword cannot be an identifier: {self.name!r}")
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
 
-    # Written out because the generated pair hashes and compares a one-field
-    # tuple, and every State construction and lookup pays for it.
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
+    def __new__(cls, name: str) -> "Ident":
+        # A name that is not a plain str takes the checks, which raise the
+        # constructor's own TypeError for a non-string.
+        ident = _INTERNED.get(name) if name.__class__ is str else None
+        if ident is None:
+            if not _IDENT_RE.match(name):
+                raise ValueError(f"invalid identifier: {name!r}")
+            if name.upper() in RESERVED_WORDS:
+                raise ValueError(f"reserved keyword cannot be an identifier: {name!r}")
+            ident = object.__new__(cls)
+            object.__setattr__(ident, "name", name)
+            # Of two threads racing on a new name, both get the first insert.
+            ident = _INTERNED.setdefault(name, ident)
+        return ident
 
-    def __hash__(self) -> int:
-        return hash(self.name)
+    def __setattr__(self, attr, value):
+        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+
+    def __reduce__(self):
+        return Ident, (self.name,)
+
+    def __repr__(self) -> str:
+        return f"Ident(name={self.name!r})"
 
     def __str__(self) -> str:
         return self.name

@@ -33,6 +33,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite
+from operator import itemgetter, ne
 from typing import Optional, Sequence
 
 from .analysis import IoClassification, resolve_epsilon
@@ -476,6 +477,15 @@ def check_safety(records: Sequence[CycleRecord], safety: Formula) -> list[Safety
 CYCLE_COLUMN = "cycle"
 
 
+def _getter(keys):
+    """The function from a row or snapshot to the tuple of its items at
+    `keys`: an `itemgetter`, which returns a bare item for one key."""
+    if len(keys) == 1:
+        key, = keys
+        return lambda cells: (cells[key],)
+    return itemgetter(*keys) if keys else lambda cells: ()
+
+
 def trace_columns(io_spec: IoClassification) -> list[Ident]:
     return list(io_spec.inputs) + list(io_spec.outputs) + list(io_spec.params)
 
@@ -488,19 +498,20 @@ def write_trace(stream, records: Sequence[CycleRecord], io_spec: IoClassificatio
     columns = trace_columns(io_spec)
     writer = csv.writer(stream)
     writer.writerow([CYCLE_COLUMN] + [c.name for c in columns])
+    if not records:
+        return
     actuators = set(io_spec.outputs)
-    slots = records[0].layout.slots if records else {}
-    # (column, 1 to read the post-control snapshot else 0, its slot)
-    cells = [(col, int(col in actuators), slots.get(col)) for col in columns]
+    slots = records[0].layout.slots
+    width = len(records[0].layout.names)
+    # Each cell is read from a record's pre-state and post-control snapshots
+    # laid end to end, then a None for a variable the run never had.
+    cells = _getter([2 * width if i is None else i + width * (col in actuators)
+                     for col in columns for i in [slots.get(col)]])
     for rec in records:
-        snapshots = (rec.pre_values, rec.ctrl_values)
-        row: list = [rec.index]
-        for col, phase, i in cells:
-            value = None if i is None else snapshots[phase][i]
-            if value is None:
-                raise UnboundVariable(col)
-            row.append(repr(value))
-        writer.writerow(row)
+        row = cells([*rec.pre_values, *rec.ctrl_values, None])
+        if None in row:
+            raise UnboundVariable(next(col for col, value in zip(columns, row) if value is None))
+        writer.writerow([rec.index, *map(repr, row)])
 
 
 def write_trace_file(path, records, io_spec) -> None:
@@ -531,21 +542,21 @@ def read_trace(stream) -> tuple[list[str], list[dict]]:
     if CYCLE_COLUMN not in header:
         raise SchemaError([CYCLE_COLUMN])
     keys: list = []
+    firsts: dict[str, int] = {}
     for col, name in enumerate(header, 1):
-        first = header.index(name) + 1
+        first = firsts.setdefault(name, col)
         if first != col:
             raise InputFileError(source, f"column {col}: {name} is also column {first}", line)
         try:
             keys.append(CYCLE_COLUMN if name == CYCLE_COLUMN else Ident(name))
         except ValueError as exc:
             raise InputFileError(source, f"column {col}: {exc}", line) from None
-    rows = []
-    for raw in reader:
-        if not raw:
-            continue
-        if len(raw) != len(header):
-            raise InputFileError(
-                source, f"row has {len(raw)} cells but the header has {len(header)}", line)
+    at = firsts[CYCLE_COLUMN] - 1
+
+    def by_cell(raw) -> dict:
+        """The row of `raw`, read one cell at a time; raises at the first
+        cell that is not a number (an integer in the cycle column) or not
+        finite."""
         row: dict = {}
         for col, (name, key, cell) in enumerate(zip(header, keys, raw), 1):
             try:
@@ -559,7 +570,26 @@ def read_trace(stream) -> tuple[list[str], list[dict]]:
             if not isfinite(value):
                 raise InputFileError(
                     source, f"column {col} ({name}): not a finite number: {cell!r}", line)
-        rows.append(row)
+        return row
+
+    rows = []
+    for raw in reader:
+        if not raw:
+            continue
+        if len(raw) != len(header):
+            raise InputFileError(
+                source, f"row has {len(raw)} cells but the header has {len(header)}", line)
+        # The whole row at once; a row this rejects goes through `by_cell`,
+        # which names the first bad cell, or reads a cycle number too large
+        # for a float.
+        try:
+            cells = [*map(float, raw)]
+            ok = all(map(isfinite, cells))
+            if ok:
+                cells[at] = int(raw[at])
+        except ValueError:
+            ok = False
+        rows.append(dict(zip(keys, cells)) if ok else by_cell(raw))
     return header, rows
 
 
@@ -627,26 +657,31 @@ def check_compliance(
         if missing:
             raise SchemaError(missing)
 
-    layout = Layout()
+    # The sensors take the first slots and the actuators the next ones, so a
+    # row's slot list is built in one go. An actuator listed as a sensor too
+    # starts from its previous recorded value, as it is written last.
+    outputs = list(dict.fromkeys(io_spec.outputs))
+    sensors = [x for x in dict.fromkeys((*io_spec.inputs, *io_spec.params))
+               if x not in io_spec.outputs]
+    layout = Layout(sensors + outputs)
     control = compile_st(st_body, layout)
-    outputs = [(x, layout.slot(x)) for x in io_spec.outputs]
-    sensors = [(x, layout.slot(x)) for x in list(io_spec.inputs) + list(io_spec.params)]
+    sensed, recorded = _getter(sensors), _getter(outputs)
+    acted = slice(len(sensors), len(sensors) + len(outputs))
+    unbound = [None] * (len(layout.names) - acted.stop)
     violating: list[tuple[int, str]] = []
-    prev_actuators: Optional[list] = None
+    prev_actuators = None
     for row in rows:
         if prev_actuators is None:
-            prev_actuators = [row[x] for x, _ in outputs]
-        values: Slots = [None] * len(layout.names)
-        for x, i in sensors:
-            values[i] = float(row[x])
-        for (_, i), value in zip(outputs, prev_actuators):
-            values[i] = float(value)
+            prev_actuators = recorded(row)
+        values: Slots = [*map(float, sensed(row)), *map(float, prev_actuators), *unbound]
         control(values)
-        mismatches = [(x, values[i], row[x]) for x, i in outputs if values[i] != row[x]]
-        if mismatches:
-            x, want, got = mismatches[0]
-            violating.append((row[CYCLE_COLUMN], f"{x} expected {want!r} recorded {got!r}"))
-        prev_actuators = [row[x] for x, _ in outputs]
+        expected, prev_actuators = values[acted], recorded(row)
+        if any(map(ne, expected, prev_actuators)):
+            for x, want, got in zip(outputs, expected, prev_actuators):
+                if want != got:
+                    violating.append(
+                        (row[CYCLE_COLUMN], f"{x} expected {want!r} recorded {got!r}"))
+                    break
 
     instances: list[ComplianceInstance] = []
     for cycle, description in violating:

@@ -1,5 +1,13 @@
 """Core AST and state types."""
 
+import copy
+import dataclasses
+import pickle
+import re
+import sys
+import threading
+import uuid
+
 import pytest
 
 from plchp import (
@@ -20,6 +28,82 @@ def test_ident_rejects_reserved_and_malformed():
     with pytest.raises(ValueError):
         Ident("")
     assert Ident("eps").name == "eps"
+
+
+def test_ident_is_one_object_per_name():
+    x = Ident("x")
+    assert Ident("x") is x and Ident(name="x") is x
+    assert Ident("y") is not x and Ident("y") != x
+    assert x != "x" and {x: 1}[Ident("x")] == 1
+    assert repr(x) == "Ident(name='x')" and str(x) == "x"
+
+
+def test_copying_and_pickling_keep_the_one_object():
+    x = Ident("x")
+    assert copy.copy(x) is x
+    assert copy.deepcopy(x) is x
+    assert copy.deepcopy([x, (x,)]) == [x, (x,)]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(x, protocol)) is x
+
+
+def test_ident_is_frozen():
+    x = Ident("x")
+    with pytest.raises(dataclasses.FrozenInstanceError, match=r"\Acannot assign to field 'name'\Z"):
+        x.name = "y"
+    with pytest.raises(dataclasses.FrozenInstanceError, match=r"\Acannot assign to field 'other'\Z"):
+        x.other = 1
+    with pytest.raises(dataclasses.FrozenInstanceError, match=r"\Acannot delete field 'name'\Z"):
+        del x.name
+    assert x.name == "x" and Ident("x") is x
+
+
+@pytest.mark.parametrize("name, message", [
+    ("IF", "reserved keyword cannot be an identifier: 'IF'"),
+    ("End_Var", "reserved keyword cannot be an identifier: 'End_Var'"),
+    ("2x", "invalid identifier: '2x'"),
+    ("x-y", "invalid identifier: 'x-y'"),
+    ("", "invalid identifier: ''"),
+])
+def test_ident_errors_every_time(name, message):
+    # A refused name is not remembered: the second try is refused the same way.
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            Ident(name)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name", [5, None, ["x"], b"x"])
+def test_ident_refuses_a_name_that_is_not_a_string(name):
+    with pytest.raises(TypeError) as err:
+        Ident(name)
+    # The regular expression's own message, also for an unhashable name.
+    with pytest.raises(TypeError) as expected:
+        re.compile("x").match(name)
+    assert str(err.value) == str(expected.value)
+
+
+def test_threads_racing_on_a_new_name_get_one_object():
+    name = "fresh_" + uuid.uuid4().hex
+    start = threading.Barrier(8, timeout=10)
+    got = []
+
+    def make():
+        start.wait()
+        got.append(Ident(name))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=make) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8 and all(x is Ident(name) for x in got)
 
 
 def test_number_keeps_lexeme():

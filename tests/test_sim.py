@@ -306,6 +306,16 @@ def test_malformed_trace_names_the_line(text, message):
     assert str(info.value) == message
 
 
+def test_duplicate_column_at_the_end_of_a_wide_header():
+    names = ["cycle"] + [f"c{i}" for i in range(1, 4999)] + ["c1"]
+    text = ",".join(names) + "\n" + ",".join(["0"] * len(names)) + "\n"
+    with pytest.raises(InputFileError) as info:
+        read_trace(io.StringIO(text))
+    assert str(info.value) == "<trace>:1: column 5000: c1 is also column 2"
+    header, rows = read_trace(io.StringIO(text.replace(",c1\n", ",d\n")))
+    assert len(header) == 5000 and rows[0][ident("d")] == 0.0 and rows[0]["cycle"] == 0
+
+
 def test_simulate_check_assumptions_flag():
     from plchp.errors import PlchpError
 

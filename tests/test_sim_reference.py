@@ -20,8 +20,8 @@ import pytest
 
 import golden
 from plchp import (
-    Ident, State, check_safety, classify_io, integrate_plant, parse_dl_model,
-    simulate, validate_scan_cycle_form,
+    CycleRecord, Ident, IoClassification, State, check_safety, classify_io,
+    integrate_plant, parse_dl_model, simulate, validate_scan_cycle_form,
 )
 from plchp.compiled import Layout
 from plchp.errors import ConflictingEpsilon, MissingInput, PlchpError
@@ -266,6 +266,39 @@ def test_unbound_trace_column_stops_writing_part_way():
     assert len(got["records"]) == 5 and got["violations"] == []
     assert got["trace_error"] == ("UnboundVariable", "unbound variable L1")
     assert got["trace"].count("\n") == 1
+
+
+# Hand-made records, since the records of a run never lose a binding. The
+# columns are f (sensor), a, b (actuators), p, q (params); a row is the
+# pre-state and post-control snapshots over the names f, a, b, p[, q].
+HAND_IO = IoClassification(inputs=(ident("f"),), outputs=(ident("a"), ident("b")),
+                           params=(ident("p"), ident("q")))
+BOUND = ((1.5, None, None, 2.0, 3.0), (1.5, 1.0, 0.25, 2.0, 3.0))
+HEADER_AND_TWO_ROWS = ["cycle,f,a,b,p,q", "0,1.5,1.0,0.25,2.0,3.0", "1,1.5,1.0,0.25,2.0,3.0"]
+
+
+@pytest.mark.parametrize("names, rows, message, written", [
+    # an actuator, in the third row
+    ("fabpq", [BOUND, BOUND, ((1.5, None, None, 2.0, 3.0), (1.5, 1.0, None, 2.0, 3.0)), BOUND],
+     "unbound variable b", HEADER_AND_TWO_ROWS),
+    # an actuator and a param after it, which the pre-state snapshot holds
+    ("fabpq", [BOUND, BOUND, ((1.5, None, None, None, 3.0), (1.5, 1.0, None, None, 3.0))],
+     "unbound variable b", HEADER_AND_TWO_ROWS),
+    # a param the run never had, after an actuator unbound in the first row
+    ("fabp", [((1.5, None, None, 2.0), (1.5, None, 0.25, 2.0))],
+     "unbound variable a", HEADER_AND_TWO_ROWS[:1]),
+])
+def test_trace_names_the_first_unbound_column(names, rows, message, written):
+    layout = Layout(ident(n) for n in names)
+    records = [CycleRecord(i, 10.0 * i, layout, pre, ctrl, ctrl)
+               for i, (pre, ctrl) in enumerate(rows)]
+    streams = io.StringIO(), io.StringIO()
+    for stream, writer in zip(streams, (reference_trace, write_trace)):
+        with pytest.raises(PlchpError) as err:
+            writer(stream, records, HAND_IO)
+        assert error(err.value) == ("UnboundVariable", message)
+    assert streams[1].getvalue() == streams[0].getvalue()
+    assert streams[1].getvalue().splitlines() == written
 
 
 def test_unbound_variable_in_safety_property():
