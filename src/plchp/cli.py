@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
+from importlib import import_module
 from pathlib import Path
 
 from . import __version__
@@ -21,13 +21,40 @@ from .analysis import (
 from .dl_syntax import parse_dl_formula, parse_dl_model, parse_dl_program, print_dl_model
 from .errors import InputFileError, NotNormalForm, ParseError, PlchpError
 from .ir import Ident, State
-from .semantics import GenConfig, difftest
-from .sim import (
-    ConstantInputs, CsvInputs, IntegratorConfig, SimConfig, UniformInputs,
-    check_compliance, check_safety, read_trace_file, simulate, write_trace_file,
-)
-from .st_syntax import parse_st, print_st
-from .translate import DEFAULT_NAMES, prog_hp_to_st, task_hp_to_st, task_st_to_hp
+
+# Names from modules that not every command runs. A handler binds those of
+# the modules it runs (`_bind`), and `__getattr__` one looked up from
+# outside. They stay module attributes, read when a handler calls them, so a
+# tracer can swap one for a wrapper.
+_LAZY = {
+    "st_syntax": ("parse_st", "print_st"),
+    "translate": ("prog_hp_to_st", "task_hp_to_st", "task_st_to_hp"),
+    "semantics": ("GenConfig", "difftest"),
+    "sim": (
+        "ConstantInputs", "CsvInputs", "IntegratorConfig", "SimConfig", "UniformInputs",
+        "check_compliance", "check_safety", "read_trace_file", "simulate", "write_trace_file",
+    ),
+}
+
+# hp2st's `--<kind>-name` options; `translate.DEFAULT_NAMES` holds their defaults.
+NAME_KINDS = ("program", "config", "resource", "task", "instance")
+
+
+def _bind(*modules: str) -> None:
+    """Bind the `_LAZY` names of each of `modules`, keeping a name already
+    bound, such as a tracer's wrapper."""
+    for module in modules:
+        source = import_module(f"{__package__}.{module}")
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def main(argv=None) -> int:
@@ -71,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dl_file")
     p.add_argument("--epsilon", type=float, help="task interval in seconds (required when symbolic)")
     p.add_argument("--out", help="output file (default: stdout)")
-    for kind, default in DEFAULT_NAMES.items():
-        p.add_argument(f"--{kind}-name", default=default)
+    for kind in NAME_KINDS:
+        p.add_argument(f"--{kind}-name", type=_name)
     p.set_defaults(handler=cmd_hp2st)
 
     p = sub.add_parser("analyze", help="print static semantics and I/O classification of a model")
@@ -121,6 +148,14 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
+def _name(text: str) -> str:
+    """An argparse type: a name the generated ST can declare."""
+    try:
+        return Ident(text).name
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _read(args, path: str) -> str:
     args._current_file = path
     try:
@@ -130,6 +165,7 @@ def _read(args, path: str) -> str:
 
 
 def cmd_st2hp(args) -> int:
+    _bind("st_syntax", "translate")
     unit = parse_st(_read(args, args.st_file))
     plant = plant_fragment(parse_dl_program(_read(args, args.plant)))
     assumptions = parse_dl_formula(_read(args, args.assumptions))
@@ -147,8 +183,9 @@ def cmd_st2hp(args) -> int:
 
 
 def cmd_hp2st(args) -> int:
+    _bind("st_syntax", "translate")
     model = validate_scan_cycle_form(parse_dl_model(_read(args, args.dl_file)))
-    names = {kind: getattr(args, f"{kind}_name") for kind in DEFAULT_NAMES}
+    names = {kind: name for kind in NAME_KINDS if (name := getattr(args, f"{kind}_name"))}
     unit, diags = task_hp_to_st(model, epsilon=args.epsilon, names=names)
     for warning in diags.warnings:
         sys.stderr.write(f"warning [{warning.code}]: {warning.message}\n")
@@ -190,6 +227,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_difftest(args) -> int:
+    _bind("semantics")
     pool = tuple(Ident(chr(ord("a") + i)) for i in range(args.vars))
     cfg = GenConfig(max_depth=args.depth, var_pool=pool, seed=args.seed)
     report = difftest(cfg, args.n)
@@ -204,6 +242,8 @@ def cmd_difftest(args) -> int:
 
 
 def _load_run_config(args, model) -> tuple:
+    import json  # only simulate reads JSON
+
     path = args.inputs
     try:
         raw = json.loads(_read(args, path))
@@ -270,6 +310,7 @@ def _load_run_config(args, model) -> tuple:
 
 
 def cmd_simulate(args) -> int:
+    _bind("st_syntax", "translate", "sim")
     model = validate_scan_cycle_form(parse_dl_model(_read(args, args.model)))
     if args.st:
         st_body = parse_st(_read(args, args.st)).body
@@ -297,6 +338,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_comply(args) -> int:
+    _bind("sim")
     model = validate_scan_cycle_form(parse_dl_model(_read(args, args.model)))
     io_spec = classify_io(model.ctrl, model.inputs, model.plant)
     _, rows = read_trace_file(args.trace)

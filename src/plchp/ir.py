@@ -14,9 +14,10 @@ between threads. Identifiers are interned: one object per name; `==` is
 from __future__ import annotations
 
 import math
+import operator
 import re
 import struct
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator, Optional, Union
 
 from .errors import DialectError, NotNormalForm, UnboundVariable
@@ -91,55 +92,136 @@ class Ident:
 
 
 # ---------------------------------------------------------------------------
+# Tree nodes
+
+_set = object.__setattr__
+
+
+class Node:
+    """Base class of terms, formulas and statements: slotted and immutable,
+    as a frozen dataclass is. `FIELDS` names a class's fields in constructor
+    order; `==`, `hash` and `repr` read those and no others (not `pos`), on
+    an explicit stack, so a tree of any depth is in reach of each."""
+
+    __slots__ = ()
+    FIELDS: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            for name in a.FIELDS:
+                x, y = getattr(a, name), getattr(b, name)
+                if x is y:
+                    continue
+                if not isinstance(x, Node):
+                    if x != y:
+                        return False
+                elif y.__class__ is not x.__class__:
+                    return False
+                else:
+                    stack.append((x, y))
+        return True
+
+    def __hash__(self) -> int:
+        # Each node's class, then its fields, a field that holds a node
+        # giving that node's own sequence: equal trees give equal sequences.
+        flat, stack = [], [self]
+        while stack:
+            n = stack.pop()
+            if isinstance(n, Node):
+                flat.append(n.__class__)
+                stack += [getattr(n, name) for name in reversed(n.FIELDS)]
+            else:
+                flat.append(n)
+        return hash(tuple(flat))
+
+    def __repr__(self) -> str:
+        out, stack = [], [self]
+        while stack:
+            n = stack.pop()
+            if n.__class__ is str:
+                out.append(n)
+                continue
+            parts = [f"{n.__class__.__qualname__}("]
+            for i, name in enumerate(n.FIELDS):
+                label, value = f"{', ' if i else ''}{name}=", getattr(n, name)
+                parts += (label, value) if isinstance(value, Node) else (f"{label}{value!r}",)
+            stack += reversed((*parts, ")"))
+        return "".join(out)
+
+    def __reduce__(self):
+        # The constructor call, then `pos`, which constructors take by keyword.
+        fields = tuple(map(self.__getattribute__, self.FIELDS))
+        return self.__class__, fields, getattr(self, "pos", None)
+
+    def __setstate__(self, pos):
+        _set(self, "pos", pos)
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 ADD, SUB, MUL, DIV, POW = "add", "sub", "mul", "div", "pow"
 BINARY_OPS = (ADD, SUB, MUL, DIV, POW)
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Node):
     """Base class for arithmetic terms (shared by both languages)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Number(Term):
     """Numeric literal. The source lexeme is kept so printing is lossless;
     two literals are equal only if their lexemes agree."""
 
-    lexeme: str
+    __slots__ = FIELDS = ("lexeme",)
 
-    def __post_init__(self):
-        if not _NUMBER_RE.match(self.lexeme):
-            raise ValueError(f"invalid number literal: {self.lexeme!r}")
+    def __init__(self, lexeme: str):
+        if not _NUMBER_RE.match(lexeme):
+            raise ValueError(f"invalid number literal: {lexeme!r}")
+        _set(self, "lexeme", lexeme)
 
     @property
     def value(self) -> float:
         return float(self.lexeme)
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    ident: Ident
+    __slots__ = FIELDS = ("ident",)
+
+    def __init__(self, ident: Ident):
+        _set(self, "ident", ident)
 
     def __str__(self) -> str:
         return self.ident.name
 
 
-@dataclass(frozen=True)
 class Neg(Term):
-    operand: Term
+    __slots__ = FIELDS = ("operand",)
+
+    def __init__(self, operand: Term):
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
 class BinOp(Term):
-    op: str  # one of BINARY_OPS
-    left: Term
-    right: Term
+    __slots__ = FIELDS = ("op", "left", "right")  # op: one of BINARY_OPS
 
-    def __post_init__(self):
-        if self.op not in BINARY_OPS:
-            raise ValueError(f"unknown binary operator: {self.op!r}")
+    def __init__(self, op: str, left: Term, right: Term):
+        if op not in BINARY_OPS:
+            raise ValueError(f"unknown binary operator: {op!r}")
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 def number_lexeme(value: float) -> str:
@@ -173,8 +255,7 @@ def _merge_dialects(node: str, own: Optional[str], children) -> Optional[str]:
     return merged
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Node):
     """Base class for boolean formulas.
 
     `dialect` is "hp" when the tree contains a connective only hybrid
@@ -182,72 +263,79 @@ class Formula:
     formula is valid in both languages.
     """
 
-    @property
-    def dialect(self) -> Optional[str]:
-        return getattr(self, "_dialect", None)
+    __slots__ = ()
+    dialect: Optional[str] = None
 
 
-@dataclass(frozen=True)
 class BoolConst(Formula):
-    value: bool
+    __slots__ = FIELDS = ("value",)
+
+    def __init__(self, value: bool):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Cmp(Formula):
-    rel: str  # one of RELATIONS
-    left: Term
-    right: Term
+    __slots__ = FIELDS = ("rel", "left", "right")  # rel: one of RELATIONS
 
-    def __post_init__(self):
-        if self.rel not in RELATIONS:
-            raise ValueError(f"unknown relation: {self.rel!r}")
+    def __init__(self, rel: str, left: Term, right: Term):
+        if rel not in RELATIONS:
+            raise ValueError(f"unknown relation: {rel!r}")
+        _set(self, "rel", rel)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    operand: Formula
+    FIELDS = ("operand",)
+    __slots__ = (*FIELDS, "dialect")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_dialect", _merge_dialects("NOT", None, (self.operand,)))
+    def __init__(self, operand: Formula):
+        _set(self, "operand", operand)
+        _set(self, "dialect", _merge_dialects("NOT", None, (operand,)))
 
 
-@dataclass(frozen=True)
 class Connective(Formula):
     """A binary connective. Each subclass sets its `spelling` (the name
     dialect errors give it) and its `own` dialect, None when both languages
     have it."""
 
-    left: Formula
-    right: Formula
+    FIELDS = ("left", "right")
+    __slots__ = (*FIELDS, "dialect")
 
-    def __post_init__(self):
-        dialect = _merge_dialects(self.spelling, self.own, (self.left, self.right))
-        object.__setattr__(self, "_dialect", dialect)
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "dialect", _merge_dialects(self.spelling, self.own, (left, right)))
 
 
 class And(Connective):
+    __slots__ = ()
     spelling, own = "AND", None
 
 
 class Or(Connective):
+    __slots__ = ()
     spelling, own = "OR", None
 
 
 class Imply(Connective):
     """Implication; hybrid-program dialect only."""
 
+    __slots__ = ()
     spelling, own = "->", HP
 
 
 class Equiv(Connective):
     """Biconditional; hybrid-program dialect only."""
 
+    __slots__ = ()
     spelling, own = "<->", HP
 
 
 class Xor(Connective):
     """Exclusive or; structured-text dialect only."""
 
+    __slots__ = ()
     spelling, own = "XOR", ST
 
 
@@ -278,43 +366,49 @@ def conjoin(parts) -> Formula:
 # statement language, GuardedChoice to the translatable hybrid-program
 # fragment. RandomAssign, TestStmt, OdeSystem, Loop, and Choice only appear
 # in raw parsed hybrid programs (the scan-cycle wrapper and ill-formed
-# inputs); validation rejects them inside a controller.
+# inputs); validation rejects them inside a controller. A statement's `pos`
+# is its (line, col) in the source it was parsed from, or None.
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Node):
     """Base class for statements of both languages."""
 
+    __slots__ = ("pos",)  # unset on a Seq
 
-@dataclass(frozen=True)
+
 class Assign(Program):
-    target: Ident
-    value: Term
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False, kw_only=True)
+    __slots__ = FIELDS = ("target", "value")
+
+    def __init__(self, target: Ident, value: Term, *, pos: Optional[Pos] = None):
+        _set(self, "target", target)
+        _set(self, "value", value)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class Seq(Program):
-    first: Program
-    second: Program
+    __slots__ = FIELDS = ("first", "second")
+
+    def __init__(self, first: Program, second: Program):
+        _set(self, "first", first)
+        _set(self, "second", second)
 
 
-@dataclass(frozen=True)
 class IfThen(Program):
     """ST conditional; `else_` is None when there is no ELSE branch, as in
     GuardedChoice."""
 
-    cond: Formula
-    then: Program
-    else_: Optional[Program] = None
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False, kw_only=True)
+    __slots__ = FIELDS = ("cond", "then", "else_")
 
-    def __post_init__(self):
-        if self.cond.dialect == HP:
+    def __init__(self, cond: Formula, then: Program, else_: Optional[Program] = None, *,
+                 pos: Optional[Pos] = None):
+        if cond.dialect == HP:
             raise DialectError("IF condition must be an ST-dialect formula")
+        _set(self, "cond", cond)
+        _set(self, "then", then)
+        _set(self, "else_", else_)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class GuardedChoice(Program):
     """Nondeterministic choice whose left branch opens with a test.
 
@@ -324,39 +418,42 @@ class GuardedChoice(Program):
     unguarded branch that may run regardless of the guard.
     """
 
-    guard: Formula
-    then: Program
-    else_: Optional[Program]
-    complemented: bool
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False, kw_only=True)
+    __slots__ = FIELDS = ("guard", "then", "else_", "complemented")
 
-    def __post_init__(self):
-        if self.guard.dialect == ST:
+    def __init__(self, guard: Formula, then: Program, else_: Optional[Program],
+                 complemented: bool, *, pos: Optional[Pos] = None):
+        if guard.dialect == ST:
             raise DialectError("choice guard must be an HP-dialect formula")
-        if not self.complemented and self.else_ is None:
+        if not complemented and else_ is None:
             raise ValueError("default-beta choice requires an explicit default branch")
+        _set(self, "guard", guard)
+        _set(self, "then", then)
+        _set(self, "else_", else_)
+        _set(self, "complemented", complemented)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class RandomAssign(Program):
     """Nondeterministic assignment `x := *`; legal only in the input section."""
 
-    target: Ident
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False, kw_only=True)
+    __slots__ = FIELDS = ("target",)
+
+    def __init__(self, target: Ident, *, pos: Optional[Pos] = None):
+        _set(self, "target", target)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class TestStmt(Program):
     """A bare test `?F`; legal only as the head of a choice branch."""
 
     __test__ = False  # not a pytest class
+    __slots__ = FIELDS = ("cond",)
 
-    cond: Formula
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False, kw_only=True)
-
-    def __post_init__(self):
-        if self.cond.dialect == ST:
+    def __init__(self, cond: Formula, *, pos: Optional[Pos] = None):
+        if cond.dialect == ST:
             raise DialectError("test condition must be an HP-dialect formula")
+        _set(self, "cond", cond)
+        _set(self, "pos", pos)
 
 
 def _reject_duplicate_odes(odes, *seen: Ident) -> None:
@@ -369,35 +466,40 @@ def _reject_duplicate_odes(odes, *seen: Ident) -> None:
         seen.add(x)
 
 
-@dataclass(frozen=True)
 class OdeSystem(Program):
     """Raw parsed differential equation system `{x'=e, ... & domain}`."""
 
-    odes: tuple[tuple[Ident, Term], ...]
-    domain: Formula
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False, kw_only=True)
+    __slots__ = FIELDS = ("odes", "domain")
 
-    def __post_init__(self):
-        if self.domain.dialect == ST:
+    def __init__(self, odes: tuple[tuple[Ident, Term], ...], domain: Formula, *,
+                 pos: Optional[Pos] = None):
+        if domain.dialect == ST:
             raise DialectError("evolution domain must be an HP-dialect formula")
-        _reject_duplicate_odes(self.odes)
+        _reject_duplicate_odes(odes)
+        _set(self, "odes", odes)
+        _set(self, "domain", domain)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class Loop(Program):
     """Raw parsed repetition `{p}*`; legal only around the scan cycle body."""
 
-    body: Program
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False, kw_only=True)
+    __slots__ = FIELDS = ("body",)
+
+    def __init__(self, body: Program, *, pos: Optional[Pos] = None):
+        _set(self, "body", body)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class Choice(Program):
     """Raw parsed choice whose left branch does not open with a test."""
 
-    left: Program
-    right: Program
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False, kw_only=True)
+    __slots__ = FIELDS = ("left", "right")
+
+    def __init__(self, left: Program, right: Program, *, pos: Optional[Pos] = None):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "pos", pos)
 
 
 # ---------------------------------------------------------------------------
@@ -499,22 +601,8 @@ def operator_key(n):
     return n.op if cls is BinOp else n.rel if cls is Cmp else cls
 
 
-def same(a, b) -> bool:
-    """`a == b` for two terms or formulas, on an explicit stack: inner nodes
-    are compared by operator and leaves by `==`. The generated `==` recurses
-    two frames per level."""
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        kids = CHILDREN.get(a.__class__)
-        if kids is None:
-            if a != b:
-                return False
-        elif b.__class__ is not a.__class__ or operator_key(a) != operator_key(b):
-            return False
-        else:
-            stack += zip(kids(a), kids(b))
-    return True
+# `a == b` on two trees, under the name it had before `==` took any depth.
+same = operator.eq
 
 
 def seq_to_list(p: Program) -> list[Program]:

@@ -9,8 +9,9 @@ import pytest
 
 import golden
 from plchp import parse_dl_model, parse_st
-from plchp.cli import main
+from plchp.cli import NAME_KINDS, main
 from plchp.st_syntax import tokenize
+from plchp.translate import DEFAULT_NAMES
 
 
 def run(capsys, *argv):
@@ -307,6 +308,34 @@ def test_numeric_option_out_of_range_is_a_usage_error(tmp_path, argv, message):
     assert code == 2
     assert err.startswith(f"usage: plchp {argv[0]} ")
     assert err.endswith(f"plchp {argv[0]}: error: {message}\n")
+
+
+# A generated name that ST cannot declare is a usage error naming the option.
+NAME_OPTIONS = ("program", "config", "resource", "task", "instance")
+BAD_NAMES = [("1bad", "invalid identifier: '1bad'"),
+             ("end_var", "reserved keyword cannot be an identifier: 'end_var'")]
+
+
+@pytest.mark.parametrize("kind", NAME_OPTIONS)
+@pytest.mark.parametrize("name, message", BAD_NAMES, ids=["malformed", "reserved"])
+def test_hp2st_name_option_takes_only_an_identifier(capsys, kind, name, message):
+    with pytest.raises(SystemExit) as info:
+        main(["hp2st", data("watertank_safe_model.dlhp"), f"--{kind}-name", name])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: plchp hp2st ")
+    assert err.endswith(f"plchp hp2st: error: argument --{kind}-name: {message}\n")
+
+
+def test_hp2st_name_options_name_the_generated_unit(capsys):
+    assert set(NAME_OPTIONS) == set(NAME_KINDS) == set(DEFAULT_NAMES)
+    names = [f"{kind}_x" for kind in NAME_OPTIONS]
+    argv = [a for kind, name in zip(NAME_OPTIONS, names) for a in (f"--{kind}-name", name)]
+    code, out, _ = run(capsys, "hp2st", data("watertank_safe_model.dlhp"), "--epsilon", "1", *argv)
+    assert code == 0
+    assert all(name in out for name in names)
+    code, out, _ = run(capsys, "hp2st", data("watertank_safe_model.dlhp"), "--epsilon", "1")
+    assert code == 0 and "PROGRAM prog0" in out and "CONFIGURATION Config0" in out
 
 
 def test_affine_integrator_on_a_nonaffine_plant_is_one_error_line(tmp_path):

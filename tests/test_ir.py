@@ -11,11 +11,12 @@ import uuid
 import pytest
 
 from plchp import (
-    And, Assign, Cmp, Equiv, GuardedChoice, Ident, IfThen, Imply,
-    Not, Number, OdeSystem, Or, PlantSpec, Seq, State, Var, Xor, collect_vars,
+    And, Assign, BoolConst, Choice, Cmp, Equiv, GuardedChoice, Ident, IfThen, Imply, Loop, Neg,
+    Not, Number, OdeSystem, Or, PlantSpec, RandomAssign, Seq, State, TestStmt, Var, Xor,
+    collect_vars,
 )
 from plchp.errors import DialectError, UnboundVariable
-from plchp.ir import GE, GT, HP, LE, ST, BinOp, DIV, SUB, TRUE
+from plchp.ir import GE, GT, HP, LE, ST, BinOp, DIV, SUB, TRUE, list_to_seq
 
 
 def test_ident_rejects_reserved_and_malformed():
@@ -242,3 +243,133 @@ def test_if_then_with_else_checks_its_condition():
     with pytest.raises(DialectError, match=r"\AIF condition must be an ST-dialect formula\Z"):
         IfThen(_HP, x, x)
     assert IfThen(_ST, x, x).else_ == x and IfThen(_ST, x).else_ is None
+
+
+# ---------------------------------------------------------------------------
+# Tree nodes: the behaviour they had as frozen dataclasses, at any depth.
+
+_x, _one = Ident("x"), Number("1")
+_t, _f, _p = Var(_x), BoolConst(True), RandomAssign(_x)
+_T, _F, _P = "Var(ident=Ident(name='x'))", "BoolConst(value=True)", "RandomAssign(target=Ident(name='x'))"
+REPRS = [
+    (_one, "Number(lexeme='1')"),
+    (_t, _T),
+    (Neg(_t), f"Neg(operand={_T})"),
+    (BinOp(SUB, _t, _one), f"BinOp(op='sub', left={_T}, right=Number(lexeme='1'))"),
+    (_f, _F),
+    (Cmp(GE, _t, _one), f"Cmp(rel='ge', left={_T}, right=Number(lexeme='1'))"),
+    (Not(_f), f"Not(operand={_F})"),
+    *((cls(_f, _f), f"{cls.__name__}(left={_F}, right={_F})") for cls, *_ in CONNECTIVES),
+    (Assign(_x, _one, pos=(1, 2)), "Assign(target=Ident(name='x'), value=Number(lexeme='1'))"),
+    (Seq(_p, _p), f"Seq(first={_P}, second={_P})"),
+    (IfThen(_f, _p, pos=(1, 1)), f"IfThen(cond={_F}, then={_P}, else_=None)"),
+    (IfThen(_f, _p, _p), f"IfThen(cond={_F}, then={_P}, else_={_P})"),
+    (GuardedChoice(_f, _p, None, True), f"GuardedChoice(guard={_F}, then={_P}, else_=None, complemented=True)"),
+    (GuardedChoice(_f, _p, _p, False), f"GuardedChoice(guard={_F}, then={_P}, else_={_P}, complemented=False)"),
+    (_p, _P),
+    (TestStmt(_f), f"TestStmt(cond={_F})"),
+    (OdeSystem(((_x, _one), (Ident("y"), _t)), _f),
+     f"OdeSystem(odes=((Ident(name='x'), Number(lexeme='1')), (Ident(name='y'), {_T})), domain={_F})"),
+    (Loop(_p), f"Loop(body={_P})"),
+    (Choice(_p, _p, pos=(5, 6)), f"Choice(left={_P}, right={_P})"),
+]
+NODE_IDS = [type(node).__name__ for node, _ in REPRS]
+
+
+@pytest.mark.parametrize("node, text", REPRS, ids=NODE_IDS)
+def test_node_repr_is_the_dataclass_repr(node, text):
+    assert repr(node) == text
+
+
+@pytest.mark.parametrize("node", [node for node, _ in REPRS], ids=NODE_IDS)
+def test_node_copies_and_pickles_to_an_equal_node(node):
+    copies = [copy.copy(node), copy.deepcopy(node)]
+    copies += [pickle.loads(pickle.dumps(node, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies:
+        assert twin == node and hash(twin) == hash(node) and repr(twin) == repr(node)
+        assert getattr(twin, "pos", None) == getattr(node, "pos", None)
+
+
+@pytest.mark.parametrize("node, text", REPRS, ids=NODE_IDS)
+def test_node_is_frozen_with_the_dataclass_messages(node, text):
+    field = text[text.index("(") + 1:text.index("=")]  # the first field
+    with pytest.raises(dataclasses.FrozenInstanceError, match=rf"\Acannot assign to field '{field}'\Z"):
+        setattr(node, field, None)
+    with pytest.raises(dataclasses.FrozenInstanceError, match=rf"\Acannot delete field '{field}'\Z"):
+        delattr(node, field)
+    with pytest.raises(dataclasses.FrozenInstanceError, match=r"\Acannot assign to field 'pos'\Z"):
+        node.pos = (1, 1)
+
+
+def test_equality_and_hash_ignore_pos():
+    rows = [
+        (lambda pos: Assign(_x, _one, pos=pos)),
+        (lambda pos: IfThen(_f, _p, _p, pos=pos)),
+        (lambda pos: GuardedChoice(_f, _p, None, True, pos=pos)),
+        (lambda pos: RandomAssign(_x, pos=pos)),
+        (lambda pos: TestStmt(_f, pos=pos)),
+        (lambda pos: OdeSystem(((_x, _one),), _f, pos=pos)),
+        (lambda pos: Loop(_p, pos=pos)),
+        (lambda pos: Choice(_p, _p, pos=pos)),
+    ]
+    for make in rows:
+        a, b = make((1, 2)), make(None)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a.pos == (1, 2) and b.pos is None
+
+
+def test_nodes_of_different_classes_with_equal_fields_differ():
+    pairs = [(Seq(_p, _p), Choice(_p, _p)), (Neg(_t), Loop(_t)), (Not(_f), TestStmt(_f)),
+             (Var(_x), RandomAssign(_x)), (And(_f, _f), Xor(_f, _f))]
+    for a, b in pairs:
+        assert a != b and b != a and not a == b
+
+
+def test_fields_that_are_not_nodes_take_part_in_equality():
+    assert Assign(_x, _one) != Assign(Ident("y"), _one)
+    assert IfThen(_f, _p) != IfThen(_f, _p, _p)
+    assert GuardedChoice(_f, _p, _p, True) != GuardedChoice(_f, _p, _p, False)
+    assert OdeSystem(((_x, _one),), _f) != OdeSystem(((Ident("y"), _one),), _f)
+    assert BinOp(SUB, _t, _one) != BinOp(DIV, _t, _one)
+
+
+DEPTH = 5000
+
+
+# Each builder takes the lexeme of the tree's last literal: "1", or "2" for a
+# tree that differs from the "1" tree only at the bottom.
+def _binop_chain(last):
+    t = Number(last)
+    for _ in range(DEPTH):
+        t = BinOp(SUB, t, _one)
+    return t
+
+
+def _not_chain(last):
+    f = BoolConst(last == "1")
+    for _ in range(DEPTH):
+        f = Not(f)
+    return f
+
+
+def _statements(last):
+    return list_to_seq([Assign(_x, _one, pos=(i, 1)) for i in range(DEPTH - 1)]
+                       + [Assign(_x, Number(last))])
+
+
+_A = "Assign(target=Ident(name='x'), value=Number(lexeme='1'))"
+DEEP = [
+    (_binop_chain, "BinOp(op='sub', left=" * DEPTH + "Number(lexeme='1')"
+     + ", right=Number(lexeme='1'))" * DEPTH),
+    (_not_chain, "Not(operand=" * DEPTH + _F + ")" * DEPTH),
+    (_statements, f"Seq(first={_A}, second=" * (DEPTH - 1) + _A + ")" * (DEPTH - 1)),
+]
+
+
+@pytest.mark.parametrize("build, text", DEEP, ids=["BinOp chain", "Not chain", "Seq of statements"])
+def test_deep_trees_compare_hash_and_print(build, text):
+    a, b, other = build("1"), build("1"), build("2")
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert a != other and other != b  # they differ only at the bottom
+    assert repr(a) == text
