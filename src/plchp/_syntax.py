@@ -14,7 +14,7 @@ language's spellings, and this module holds the machinery built from them:
   list directly, and one parse builds one `Var` per name and one `Number`
   per lexeme, which its trees share;
 - `render_term` and `render_formula`, a minimal-parenthesis printer that
-  folds the tree bottom up.
+  folds the tree bottom up with `Dialect.render`.
 
 Parser and printer read the same operator table, loosest level first:
 the dialect's connectives, negation, comparisons (non-associative), +/-,
@@ -115,6 +115,34 @@ class Dialect:
     def level(self, spelling: str) -> int:
         return self.binary[spelling][0]
 
+    def render(self, n, kids) -> tuple[str, int]:
+        """The printing fold's step: the text of node `n`, given its
+        children's, and the level its top operator binds at. A parent
+        parenthesizes an operand that binds looser than its side of the
+        operator needs."""
+        cls = n.__class__
+        atom = self.neg_level + 1  # atoms, and negations printed as `NOT(...)`
+        if cls is Number:
+            return n.lexeme, atom
+        if cls is Var:
+            return n.ident.name, atom
+        if cls is BoolConst:
+            return self.bools[n.value], atom
+        if cls is Not:
+            return f"{self.not_op}({kids[0][0]})", atom
+        if cls is Neg:
+            return "-" + _wrap(*kids[0], self.neg_level), self.neg_level
+        entry = self.infix.get(operator_key(n))
+        if entry is None:
+            raise TypeError(f"cannot print {cls.__name__} in {self.name} syntax")
+        text, level, assoc = entry
+        # The operand on the associative side may sit at the operator's
+        # level; the other needs strictly tighter binding.
+        right_assoc = assoc == RIGHT
+        (left, left_level), (right, right_level) = kids
+        return (_wrap(left, left_level, level + right_assoc) + text
+                + _wrap(right, right_level, level + (not right_assoc))), level
+
     def tokenize(self, text: str) -> list[Token]:
         """The tokens of `text`, then an eof token. A column is the offset
         from the start of its line, counted in characters from 1."""
@@ -173,22 +201,26 @@ class Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.pos + ahead]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.peek()
         self.pos += 1
         return tok
 
-    def at_op(self, *ops: str) -> bool:
+    def skip_op(self, op: str) -> bool:
+        """Step over `op` if it is next, and say whether it was."""
         tok = self.tokens[self.pos]
-        return tok.kind == "op" and tok.value in ops
+        if tok.kind == "op" and tok.value == op:
+            self.pos += 1
+            return True
+        return False
 
-    def expect_op(self, op: str) -> Token:
+    def expect_op(self, op: str, expected: str | None = None) -> Token:
         tok = self.tokens[self.pos]
         if tok.value != op or tok.kind != "op":
-            self.fail(f"found {self.describe(tok)}", f"'{op}'")
+            self.fail(f"found {self.describe(tok)}", expected or f"'{op}'")
         self.pos += 1
         return tok
 
@@ -212,10 +244,16 @@ class Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col, expected)
 
-    def eof(self):
+    def eof(self, expected: str = "end of input"):
         tok = self.peek()
         if tok.kind != "eof":
-            self.fail(f"unexpected trailing input: {self.describe(tok)}", "end of input")
+            self.fail(f"unexpected trailing input: {self.describe(tok)}", expected)
+
+    def whole(self, rule):
+        """`rule(self)`, which must read every token."""
+        result = rule(self)
+        self.eof()
+        return result
 
     def describe(self, tok: Token) -> str:
         if tok.kind == "eof":
@@ -322,7 +360,7 @@ def render_term(t: Term, d: Dialect) -> str:
     """Print a term with the fewest parentheses that reparse to it."""
     if not isinstance(t, Term):
         raise TypeError(f"not a term: {type(t).__name__}")
-    return _render(t, d, 0)
+    return fold(t, d.render)[0]
 
 
 def render_formula(f: Formula, d: Dialect, min_level: int = 0) -> str:
@@ -330,40 +368,7 @@ def render_formula(f: Formula, d: Dialect, min_level: int = 0) -> str:
     parentheses if it binds looser than `min_level`."""
     if not isinstance(f, Formula):
         raise TypeError(f"cannot print {type(f).__name__} in {d.name} syntax")
-    return _render(f, d, min_level)
-
-
-def _render(node, d: Dialect, min_level: int) -> str:
-    """Print bottom up. Each node gives its text and the level its top
-    operator binds at, and a parent parenthesizes an operand that binds
-    looser than its side of the operator needs."""
-    infix, neg_level = d.infix, d.neg_level
-    atom = neg_level + 1  # atoms, and negations printed as `NOT(...)`
-
-    def combine(n, kids):
-        cls = n.__class__
-        if cls is Number:
-            return n.lexeme, atom
-        if cls is Var:
-            return n.ident.name, atom
-        if cls is BoolConst:
-            return d.bools[n.value], atom
-        if cls is Not:
-            return f"{d.not_op}({kids[0][0]})", atom
-        if cls is Neg:
-            return "-" + _wrap(*kids[0], neg_level), neg_level
-        entry = infix.get(operator_key(n))
-        if entry is None:
-            raise TypeError(f"cannot print {cls.__name__} in {d.name} syntax")
-        text, level, assoc = entry
-        # The operand on the associative side may sit at the operator's
-        # level; the other needs strictly tighter binding.
-        right_assoc = assoc == RIGHT
-        (left, left_level), (right, right_level) = kids
-        return (_wrap(left, left_level, level + right_assoc) + text
-                + _wrap(right, right_level, level + (not right_assoc))), level
-
-    return _wrap(*fold(node, combine), min_level)
+    return _wrap(*fold(f, d.render), min_level)
 
 
 def _wrap(text: str, level: int, min_level: int) -> str:

@@ -19,7 +19,7 @@ from .ir import (
     Assign, CHILDREN, Choice, Cmp, EQ, Formula, GuardedChoice, HP_STATEMENTS,
     Ident, IfThen, LE, GE, Loop, Number, OdeSystem, PlantSpec, Program,
     RandomAssign, ScanCycleModel, Seq, TRUE, TestStmt, Var,
-    conjoin, conjuncts, fold, list_to_seq, seq_to_list, walk,
+    conjoin, conjuncts, fold, list_to_seq, number_lexeme, seq_to_list, walk,
 )
 
 
@@ -277,17 +277,35 @@ def extract_epsilon(assumptions: Formula, name: Ident = Ident("eps")) -> Optiona
     return value
 
 
+def model_epsilon(m: ScanCycleModel) -> Optional[float]:
+    """The scan cycle duration `m` itself gives: its concrete bound, else an
+    `eps = n` conjunct of the assumptions, else None. Raises
+    ConflictingEpsilon as extract_epsilon does."""
+    if isinstance(m.epsilon, float):
+        return m.epsilon
+    return extract_epsilon(m.assumptions, m.epsilon)
+
+
+def interval_exceeds_model(m: ScanCycleModel, interval: float) -> Optional[str]:
+    """Why a PLC task `interval` runs outside what `m` was verified for, or
+    None. The model covers cycles up to its own duration only; a model that
+    gives no duration, or two that conflict, leaves nothing to compare."""
+    try:
+        duration = model_epsilon(m)
+    except ConflictingEpsilon:
+        return None
+    if duration is None or interval <= duration:
+        return None
+    return (f"task interval {number_lexeme(interval)} s is longer than the scan cycle "
+            f"duration {number_lexeme(duration)} s the model was verified for")
+
+
 def resolve_epsilon(m: ScanCycleModel, override: Optional[float] = None) -> float:
     """The scan cycle duration of `m`, the one rule every command follows:
     the override if one is given, else the model's concrete bound, else an
     `eps = n` conjunct of the assumptions. A symbolic duration with neither,
     and a duration that is not positive or not finite, raise MissingEpsilon."""
-    epsilon = override
-    if epsilon is None:
-        if isinstance(m.epsilon, float):
-            epsilon = m.epsilon
-        else:
-            epsilon = extract_epsilon(m.assumptions, m.epsilon)
+    epsilon = model_epsilon(m) if override is None else override
     if epsilon is None:
         raise MissingEpsilon(
             f"scan cycle duration {m.epsilon} is symbolic; the assumptions "

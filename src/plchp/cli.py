@@ -16,7 +16,8 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
-    classify_io, plant_fragment, resolve_epsilon, validate_scan_cycle_form, var_sets,
+    classify_io, interval_exceeds_model, plant_fragment, resolve_epsilon,
+    validate_scan_cycle_form, var_sets,
 )
 from .dl_syntax import parse_dl_formula, parse_dl_model, parse_dl_program, print_dl_model
 from .errors import InputFileError, NotNormalForm, ParseError, PlchpError
@@ -175,6 +176,10 @@ def cmd_st2hp(args) -> int:
     model = validate_scan_cycle_form(formula)
     io_spec = classify_io(model.ctrl, model.inputs, model.plant)
     sys.stderr.write(_io_summary(io_spec))
+    if unit.config is not None:
+        exceeds = interval_exceeds_model(model, unit.config.interval)
+        if exceeds is not None:
+            _warn("epsilon-exceeds-model", exceeds)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -188,13 +193,17 @@ def cmd_hp2st(args) -> int:
     names = {kind: name for kind in NAME_KINDS if (name := getattr(args, f"{kind}_name"))}
     unit, diags = task_hp_to_st(model, epsilon=args.epsilon, names=names)
     for warning in diags.warnings:
-        sys.stderr.write(f"warning [{warning.code}]: {warning.message}\n")
+        _warn(warning.code, warning.message)
     text = print_st(unit)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _warn(code: str, message: str) -> None:
+    sys.stderr.write(f"warning [{code}]: {message}\n")
 
 
 def _io_summary(io_spec) -> str:

@@ -127,6 +127,7 @@ class _Parser(Parser):
             if tok.kind == "eof" or (tok.kind == "op" and tok.value in self._LIST_END):
                 return stmts
             if tok.kind == "op" and tok.value == "{":
+                self.pos += 1
                 stmts.append((yield self.group_statement(tok)))
             else:
                 stmts.append(self.statement())
@@ -136,36 +137,30 @@ class _Parser(Parser):
         if tok.kind == "ident":
             target = self.expect_ident()
             self.expect_op(":=")
-            if self.at_op("*"):
-                self.next()
+            if self.skip_op("*"):
                 self.expect_op(";")
                 return RandomAssign(target, pos=(tok.line, tok.col))
             value = self.term()
             self.expect_op(";")
             return Assign(target, value, pos=(tok.line, tok.col))
-        if tok.kind == "op" and tok.value == "?":
-            self.next()
+        if self.skip_op("?"):
             cond = self.formula()
             self.expect_op(";")
             return TestStmt(cond, pos=(tok.line, tok.col))
         self.fail(f"found {self.describe(tok)}", "a statement")
 
     def group_statement(self, tok: Token):
-        """A braced group, or a choice between several."""
+        """A braced group after its opening `tok`, or a choice between several."""
         node = yield self.braced_group(tok)
-        while self.at_op("++"):
-            self.next()
-            nxt = self.peek()
-            if not self.at_op("{"):
-                self.fail(f"found {self.describe(nxt)}", "'{' opening a choice branch")
+        while self.skip_op("++"):
+            nxt = self.expect_op("{", "'{' opening a choice branch")
             node = self.make_choice(node, (yield self.braced_group(nxt)), tok)
-        if self.at_op(";"):
-            self.next()
+        self.skip_op(";")
         return node
 
     def braced_group(self, start: Token):
-        """One braced group: an ODE system, a block, an inner choice, or a loop."""
-        self.expect_op("{")
+        """One braced group after its opening `start`: an ODE system, a
+        block, an inner choice, or a loop."""
         if self.tokens[self.pos].kind == "ident" and self.tokens[self.pos + 1].value == "'":
             return self.ode_system(start)
         branches = []
@@ -174,32 +169,27 @@ class _Parser(Parser):
             if not stmts:
                 raise ParseError("empty choice branch", start.line, start.col)
             branches.append(list_to_seq(stmts))
-            if not self.at_op("++"):
+            if not self.skip_op("++"):
                 break
-            self.pos += 1
         self.expect_op("}")
         node = branches[0]
         for right in branches[1:]:
             node = self.make_choice(node, right, start)
-        if len(branches) == 1 and self.at_op("*"):
-            self.next()
+        if len(branches) == 1 and self.skip_op("*"):
             return Loop(node, pos=(start.line, start.col))
         return node
 
     def make_choice(self, left: Program, right: Program, at: Token) -> Program:
         """Shape a parsed choice: guarded forms become GuardedChoice."""
+        pos = (at.line, at.col)
         head, rest = _split_test(left)
-        if head is None:
-            return Choice(left, right, pos=(at.line, at.col))
         if rest is None:
-            # Left branch is a bare test: not a guarded execution.
-            return Choice(left, right, pos=(at.line, at.col))
+            # The left branch has no test, or is a bare test: not a guarded execution.
+            return Choice(left, right, pos=pos)
         right_head, right_rest = _split_test(right)
         if right_head is not None and detect_complement(head.cond, right_head.cond):
-            return GuardedChoice(
-                head.cond, rest, right_rest, complemented=True, pos=(at.line, at.col)
-            )
-        return GuardedChoice(head.cond, rest, right, complemented=False, pos=(at.line, at.col))
+            return GuardedChoice(head.cond, rest, right_rest, complemented=True, pos=pos)
+        return GuardedChoice(head.cond, rest, right, complemented=False, pos=pos)
 
     def ode_system(self, start: Token) -> Program:
         odes: list[tuple[Ident, Term]] = []
@@ -209,13 +199,10 @@ class _Parser(Parser):
             self.expect_op("=")
             at = self.peek()
             odes.append((x, self.require(self.expression(_TERM_LEVEL), Term, at)))
-            if self.at_op(","):
-                self.next()
-                continue
-            break
+            if not self.skip_op(","):
+                break
         domain: Formula = BoolConst(True)
-        if self.at_op("&"):
-            self.next()
+        if self.skip_op("&"):
             domain = self.formula()
         self.expect_op("}")
         try:
@@ -230,10 +217,7 @@ class _Parser(Parser):
         assumptions = self.require(self.expression(_ASSUMPTION_LEVEL), Formula, tok)
         self.expect_op("->")
         self.expect_op("[")
-        open_brace = self.peek()
-        if not self.at_op("{"):
-            self.fail(f"found {self.describe(open_brace)}", "'{' opening the loop body")
-        self.next()
+        self.expect_op("{", "'{' opening the loop body")
         body = self.program()
         self.expect_op("}")
         self.expect_op("*")
@@ -256,31 +240,19 @@ def _split_test(p: Program) -> tuple[Optional[TestStmt], Optional[Program]]:
 # Entry points per syntactic category
 
 def parse_dl_term(text: str) -> Term:
-    parser = _Parser(text)
-    t = parser.term()
-    parser.eof()
-    return t
+    return _Parser(text).whole(_Parser.term)
 
 
 def parse_dl_formula(text: str) -> Formula:
-    parser = _Parser(text)
-    f = parser.formula()
-    parser.eof()
-    return f
+    return _Parser(text).whole(_Parser.formula)
 
 
 def parse_dl_program(text: str) -> Program:
-    parser = _Parser(text)
-    p = parser.program()
-    parser.eof()
-    return p
+    return _Parser(text).whole(_Parser.program)
 
 
 def parse_dl_model(text: str) -> DlSafetyFormula:
-    parser = _Parser(text)
-    m = parser.safety_formula()
-    parser.eof()
-    return m
+    return _Parser(text).whole(_Parser.safety_formula)
 
 
 def parse_dl(text: str) -> Union[DlSafetyFormula, Program, Formula, Term]:

@@ -21,7 +21,7 @@ from ._syntax import (
 from .errors import ParseError
 from .ir import (
     And, Assign, Formula, Ident, IfThen, Or, Program,
-    RESERVED_WORDS, Term, Xor, list_to_seq, number_lexeme, seq_to_list,
+    RESERVED_WORDS, Seq, Term, Xor, list_to_seq, number_lexeme,
 )
 
 # Recognized so that out-of-subset sources fail with a named construct
@@ -170,6 +170,11 @@ class _Parser(Parser):
             self.fail(f"found {self.describe(tok)}", name)
         return self.next()
 
+    def named(self, keyword: str) -> Ident:
+        """The identifier after `keyword`."""
+        self.expect_kw(keyword)
+        return self.expect_ident()
+
     def describe(self, tok: Token) -> str:
         if tok.kind == "kw":
             return f"keyword {tok.value}"
@@ -194,6 +199,9 @@ class _Parser(Parser):
     # -- statements ----------------------------------------------------------
 
     _STMT_END = ("END_IF", "ELSE", "ELSIF", "END_PROGRAM")
+
+    def body(self) -> Program:
+        return list_to_seq(run_nested(self.statement_list()))
 
     # Statement lists and IF statements are generators run by `run_nested`,
     # so that IF statements nest without limit.
@@ -231,8 +239,7 @@ class _Parser(Parser):
             if stmts:  # empty ELSE normalizes away
                 else_body = list_to_seq(stmts)
         self.expect_kw("END_IF")
-        if self.at_op(";"):
-            self.next()
+        self.skip_op(";")
         return _fold_if(arms, else_body, (start.line, start.col))
 
     def assignment(self, tok: Token) -> Program:
@@ -266,8 +273,7 @@ class _Parser(Parser):
 
         while not self.at_kw("END_VAR"):
             names = [declare()]
-            while self.at_op(","):
-                self.next()
+            while self.skip_op(","):
                 names.append(declare())
             self.expect_op(":")
             ty = self.peek()
@@ -281,19 +287,14 @@ class _Parser(Parser):
             self.expect_op(";")
             decls.extend((name, ty.value) for name in names)
         self.expect_kw("END_VAR")
-        if self.at_op(";"):
-            self.next()
+        self.skip_op(";")
         return StVarBlock(kind, tuple(decls))
 
     def configuration(self) -> tuple[StConfig, Ident]:
-        self.expect_kw("CONFIGURATION")
-        config_name = self.expect_ident()
-        self.expect_kw("RESOURCE")
-        resource_name = self.expect_ident()
-        self.expect_kw("ON")
-        host = self.expect_ident()
-        self.expect_kw("TASK")
-        task_name = self.expect_ident()
+        config_name = self.named("CONFIGURATION")
+        resource_name = self.named("RESOURCE")
+        host = self.named("ON")
+        task_name = self.named("TASK")
         self.expect_op("(")
         self.expect_kw("INTERVAL")
         self.expect_op(":=")
@@ -311,24 +312,18 @@ class _Parser(Parser):
             self.fail(f"found {self.describe(prio)}", "non-negative integer priority")
         self.next()
         self.expect_op(")")
-        if self.at_op(";"):
-            self.next()
-        self.expect_kw("PROGRAM")
-        instance = self.expect_ident()
-        self.expect_kw("WITH")
-        with_task = self.expect_ident()
+        self.skip_op(";")
+        instance = self.named("PROGRAM")
+        with_task = self.named("WITH")
         if with_task != task_name:
             self.fail(f"program bound to unknown task {with_task}", str(task_name))
         self.expect_op(":")
         prog_ref = self.expect_ident()
-        if self.at_op(";"):
-            self.next()
+        self.skip_op(";")
         self.expect_kw("END_RESOURCE")
-        if self.at_op(";"):
-            self.next()
+        self.skip_op(";")
         self.expect_kw("END_CONFIGURATION")
-        if self.at_op(";"):
-            self.next()
+        self.skip_op(";")
         return StConfig(
             config_name=config_name,
             resource_name=resource_name,
@@ -340,24 +335,20 @@ class _Parser(Parser):
         ), prog_ref
 
     def unit(self) -> StUnit:
-        self.expect_kw("PROGRAM")
-        program_name = self.expect_ident()
+        program_name = self.named("PROGRAM")
         blocks: list[StVarBlock] = []
         declared: set[Ident] = set()
         while self.at_kw(*VAR_KINDS):
             blocks.append(self.var_block(declared))
-        body = list_to_seq(run_nested(self.statement_list()))
+        body = self.body()
         self.expect_kw("END_PROGRAM")
-        if self.at_op(";"):
-            self.next()
+        self.skip_op(";")
         config = None
         if self.at_kw("CONFIGURATION"):
             config, prog_ref = self.configuration()
             if prog_ref != program_name:
                 self.fail(f"configuration refers to unknown program {prog_ref}")
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.fail(f"unexpected trailing input: {self.describe(tok)}", "end of file")
+        self.eof("end of file")
         return StUnit(program_name, tuple(blocks), body, config)
 
 
@@ -377,18 +368,12 @@ def parse_st(text: str) -> StUnit:
 
 def parse_st_statements(text: str) -> Program:
     """Parse a bare statement list (no PROGRAM wrapper)."""
-    parser = _Parser(text)
-    body = list_to_seq(run_nested(parser.statement_list()))
-    parser.eof()
-    return body
+    return _Parser(text).whole(_Parser.body)
 
 
 def parse_st_expression(text: str):
     """Parse a single expression; returns a Term or an ST-dialect Formula."""
-    parser = _Parser(text)
-    value = parser.expression()
-    parser.eof()
-    return value
+    return _Parser(text).whole(_Parser.expression)
 
 
 # ---------------------------------------------------------------------------
@@ -404,27 +389,32 @@ def print_st_formula(f: Formula) -> str:
 
 def print_st_statement(p: Program, indent: int = 0) -> str:
     """Canonical layout: two-space indent, one statement per line."""
-    return "\n".join(run_nested(_stmt_lines(p, indent)))
-
-
-def _stmt_lines(p: Program, indent: int):
-    # Indentation is handed down, so rather than a fold this is a generator
-    # run by `run_nested`, which lets blocks nest without limit.
-    pad = "  " * indent
+    # Indentation is handed down, so rather than a fold this walks an
+    # explicit stack, which lets blocks nest without limit. The stack holds
+    # what is still to print, next on top: statements with their indent,
+    # and the ELSE and END_IF lines of open IFs.
     lines: list[str] = []
-    for stmt in seq_to_list(p):
-        if isinstance(stmt, Assign):
+    todo: list = [(p, indent)]
+    while todo:
+        stmt, depth = todo.pop()
+        cls = stmt.__class__
+        if cls is str:
+            lines.append(stmt)
+            continue
+        pad = "  " * depth
+        if cls is Seq:
+            todo += (stmt.second, depth), (stmt.first, depth)
+        elif cls is Assign:
             lines.append(f"{pad}{stmt.target} := {print_st_term(stmt.value)};")
-        elif isinstance(stmt, IfThen):
+        elif cls is IfThen:
             lines.append(f"{pad}IF ({print_st_formula(stmt.cond)}) THEN")
-            lines += yield _stmt_lines(stmt.then, indent + 1)
+            todo.append((f"{pad}END_IF;", depth))
             if stmt.else_ is not None:
-                lines.append(f"{pad}ELSE")
-                lines += yield _stmt_lines(stmt.else_, indent + 1)
-            lines.append(f"{pad}END_IF;")
+                todo += (stmt.else_, depth + 1), (f"{pad}ELSE", depth)
+            todo.append((stmt.then, depth + 1))
         else:
-            raise TypeError(f"cannot print {type(stmt).__name__} as an ST statement")
-    return lines
+            raise TypeError(f"cannot print {cls.__name__} as an ST statement")
+    return "\n".join(lines)
 
 
 def format_interval(seconds: float) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import classify_io, extract_epsilon, resolve_epsilon
+from .analysis import classify_io, extract_epsilon, interval_exceeds_model, resolve_epsilon
 from .dl_syntax import DlSafetyFormula, plant_program
 from .errors import DialectError, NotNormalForm, PlantVariableClash
 from .ir import (
@@ -167,7 +167,8 @@ def task_hp_to_st(
     """Compile a scan-cycle model into a complete program unit.
 
     The task interval is the scan cycle duration that
-    `analysis.resolve_epsilon` gives the model and the `epsilon` override.
+    `analysis.resolve_epsilon` gives the model and the `epsilon` override;
+    an interval longer than the model's own duration is warned about.
     """
     resolved = DEFAULT_NAMES | (names or {})
     epsilon = resolve_epsilon(m, epsilon)
@@ -175,6 +176,9 @@ def task_hp_to_st(
     body, diags = prog_hp_to_st(m.ctrl)
     io = classify_io(m.ctrl, m.inputs, m.plant)
     diags = diags.extend(CompileWarning("io-conflict", w) for w in io.warnings)
+    exceeds = interval_exceeds_model(m, epsilon)
+    if exceeds is not None:
+        diags = diags.extend([CompileWarning("epsilon-exceeds-model", exceeds)])
 
     bool_outputs = _zero_one_outputs(m.ctrl)
     blocks: list[StVarBlock] = []

@@ -548,3 +548,76 @@ def test_comply_on_an_empty_trace(tmp_path, capsys):
                        "--cycles", "0", "--out", "trace.csv") == (0, "")
     assert run(capsys, "comply", "--model", str(tmp_path / "small.dlhp"),
                "--trace", str(tmp_path / "trace.csv")) == (0, "checked=0 instances=0\n", "")
+
+
+# ---------------------------------------------------------------------------
+# A task interval longer than the model's scan cycle duration
+
+EXCEEDS = "warning [epsilon-exceeds-model]: task interval {} s is longer than the scan " \
+          "cycle duration {} s the model was verified for\n"
+BOUNDED = "true -> [{{ u:=*; y:=u; t:=0; {{x'=y, t'=1 & t<={}}} }}*] x>=0\n"
+
+
+def st2hp_watertank(capsys, out, assumptions=None):
+    return run(
+        capsys, "st2hp", data("watertank_original.st"),
+        "--plant", data("watertank_plant.dlhp"),
+        "--assumptions", assumptions or data("watertank_assumptions.dlhp"),
+        "--safety", data("watertank_safety.dlhp"), "--out", str(out),
+    )
+
+
+@pytest.mark.parametrize("model, epsilon, warning", [
+    ("generated", "10", EXCEEDS.format(10, 1)),
+    ("generated", "1", ""),
+    ("generated", "0.5", ""),
+    (BOUNDED.format(1), "2", EXCEEDS.format(2, 1)),
+    (BOUNDED.format(1), "1", ""),
+    (BOUNDED.format("eps").replace("true", "eps=1 & eps=2"), "3", ""),
+], ids=["longer", "equal", "shorter", "bound-longer", "bound-equal", "conflicting"])
+def test_hp2st_warns_of_an_interval_longer_than_the_model(tmp_path, capsys, model, epsilon,
+                                                          warning):
+    path = tmp_path / "model.dlhp"
+    if model == "generated":
+        assert st2hp_watertank(capsys, path)[0] == 0
+    else:
+        path.write_text(model)
+    code, out, err = run(capsys, "hp2st", str(path), "--epsilon", epsilon)
+    assert (code, err) == (0, warning)
+    assert f"INTERVAL:=T#{epsilon} s," in out.replace("T#500 ms", "T#0.5 s")
+
+
+@pytest.mark.parametrize("eps, warning", [
+    ("0.5", EXCEEDS.format(1, 0.5)),
+    ("1", ""),
+    ("2", ""),
+], ids=["longer", "equal", "shorter"])
+def test_st2hp_warns_of_an_interval_longer_than_the_model(tmp_path, capsys, eps, warning):
+    assumptions = tmp_path / "assumptions.dlhp"
+    assumptions.write_text(f"{golden.DATA.joinpath('watertank_assumptions.dlhp').read_text().strip()}"
+                           f" & eps={eps}\n")
+    model = tmp_path / "model.dlhp"
+    code, out, err = st2hp_watertank(capsys, model, str(assumptions))
+    assert (code, out) == (0, "")
+    summary, _, rest = err.partition("params: ")
+    assert summary.startswith("inputs: ")
+    assert rest.partition("\n")[2] == warning
+    assert f"eps={eps}" in model.read_text()
+
+
+# ---------------------------------------------------------------------------
+# simulate's stop line
+
+@pytest.mark.parametrize("model, u, stop, summary", [
+    ("eps=1 -> [{ u:=*; y:=u; t:=0; {x'=y, t'=1 & t<=eps & x*x<=9} }*] x<=10", 2,
+     "run stopped at cycle 1: domain violated at t=0.501: x*x<=9\n", "cycles=2 violations=0\n"),
+    ("eps=1 -> [{ u:=*; x:=u; t:=0; {x'=1, t'=1 & t<=eps & x<=3} }*] x<=10", 5,
+     "run stopped at cycle 0: domain violated at t=0: x<=3\n", "cycles=1 violations=0\n"),
+], ids=["grid", "start"])
+def test_simulate_prints_where_the_run_stopped(tmp_path, capsys, model, u, stop, summary):
+    (tmp_path / "m.dlhp").write_text(model + "\n")
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"init": {"x": 0}, "inputs": {"mode": "constant", "values": {"u": u}}}))
+    assert run(capsys, "simulate", "--model", str(tmp_path / "m.dlhp"),
+               "--inputs", str(tmp_path / "run.json"), "--cycles", "5",
+               "--out", str(tmp_path / "trace.csv")) == (0, summary, stop)

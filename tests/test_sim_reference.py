@@ -24,6 +24,7 @@ from plchp import (
     integrate_plant, parse_dl_model, simulate, validate_scan_cycle_form,
 )
 from plchp.compiled import Layout
+from plchp.dl_syntax import print_dl_formula
 from plchp.errors import ConflictingEpsilon, MissingInput, PlchpError
 from plchp.semantics import eval_formula, run_st
 from plchp.sim import (
@@ -387,6 +388,39 @@ def test_domain_exit_in_the_first_cycle():
             inputs=ConstantInputs({ident("u"): 1.0}), epsilon=None,
             integrator=IntegratorConfig(substeps=7)))
         assert len(got["records"]) == 1 and got["records"][0][-1] is not None
+
+
+def first_grid_failure(holds, duration, substeps):
+    """The first `duration*k/substeps` at which `holds` is false."""
+    return next(t for t in (duration * k / substeps for k in range(substeps + 1)) if not holds(t))
+
+
+@pytest.mark.parametrize("substeps", [1, 7, 1000])
+def test_affine_exit_of_a_nonlinear_conjunct_is_on_the_grid(substeps):
+    # x*x<=9 is not linear in x, so the closed form scans the substep grid.
+    # Cycle 0 takes x from 0 to 2; in cycle 1, x = 2 + 2t leaves the domain.
+    model = exit_model("y", "x*x<=9")
+    body, _ = prog_hp_to_st(model.ctrl)
+    cfg = SimConfig(integrator=IntegratorConfig(substeps=substeps, method="affine"))
+    records = simulate(model, body, ConstantInputs({ident("u"): 2.0}), 5,
+                       State({ident("x"): 0.0}), cfg)
+    expected = first_grid_failure(lambda t: (2.0 + 2.0 * t) * (2.0 + 2.0 * t) <= 9, 1.0, substeps)
+    assert [rec.domain_exit for rec in records[:-1]] == [None]
+    exit_ = records[-1].domain_exit
+    assert records[-1].index == 1 and exit_.time == expected
+    assert print_dl_formula(exit_.conjunct) == "x*x<=9"
+    assert records[-1].post_plant.get(ident("x")) == 2.0 + 2.0 * expected
+
+
+def test_affine_exit_when_the_controller_leaves_the_domain():
+    model = validate_scan_cycle_form(parse_dl_model(
+        "eps=1 -> [{ u:=*; x:=u; t:=0; {x'=1, t'=1 & t<=eps & x<=3} }*] x<=10"))
+    body, _ = prog_hp_to_st(model.ctrl)
+    records = simulate(model, body, ConstantInputs({ident("u"): 5.0}), 5,
+                       State({ident("x"): 0.0}), SimConfig())
+    assert len(records) == 1 and records[0].domain_exit.time == 0.0
+    assert records[0].domain_exit.describe() == "domain violated at t=0: x<=3"
+    assert records[0].post_plant.get(ident("x")) == 5.0
 
 
 # ---------------------------------------------------------------------------
