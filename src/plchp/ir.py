@@ -101,10 +101,30 @@ class Node:
     """Base class of terms, formulas and statements: slotted and immutable,
     as a frozen dataclass is. `FIELDS` names a class's fields in constructor
     order; `==`, `hash` and `repr` read those and no others (not `pos`), on
-    an explicit stack, so a tree of any depth is in reach of each."""
+    an explicit stack, so a tree of any depth is in reach of each.
+
+    A class that declares `FIELDS` and no `__init__` gets a constructor with
+    one parameter per field, in that order, and `pos` by keyword on a
+    statement. It stores them, then calls the class's `__post_init__`, if
+    any, which checks them and sets derived fields."""
 
     __slots__ = ()
     FIELDS: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # The constructor is compiled once per class, as a dataclass's is.
+        if "FIELDS" not in cls.__dict__ or "__init__" in cls.__dict__:
+            return
+        params, body = [*cls.FIELDS], [f"_set(self, {f!r}, {f})" for f in cls.FIELDS]
+        if hasattr(cls, "pos"):  # a statement: `Program`'s slot
+            params += ["*", "pos=None"]
+            body.append("_set(self, 'pos', pos)")
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        namespace = {"_set": _set, "__name__": __name__}
+        exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -186,10 +206,9 @@ class Number(Term):
 
     __slots__ = FIELDS = ("lexeme",)
 
-    def __init__(self, lexeme: str):
-        if not _NUMBER_RE.match(lexeme):
-            raise ValueError(f"invalid number literal: {lexeme!r}")
-        _set(self, "lexeme", lexeme)
+    def __post_init__(self):
+        if not _NUMBER_RE.match(self.lexeme):
+            raise ValueError(f"invalid number literal: {self.lexeme!r}")
 
     @property
     def value(self) -> float:
@@ -199,9 +218,6 @@ class Number(Term):
 class Var(Term):
     __slots__ = FIELDS = ("ident",)
 
-    def __init__(self, ident: Ident):
-        _set(self, "ident", ident)
-
     def __str__(self) -> str:
         return self.ident.name
 
@@ -209,19 +225,13 @@ class Var(Term):
 class Neg(Term):
     __slots__ = FIELDS = ("operand",)
 
-    def __init__(self, operand: Term):
-        _set(self, "operand", operand)
-
 
 class BinOp(Term):
     __slots__ = FIELDS = ("op", "left", "right")  # op: one of BINARY_OPS
 
-    def __init__(self, op: str, left: Term, right: Term):
-        if op not in BINARY_OPS:
-            raise ValueError(f"unknown binary operator: {op!r}")
-        _set(self, "op", op)
-        _set(self, "left", left)
-        _set(self, "right", right)
+    def __post_init__(self):
+        if self.op not in BINARY_OPS:
+            raise ValueError(f"unknown binary operator: {self.op!r}")
 
 
 def number_lexeme(value: float) -> str:
@@ -270,28 +280,21 @@ class Formula(Node):
 class BoolConst(Formula):
     __slots__ = FIELDS = ("value",)
 
-    def __init__(self, value: bool):
-        _set(self, "value", value)
-
 
 class Cmp(Formula):
     __slots__ = FIELDS = ("rel", "left", "right")  # rel: one of RELATIONS
 
-    def __init__(self, rel: str, left: Term, right: Term):
-        if rel not in RELATIONS:
-            raise ValueError(f"unknown relation: {rel!r}")
-        _set(self, "rel", rel)
-        _set(self, "left", left)
-        _set(self, "right", right)
+    def __post_init__(self):
+        if self.rel not in RELATIONS:
+            raise ValueError(f"unknown relation: {self.rel!r}")
 
 
 class Not(Formula):
     FIELDS = ("operand",)
     __slots__ = (*FIELDS, "dialect")
 
-    def __init__(self, operand: Formula):
-        _set(self, "operand", operand)
-        _set(self, "dialect", _merge_dialects("NOT", None, (operand,)))
+    def __post_init__(self):
+        _set(self, "dialect", _merge_dialects("NOT", None, (self.operand,)))
 
 
 class Connective(Formula):
@@ -302,10 +305,8 @@ class Connective(Formula):
     FIELDS = ("left", "right")
     __slots__ = (*FIELDS, "dialect")
 
-    def __init__(self, left: Formula, right: Formula):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "dialect", _merge_dialects(self.spelling, self.own, (left, right)))
+    def __post_init__(self):
+        _set(self, "dialect", _merge_dialects(self.spelling, self.own, (self.left, self.right)))
 
 
 class And(Connective):
@@ -379,11 +380,6 @@ class Program(Node):
 class Assign(Program):
     __slots__ = FIELDS = ("target", "value")
 
-    def __init__(self, target: Ident, value: Term, *, pos: Optional[Pos] = None):
-        _set(self, "target", target)
-        _set(self, "value", value)
-        _set(self, "pos", pos)
-
 
 class Seq(Program):
     __slots__ = FIELDS = ("first", "second")
@@ -420,27 +416,17 @@ class GuardedChoice(Program):
 
     __slots__ = FIELDS = ("guard", "then", "else_", "complemented")
 
-    def __init__(self, guard: Formula, then: Program, else_: Optional[Program],
-                 complemented: bool, *, pos: Optional[Pos] = None):
-        if guard.dialect == ST:
+    def __post_init__(self):
+        if self.guard.dialect == ST:
             raise DialectError("choice guard must be an HP-dialect formula")
-        if not complemented and else_ is None:
+        if not self.complemented and self.else_ is None:
             raise ValueError("default-beta choice requires an explicit default branch")
-        _set(self, "guard", guard)
-        _set(self, "then", then)
-        _set(self, "else_", else_)
-        _set(self, "complemented", complemented)
-        _set(self, "pos", pos)
 
 
 class RandomAssign(Program):
     """Nondeterministic assignment `x := *`; legal only in the input section."""
 
     __slots__ = FIELDS = ("target",)
-
-    def __init__(self, target: Ident, *, pos: Optional[Pos] = None):
-        _set(self, "target", target)
-        _set(self, "pos", pos)
 
 
 class TestStmt(Program):
@@ -449,11 +435,9 @@ class TestStmt(Program):
     __test__ = False  # not a pytest class
     __slots__ = FIELDS = ("cond",)
 
-    def __init__(self, cond: Formula, *, pos: Optional[Pos] = None):
-        if cond.dialect == ST:
+    def __post_init__(self):
+        if self.cond.dialect == ST:
             raise DialectError("test condition must be an HP-dialect formula")
-        _set(self, "cond", cond)
-        _set(self, "pos", pos)
 
 
 def _reject_duplicate_odes(odes, *seen: Ident) -> None:
@@ -471,14 +455,10 @@ class OdeSystem(Program):
 
     __slots__ = FIELDS = ("odes", "domain")
 
-    def __init__(self, odes: tuple[tuple[Ident, Term], ...], domain: Formula, *,
-                 pos: Optional[Pos] = None):
-        if domain.dialect == ST:
+    def __post_init__(self):
+        if self.domain.dialect == ST:
             raise DialectError("evolution domain must be an HP-dialect formula")
-        _reject_duplicate_odes(odes)
-        _set(self, "odes", odes)
-        _set(self, "domain", domain)
-        _set(self, "pos", pos)
+        _reject_duplicate_odes(self.odes)
 
 
 class Loop(Program):
@@ -486,20 +466,11 @@ class Loop(Program):
 
     __slots__ = FIELDS = ("body",)
 
-    def __init__(self, body: Program, *, pos: Optional[Pos] = None):
-        _set(self, "body", body)
-        _set(self, "pos", pos)
-
 
 class Choice(Program):
     """Raw parsed choice whose left branch does not open with a test."""
 
     __slots__ = FIELDS = ("left", "right")
-
-    def __init__(self, left: Program, right: Program, *, pos: Optional[Pos] = None):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "pos", pos)
 
 
 # ---------------------------------------------------------------------------
