@@ -16,8 +16,8 @@ from typing import Optional, Union
 from .dl_syntax import DlSafetyFormula, print_dl_formula
 from .errors import ConflictingEpsilon, MissingEpsilon, NotNormalForm
 from .ir import (
-    Assign, CHILDREN, Choice, Cmp, EQ, Formula, GuardedChoice, HP_STATEMENTS,
-    Ident, IfThen, LE, GE, Loop, Number, OdeSystem, PlantSpec, Program,
+    Assign, CHILDREN, Choice, Cmp, EQ, Formula, GE, GT, GuardedChoice, HP_STATEMENTS,
+    Ident, IfThen, LE, LT, Loop, NE, Number, OdeSystem, PlantSpec, Program,
     RandomAssign, ScanCycleModel, Seq, TRUE, TestStmt, Var,
     conjoin, conjuncts, fold, list_to_seq, number_lexeme, seq_to_list, walk,
 )
@@ -214,13 +214,24 @@ def plant_fragment(p: Program) -> PlantSpec:
 
 def _clock_bound(part: Formula, clock: Ident) -> Optional[Union[Var, Number]]:
     """Match `clock <= e` or `e >= clock` with e a variable or number."""
-    if not isinstance(part, Cmp):
-        return None
-    if part.rel == LE and part.left == Var(clock) and isinstance(part.right, (Var, Number)):
-        return part.right
-    if part.rel == GE and part.right == Var(clock) and isinstance(part.left, (Var, Number)):
-        return part.left
+    for rel, e in _compared(part, clock):
+        if rel == LE and isinstance(e, (Var, Number)):
+            return e
     return None
+
+
+# `e rel x` says what `x _CONVERSE[rel] e` says.
+_CONVERSE = {EQ: EQ, NE: NE, LT: GT, LE: GE, GT: LT, GE: LE}
+
+
+def _compared(part: Formula, x: Ident) -> list:
+    """Each reading of `part` as `x rel e`, a `(rel, e)` pair: none unless
+    `part` compares variable `x` with a term, either way round."""
+    if part.__class__ is not Cmp:
+        return []
+    v = Var(x)
+    return ([(part.rel, part.right)] if part.left == v else []) + (
+        [(_CONVERSE[part.rel], part.left)] if part.right == v else [])
 
 
 # Why each statement class other than assignment, sequence and guarded
@@ -259,13 +270,8 @@ def extract_epsilon(assumptions: Formula, name: Ident = Ident("eps")) -> Optiona
     """
     value: Optional[float] = None
     for part in conjuncts(assumptions):
-        if not (isinstance(part, Cmp) and part.rel == EQ):
-            continue
-        candidate = None
-        if part.left == Var(name) and isinstance(part.right, Number):
-            candidate = part.right.value
-        elif part.right == Var(name) and isinstance(part.left, Number):
-            candidate = part.left.value
+        candidate = next((e.value for rel, e in _compared(part, name)
+                          if rel == EQ and isinstance(e, Number)), None)
         if candidate is None:
             continue
         if value is not None and value != candidate:
@@ -288,16 +294,27 @@ def model_epsilon(m: ScanCycleModel) -> Optional[float]:
 
 def interval_exceeds_model(m: ScanCycleModel, interval: float) -> Optional[str]:
     """Why a PLC task `interval` runs outside what `m` was verified for, or
-    None. The model covers cycles up to its own duration only; a model that
-    gives no duration, or two that conflict, leaves nothing to compare."""
+    None. The model covers cycles up to the shortest duration it gives
+    only: its own duration (`model_epsilon`), or a top-level `eps <= n` or
+    `eps < n` of its assumptions, either way round. A model that gives
+    none, or two durations that conflict, leaves nothing to compare."""
     try:
         duration = model_epsilon(m)
     except ConflictingEpsilon:
         return None
-    if duration is None or interval <= duration:
+    limits = [] if duration is None else [(duration, EQ)]
+    if isinstance(m.epsilon, Ident):
+        limits += [(e.value, rel) for part in conjuncts(m.assumptions)
+                   for rel, e in _compared(part, m.epsilon)
+                   if rel in (LE, LT) and isinstance(e, Number)]
+    # At one value, a strict bound is the shortest.
+    limit, rel = min(limits, key=lambda pair: (pair[0], pair[1] != LT), default=(math.inf, EQ))
+    if interval < limit or (interval == limit and rel != LT):
         return None
-    return (f"task interval {number_lexeme(interval)} s is longer than the scan cycle "
-            f"duration {number_lexeme(duration)} s the model was verified for")
+    how = ("is longer than the scan cycle duration" if rel == EQ else
+           f"is outside the scan cycle durations {'up to' if rel == LE else 'below'}")
+    return (f"task interval {number_lexeme(interval)} s {how} {number_lexeme(limit)} s "
+            "the model was verified for")
 
 
 def resolve_epsilon(m: ScanCycleModel, override: Optional[float] = None) -> float:

@@ -32,8 +32,9 @@ _LAZY = {
     "translate": ("prog_hp_to_st", "task_hp_to_st", "task_st_to_hp"),
     "semantics": ("GenConfig", "difftest"),
     "sim": (
-        "ConstantInputs", "CsvInputs", "IntegratorConfig", "SimConfig", "UniformInputs",
-        "check_compliance", "check_safety", "read_trace_file", "simulate", "write_trace_file",
+        "CYCLE_COLUMN", "ConstantInputs", "CsvInputs", "IntegratorConfig", "SimConfig",
+        "UniformInputs", "check_compliance", "check_safety", "read_trace_file", "simulate",
+        "write_trace_file",
     ),
 }
 
@@ -177,9 +178,7 @@ def cmd_st2hp(args) -> int:
     io_spec = classify_io(model.ctrl, model.inputs, model.plant)
     sys.stderr.write(_io_summary(io_spec))
     if unit.config is not None:
-        exceeds = interval_exceeds_model(model, unit.config.interval)
-        if exceeds is not None:
-            _warn("epsilon-exceeds-model", exceeds)
+        _warn("epsilon-exceeds-model", interval_exceeds_model(model, unit.config.interval))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -202,8 +201,10 @@ def cmd_hp2st(args) -> int:
     return 0
 
 
-def _warn(code: str, message: str) -> None:
-    sys.stderr.write(f"warning [{code}]: {message}\n")
+def _warn(code: str, message: str | None) -> None:
+    """Print warning `message` on stderr; None warns of nothing."""
+    if message is not None:
+        sys.stderr.write(f"warning [{code}]: {message}\n")
 
 
 def _io_summary(io_spec) -> str:
@@ -308,11 +309,15 @@ def _load_run_config(args, model) -> tuple:
         if not isinstance(trace, str):
             raise InputFileError(path, "input mode 'csv' needs a 'path' string")
         _, rows = read_trace_file(trace)
-        wanted = set(model.inputs)
-        provider = CsvInputs(tuple(
-            {k: v for k, v in row.items() if isinstance(k, Ident) and k in wanted}
-            for row in rows
-        ))
+        by_cycle: dict = {}
+        for row in rows:
+            if by_cycle.setdefault(row[CYCLE_COLUMN], row) is not row:
+                raise InputFileError(trace, f"two rows for cycle {row[CYCLE_COLUMN]}")
+        # Cycle k reads the row of cycle k, until the first cycle with none.
+        wanted, picked = set(model.inputs), []
+        while len(picked) in by_cycle:
+            picked.append({k: v for k, v in by_cycle[len(picked)].items() if k in wanted})
+        provider = CsvInputs(tuple(picked))
     else:
         raise PlchpError(f"unknown input mode {mode!r}")
     return State(params | init), provider
@@ -332,6 +337,8 @@ def cmd_simulate(args) -> int:
         check_assumptions=args.check_assumptions,
     )
     records = simulate(model, st_body, provider, args.cycles, initial, cfg)
+    epsilon = resolve_epsilon(model, args.epsilon)
+    _warn("epsilon-exceeds-model", interval_exceeds_model(model, epsilon))
     io_spec = classify_io(model.ctrl, model.inputs, model.plant)
     write_trace_file(args.out, records, io_spec)
     if records and records[-1].domain_exit is not None:

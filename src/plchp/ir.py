@@ -116,7 +116,7 @@ class Node:
         if "FIELDS" not in cls.__dict__ or "__init__" in cls.__dict__:
             return
         params, body = [*cls.FIELDS], [f"_set(self, {f!r}, {f})" for f in cls.FIELDS]
-        if hasattr(cls, "pos"):  # a statement: `Program`'s slot
+        if hasattr(cls, "pos"):  # statements inherit `Program`'s `pos` slot
             params += ["*", "pos=None"]
             body.append("_set(self, 'pos', pos)")
         if hasattr(cls, "__post_init__"):

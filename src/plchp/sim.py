@@ -325,7 +325,7 @@ class UniformInputs(InputProvider):
 
 @dataclass(frozen=True)
 class CsvInputs(InputProvider):
-    """Cycle-indexed input values from trace rows (column-mapped)."""
+    """Input values of cycle k from `rows[k]`, column-mapped from a trace."""
 
     rows: tuple[dict, ...]  # each maps Ident -> float
 

@@ -168,7 +168,7 @@ def task_hp_to_st(
 
     The task interval is the scan cycle duration that
     `analysis.resolve_epsilon` gives the model and the `epsilon` override;
-    an interval longer than the model's own duration is warned about.
+    an interval outside what the model was verified for is warned about.
     """
     resolved = DEFAULT_NAMES | (names or {})
     epsilon = resolve_epsilon(m, epsilon)

@@ -621,3 +621,118 @@ def test_simulate_prints_where_the_run_stopped(tmp_path, capsys, model, u, stop,
     assert run(capsys, "simulate", "--model", str(tmp_path / "m.dlhp"),
                "--inputs", str(tmp_path / "run.json"), "--cycles", "5",
                "--out", str(tmp_path / "trace.csv")) == (0, summary, stop)
+
+
+# ---------------------------------------------------------------------------
+# The interval warning reads upper bounds in the assumptions, and simulate
+# gives it too
+
+OUTSIDE = "warning [epsilon-exceeds-model]: task interval {} s is outside the scan cycle " \
+          "durations {} s the model was verified for\n"
+SYMBOLIC = "{} -> [{{ u:=*; y:=u; t:=0; {{x'=y, t'=1 & t<=eps}} }}*] x>=-100\n"
+
+
+@pytest.mark.parametrize("assumptions, epsilon, warning", [
+    ("eps>0 & eps<=1", "10", OUTSIDE.format(10, "up to 1")),
+    ("eps<1", "10", OUTSIDE.format(10, "below 1")),
+    ("eps<1", "1", OUTSIDE.format(1, "below 1")),
+    ("1>=eps & eps>0", "2", OUTSIDE.format(2, "up to 1")),
+    ("1>eps", "1", OUTSIDE.format(1, "below 1")),
+    ("eps<=2 & eps<=0.5 & eps<3", "1", OUTSIDE.format(1, "up to 0.5")),
+    ("eps<=1 & eps<1", "1", OUTSIDE.format(1, "below 1")),
+    ("eps=1 & eps<=0.5", "1", OUTSIDE.format(1, "up to 0.5")),
+    ("eps=1 & eps<=3", "2", EXCEEDS.format(2, 1)),
+    ("eps<=1", "1", ""),
+    ("eps<=1", "0.5", ""),
+    ("eps>=1", "10", ""),
+    ("eps>1", "10", ""),
+    ("eps<=x", "10", ""),
+    ("eps+0<=1", "10", ""),
+    ("!eps>1", "10", ""),
+    ("eps<=1 | eps<=2", "10", ""),
+], ids=["le", "lt", "lt-equal", "ge-reversed", "gt-reversed-equal", "shortest", "strict-first",
+        "bound-under-duration", "duration-under-bound", "le-equal", "le-shorter", "lower-bound",
+        "strict-lower-bound", "symbolic-bound", "not-a-variable", "negated", "disjunction"])
+def test_hp2st_warns_of_an_interval_past_an_upper_bound(tmp_path, capsys, assumptions, epsilon,
+                                                        warning):
+    path = tmp_path / "model.dlhp"
+    path.write_text(SYMBOLIC.format(assumptions))
+    code, out, err = run(capsys, "hp2st", str(path), "--epsilon", epsilon)
+    assert (code, err) == (0, warning)
+    assert f"INTERVAL:=T#{epsilon} s," in out.replace("T#500 ms", "T#0.5 s")
+
+
+def test_hp2st_still_needs_a_duration_beside_an_upper_bound(tmp_path, capsys):
+    path = tmp_path / "model.dlhp"
+    path.write_text(SYMBOLIC.format("eps>0 & eps<=1"))
+    code, out, err = run(capsys, "hp2st", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: scan cycle duration eps is symbolic;")
+
+
+def test_st2hp_warns_of_its_interval_past_an_upper_bound(tmp_path, capsys):
+    # The watertank unit's task interval is 1 s, which st2hp adds as eps=1.
+    assumptions = tmp_path / "assumptions.dlhp"
+    assumptions.write_text(f"{golden.DATA.joinpath('watertank_assumptions.dlhp').read_text().strip()}"
+                           " & eps<=0.5\n")
+    code, out, err = st2hp_watertank(capsys, tmp_path / "model.dlhp", str(assumptions))
+    assert (code, out) == (0, "")
+    assert err.partition("params: ")[2].partition("\n")[2] == OUTSIDE.format(1, "up to 0.5")
+
+
+@pytest.mark.parametrize("model, argv, warning", [
+    (SYMBOLIC.format("eps=1"), ["--epsilon", "10"], EXCEEDS.format(10, 1)),
+    (BOUNDED.format(1), ["--epsilon", "10"], EXCEEDS.format(10, 1)),
+    (SYMBOLIC.format("eps>0 & eps<=1"), ["--epsilon", "2"], OUTSIDE.format(2, "up to 1")),
+    (SYMBOLIC.format("eps=1 & eps<0.5"), [], OUTSIDE.format(1, "below 0.5")),
+    (SYMBOLIC.format("eps=1"), ["--epsilon", "1"], ""),
+    (SYMBOLIC.format("eps=1"), [], ""),
+    (SYMBOLIC.format("eps>0"), ["--epsilon", "10"], ""),
+], ids=["longer", "bound-longer", "past-bound", "duration-past-bound", "equal", "own",
+        "no-duration"])
+def test_simulate_warns_of_an_interval_longer_than_the_model(tmp_path, capsys, model, argv,
+                                                             warning):
+    (tmp_path / "m.dlhp").write_text(model)
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"init": {"x": 0}, "inputs": {"mode": "constant", "values": {"u": 1}}}))
+    trace = tmp_path / "trace.csv"
+    assert run(capsys, "simulate", "--model", str(tmp_path / "m.dlhp"),
+               "--inputs", str(tmp_path / "run.json"), "--cycles", "2", *argv,
+               "--out", str(trace)) == (0, "cycles=2 violations=0\n", warning)
+    assert trace.read_text().splitlines() == ["cycle,u,y", "0,1.0,1.0", "1,1.0,1.0"]
+
+
+# ---------------------------------------------------------------------------
+# The CSV input mode reads cycle k from the row whose `cycle` is k
+
+def simulate_csv(tmp_path, capsys, rows, cycles):
+    (tmp_path / "m.dlhp").write_text(SYMBOLIC.format("eps=1"))
+    (tmp_path / "in.csv").write_text("".join(f"{row}\n" for row in ["cycle,u", *rows]))
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"init": {"x": 0}, "inputs": {"mode": "csv", "path": str(tmp_path / "in.csv")}}))
+    trace = tmp_path / "trace.csv"
+    code, out, err = run(capsys, "simulate", "--model", str(tmp_path / "m.dlhp"),
+                         "--inputs", str(tmp_path / "run.json"), "--cycles", str(cycles),
+                         "--out", str(trace))
+    return code, out, err, trace.read_text().splitlines()[1:] if trace.exists() else None
+
+
+def test_simulate_reads_csv_inputs_by_cycle(tmp_path, capsys):
+    assert simulate_csv(tmp_path, capsys, ["0,2", "1,5", "2,-1"], 3) == (
+        0, "cycles=3 violations=0\n", "", ["0,2.0,2.0", "1,5.0,5.0", "2,-1.0,-1.0"])
+
+
+def test_simulate_matches_csv_rows_by_their_cycle_column(tmp_path, capsys):
+    assert simulate_csv(tmp_path, capsys, ["1,5", "0,2"], 2) == (
+        0, "cycles=2 violations=0\n", "", ["0,2.0,2.0", "1,5.0,5.0"])
+
+
+@pytest.mark.parametrize("rows, cycles, message", [
+    (["7,5"], 1, "error: input trace has no row for cycle 0\n"),
+    (["0,1", "2,3"], 3, "error: input trace has no row for cycle 1\n"),
+    (["0,1"], 2, "error: input trace has no row for cycle 1\n"),
+    (["0,1", "1,2", "0,3"], 1, "error: {}: two rows for cycle 0\n"),
+], ids=["no-cycle-0", "gap", "short", "repeated"])
+def test_simulate_refuses_csv_inputs_that_miss_a_cycle(tmp_path, capsys, rows, cycles, message):
+    code, out, err, _ = simulate_csv(tmp_path, capsys, rows, cycles)
+    assert (code, out, err) == (1, "", message.format(tmp_path / "in.csv"))
