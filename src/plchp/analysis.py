@@ -19,7 +19,7 @@ from .ir import (
     Assign, CHILDREN, Choice, Cmp, EQ, Formula, GE, GT, GuardedChoice, HP_STATEMENTS,
     Ident, IfThen, LE, LT, Loop, NE, Number, OdeSystem, PlantSpec, Program,
     RandomAssign, ScanCycleModel, Seq, TRUE, TestStmt, Var,
-    conjoin, conjuncts, fold, list_to_seq, number_lexeme, seq_to_list, walk,
+    conjoin, conjuncts, fold, list_to_seq, number_lexeme, walk,
 )
 
 
@@ -80,9 +80,11 @@ def _facts(p: Program) -> tuple[VarSets, dict[Ident, None], dict[Ident, None]]:
             assigned[n.target] = None
             return kids[0], {n.target}, {n.target}
         if cls is Seq:
-            (f1, b1, m1), (f2, b2, m2) = kids
-            f2 -= m1  # iterates the smaller of the two sets
-            return _grow(f1, f2), _grow(b1, b2), _grow(m1, m2)
+            free, bound, must = kids[0]
+            for f, b, m in kids[1:]:
+                f -= must  # iterates the smaller of the two sets
+                free, bound, must = _grow(free, f), _grow(bound, b), _grow(must, m)
+            return free, bound, must
         if cls is IfThen or cls is GuardedChoice:
             guard, (ft, bt, mt), (fe, be, me) = (
                 kids if len(kids) == 3 else (*kids, (set(), set(), set())))
@@ -136,7 +138,7 @@ def classify_io(
 def validate_scan_cycle_form(f: DlSafetyFormula) -> ScanCycleModel:
     """Check top-level shape `A -> [{in; ctrl; t:=0; {odes & Q}}*] S` and
     return the structured model; one precise NotNormalForm reason otherwise."""
-    stmts = seq_to_list(f.body)
+    stmts = f.body.stmts if f.body.__class__ is Seq else (f.body,)
 
     inputs: dict[Ident, None] = {}
     for s in stmts:
@@ -147,7 +149,7 @@ def validate_scan_cycle_form(f: DlSafetyFormula) -> ScanCycleModel:
         inputs[s.target] = None
     idx = len(inputs)
 
-    if not stmts[idx:]:
+    if idx == len(stmts):
         raise NotNormalForm("missing controller and plant after inputs")
     plant = plant_fragment(list_to_seq(stmts[max(idx, len(stmts) - 2):]))
 
@@ -174,7 +176,7 @@ def plant_fragment(p: Program) -> PlantSpec:
     """The plant `t:=0; {odes, t'=1 & t<=eps & Q}`: exactly a clock reset
     followed by the ODE, as a plant file holds it and as a scan-cycle body
     ends. One precise NotNormalForm reason otherwise."""
-    stmts = seq_to_list(p)
+    stmts = p.stmts if p.__class__ is Seq else (p,)
     last = stmts[-1]
     if not isinstance(last, OdeSystem):
         raise NotNormalForm("missing plant ODE as the last statement", _pos(last))

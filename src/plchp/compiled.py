@@ -34,7 +34,7 @@ from .errors import PlchpError, UnboundVariable
 from .ir import (
     CHILDREN, Assign, BoolConst, DIV, Formula, Ident, IfThen, Neg, Not, Number,
     POW, PlantSpec, Program, Seq, State, TRUE, Term, Var, collect_vars, fold,
-    operator_key, seq_to_list,
+    operator_key,
 )
 from .semantics import OPERATORS, divide, power
 
@@ -126,7 +126,7 @@ def _arms(n: IfThen) -> list:
 # each, and the statements of hybrid programs are leaves.
 _COMPILED = {
     **{cls: kids for cls, kids in CHILDREN.items() if not issubclass(cls, Program)},
-    Assign: CHILDREN[Assign], Seq: seq_to_list, IfThen: _arms,
+    Assign: CHILDREN[Assign], Seq: CHILDREN[Seq], IfThen: _arms,
 }
 
 # The Python operator that computes each function of `OPERATORS` on floats

@@ -25,7 +25,7 @@ from .ir import (
     LE, And, Assign, BoolConst, Choice, Cmp, Equiv, Formula, GuardedChoice,
     Ident, Imply, Loop, Not, Number, OdeSystem, Or, PlantSpec, Program,
     RandomAssign, STATEMENTS, Seq, Term, TestStmt, Var, conjoin, conjuncts,
-    fold, list_to_seq, seq_to_list,
+    fold, list_to_seq,
 )
 
 
@@ -228,12 +228,10 @@ class _Parser(Parser):
 
 def _split_test(p: Program) -> tuple[Optional[TestStmt], Optional[Program]]:
     """Split a branch into its leading test and the remainder (if any)."""
-    stmts = seq_to_list(p)
-    if not isinstance(stmts[0], TestStmt):
+    head, *rest = p.stmts if p.__class__ is Seq else (p,)
+    if head.__class__ is not TestStmt:
         return None, None
-    if len(stmts) == 1:
-        return stmts[0], None
-    return stmts[0], list_to_seq(stmts[1:])
+    return head, list_to_seq(rest) if rest else None
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +279,12 @@ def print_dl_formula(f: Formula) -> str:
 
 def print_dl_program(p: Program) -> str:
     """One top-level statement per line."""
-    return "\n".join(_stmt_str(s) for s in seq_to_list(p))
+    return "\n".join(map(_stmt_str, p.stmts if p.__class__ is Seq else (p,)))
 
 
 # A statement list inside braces prints on one line. Statements dL has no
 # syntax for are leaves, so they are rejected in source order.
-_PRINTED = {Seq: seq_to_list, **{cls: STATEMENTS[cls] for cls in (GuardedChoice, Choice, Loop)}}
+_PRINTED = {cls: STATEMENTS[cls] for cls in (Seq, GuardedChoice, Choice, Loop)}
 
 
 def _stmt_str(s: Program) -> str:
@@ -342,7 +340,7 @@ def plant_program(plant: PlantSpec) -> Program:
 
 def print_dl_model(m: DlSafetyFormula) -> str:
     """Canonical multi-line rendering of `A -> [{body}*] S`."""
-    body_lines = [f"  {_stmt_str(s)}" for s in seq_to_list(m.body)]
+    body_lines = [f"  {line}" for line in print_dl_program(m.body).split("\n")]
     parts = [
         render_formula(m.assumptions, DL, _ASSUMPTION_LEVEL),
         "->",

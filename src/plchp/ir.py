@@ -100,8 +100,8 @@ _set = object.__setattr__
 class Node:
     """Base class of terms, formulas and statements: slotted and immutable,
     as a frozen dataclass is. `FIELDS` names a class's fields in constructor
-    order; `==`, `hash` and `repr` read those and no others (not `pos`), on
-    an explicit stack, so a tree of any depth is in reach of each.
+    order; `==`, `hash` and `repr` read those (not `pos`), and the items of
+    a tuple field, on an explicit stack, so any depth is in reach of each.
 
     A class that declares `FIELDS` and no `__init__` gets a constructor with
     one parameter per field, in that order, and `pos` by keyword on a
@@ -142,40 +142,52 @@ class Node:
                 x, y = getattr(a, name), getattr(b, name)
                 if x is y:
                     continue
-                if not isinstance(x, Node):
-                    if x != y:
+                if isinstance(x, Node):
+                    if y.__class__ is not x.__class__:
                         return False
-                elif y.__class__ is not x.__class__:
-                    return False
-                else:
                     stack.append((x, y))
+                elif x.__class__ is y.__class__ is tuple and len(x) == len(y):
+                    for u, v in zip(x, y):  # a tuple field: its nodes go on the stack too
+                        if isinstance(u, Node) and v.__class__ is u.__class__:
+                            stack.append((u, v))
+                        elif u != v:
+                            return False
+                elif x != y:
+                    return False
         return True
 
     def __hash__(self) -> int:
-        # Each node's class, then its fields, a field that holds a node
-        # giving that node's own sequence: equal trees give equal sequences.
+        # Each node's class, then its fields, and each tuple's length, then its
+        # items, in place of the node or tuple: equal trees give equal sequences.
         flat, stack = [], [self]
         while stack:
             n = stack.pop()
             if isinstance(n, Node):
                 flat.append(n.__class__)
                 stack += [getattr(n, name) for name in reversed(n.FIELDS)]
+            elif n.__class__ is tuple:
+                flat += (tuple, len(n))
+                stack += reversed(n)
             else:
                 flat.append(n)
         return hash(tuple(flat))
 
     def __repr__(self) -> str:
+        # The stack holds text to write, and nodes and tuples to write out.
         out, stack = [], [self]
         while stack:
             n = stack.pop()
-            if n.__class__ is str:
+            cls = n.__class__
+            if cls is str:
                 out.append(n)
                 continue
-            parts = [f"{n.__class__.__qualname__}("]
-            for i, name in enumerate(n.FIELDS):
-                label, value = f"{', ' if i else ''}{name}=", getattr(n, name)
-                parts += (label, value) if isinstance(value, Node) else (f"{label}{value!r}",)
-            stack += reversed((*parts, ")"))
+            tup = cls is tuple
+            items = zip([""] * len(n), n) if tup else [(f"{f}=", getattr(n, f)) for f in cls.FIELDS]
+            parts = ["(" if tup else f"{cls.__qualname__}("]
+            for i, (label, value) in enumerate(items):
+                label = f"{', ' if i else ''}{label}"
+                parts += (label, value) if isinstance(value, (Node, tuple)) else (f"{label}{value!r}",)
+            stack += reversed((*parts, ",)" if tup and len(n) == 1 else ")"))
         return "".join(out)
 
     def __reduce__(self):
@@ -363,7 +375,8 @@ def conjoin(parts) -> Formula:
 # ---------------------------------------------------------------------------
 # Programs
 #
-# The two languages share Assign and Seq. IfThen belongs to the ST
+# The two languages share Assign and Seq. A statement list of either
+# language is one flat Seq, or its lone statement. IfThen belongs to the ST
 # statement language, GuardedChoice to the translatable hybrid-program
 # fragment. RandomAssign, TestStmt, OdeSystem, Loop, and Choice only appear
 # in raw parsed hybrid programs (the scan-cycle wrapper and ill-formed
@@ -382,11 +395,21 @@ class Assign(Program):
 
 
 class Seq(Program):
-    __slots__ = FIELDS = ("first", "second")
+    """`a; b; c`: two or more statements, none a Seq. The constructor splices
+    in any Seq it is given, so every grouping builds the same node."""
 
-    def __init__(self, first: Program, second: Program):
-        _set(self, "first", first)
-        _set(self, "second", second)
+    __slots__ = FIELDS = ("stmts",)
+
+    def __init__(self, *stmts: Program):
+        flat = []
+        for s in stmts:
+            flat += s.stmts if s.__class__ is Seq else (s,)
+        if len(flat) < 2:
+            raise TypeError(f"a Seq holds two or more statements, not {len(flat)}")
+        _set(self, "stmts", tuple(flat))
+
+    def __reduce__(self):
+        return Seq, self.stmts
 
 
 class IfThen(Program):
@@ -498,7 +521,7 @@ CHILDREN = {
     **dict.fromkeys((BinOp, Cmp, And, Or, Imply, Equiv, Xor, Choice), _pair),
     **dict.fromkeys((Neg, Not), lambda n: (n.operand,)),
     Assign: lambda n: (n.value,),
-    Seq: lambda n: (n.first, n.second),
+    Seq: lambda n: n.stmts,
     IfThen: lambda n: (n.cond, n.then) if n.else_ is None else (n.cond, n.then, n.else_),
     GuardedChoice: lambda n: (n.guard, n.then) if n.else_ is None else (n.guard, n.then, n.else_),
     TestStmt: lambda n: (n.cond,),
@@ -577,29 +600,16 @@ same = operator.eq
 
 
 def seq_to_list(p: Program) -> list[Program]:
-    """Flatten a Seq tree into the statement list it folds, in linear time
-    and without recursion, so that long statement lists stay in reach."""
-    out: list[Program] = []
-    stack = [p]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Seq):
-            stack.append(node.second)
-            stack.append(node.first)
-        else:
-            out.append(node)
-    return out
+    """The statement list that `p` is: a Seq's statements, or `p` alone."""
+    return list(p.stmts) if p.__class__ is Seq else [p]
 
 
 def list_to_seq(stmts) -> Program:
-    """Fold a non-empty statement list right into a Seq tree."""
-    stmts = list(stmts)
+    """The lone statement of a non-empty statement list, or a Seq of them all."""
+    stmts = tuple(stmts)
     if not stmts:
         raise ValueError("empty statement list")
-    out = stmts[-1]
-    for s in reversed(stmts[:-1]):
-        out = Seq(s, out)
-    return out
+    return stmts[0] if len(stmts) == 1 else Seq(*stmts)
 
 
 def collect_vars(node: Union[Term, Formula, Program]) -> set[Ident]:

@@ -18,8 +18,8 @@ from .errors import DivisionByZero, DomainError, EvalError
 from .ir import (
     ADD, And, Assign, BinOp, BoolConst, Cmp, DIV, EQ, Equiv, Formula, GE, GT,
     GuardedChoice, HP, HP_STATEMENTS, Ident, IfThen, Imply, LE,
-    LT, MUL, NE, Neg, Not, Number, Or, POW, Program, RELATIONS, ST, SUB, Seq,
-    State, Term, Var, Xor, number_lexeme, seq_to_list, walk,
+    LT, MUL, NE, Neg, Not, Number, Or, POW, Program, RELATIONS, ST, ST_STATEMENTS, SUB,
+    Seq, State, Term, Var, Xor, number_lexeme, walk,
 )
 from .translate import (
     formula_hp_to_st, formula_st_to_hp, prog_hp_to_st, prog_st_to_hp,
@@ -105,7 +105,7 @@ def run_st(p: Program, s: State) -> State:
         if isinstance(p, Assign):
             s = s.set(p.target, eval_term(p.value, s))
         elif isinstance(p, Seq):
-            todo += (p.second, p.first)
+            todo += p.stmts[::-1]
         elif isinstance(p, IfThen):
             if eval_formula(p.cond, s):
                 todo.append(p.then)
@@ -147,7 +147,7 @@ def _reach(p: Program, s: State) -> set[State]:
         return {s.set(p.target, eval_term(p.value, s))}
     if isinstance(p, Seq):
         states = {s}
-        for stmt in seq_to_list(p):
+        for stmt in p.stmts:
             after: set[State] = set()
             for mid in states:
                 after |= _reach(stmt, mid)
@@ -283,10 +283,7 @@ def _gen_assign(rng: random.Random, cfg: GenConfig, depth: int) -> Assign:
 
 
 def gen_st(cfg: GenConfig) -> Program:
-    """Random ST statement covering assignment, sequence, and both ifs.
-
-    Sequences are generated in the canonical right-nested shape the parser
-    produces, so print/parse round-trips are exact."""
+    """Random ST statement covering assignment, sequence, and both ifs."""
     return _gen_st(random.Random(cfg.seed), cfg, cfg.max_depth, allow_seq=True)
 
 
@@ -312,8 +309,7 @@ MAX_CHOICE_NODES = 12  # keeps exact reachability enumeration tractable
 
 def gen_hp(cfg: GenConfig) -> Program:
     """Random translatable hybrid program covering all three conditional
-    forms and the default-beta choice; at most MAX_CHOICE_NODES choices.
-    Sequences use the canonical right-nested shape."""
+    forms and the default-beta choice; at most MAX_CHOICE_NODES choices."""
     rng = random.Random(cfg.seed)
     budget = [MAX_CHOICE_NODES]
     return _gen_hp(rng, cfg, cfg.max_depth, budget, allow_seq=True)
@@ -498,4 +494,4 @@ def _describe_program(node, sigma: State) -> str:
 
 
 def _is_st_only(p) -> bool:
-    return any(s.__class__ is IfThen for s in seq_to_list(p))
+    return any(s.__class__ is IfThen for s in walk(p, ST_STATEMENTS))

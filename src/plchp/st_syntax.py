@@ -201,7 +201,7 @@ class _Parser(Parser):
     _STMT_END = ("END_IF", "ELSE", "ELSIF", "END_PROGRAM")
 
     def body(self) -> Program:
-        return list_to_seq(run_nested(self.statement_list()))
+        return run_nested(self.statement_list())
 
     # Statement lists and IF statements are generators run by `run_nested`,
     # so that IF statements nest without limit.
@@ -219,25 +219,23 @@ class _Parser(Parser):
                 stmts.append(self.assignment(tok))
         if not stmts and not allow_empty:
             self.fail("statement expected", "assignment or IF")
-        return stmts
+        return list_to_seq(stmts) if stmts else None
 
     def if_statement(self):
         start = self.expect_kw("IF")
         arms: list[tuple[Formula, Program]] = []
         cond = self.formula()
         self.expect_kw("THEN")
-        arms.append((cond, list_to_seq((yield self.statement_list()))))
+        arms.append((cond, (yield self.statement_list())))
         while self.at_kw("ELSIF"):
             self.next()
             cond = self.formula()
             self.expect_kw("THEN")
-            arms.append((cond, list_to_seq((yield self.statement_list()))))
+            arms.append((cond, (yield self.statement_list())))
         else_body: Optional[Program] = None
         if self.at_kw("ELSE"):
             self.next()
-            stmts = yield self.statement_list(allow_empty=True)
-            if stmts:  # empty ELSE normalizes away
-                else_body = list_to_seq(stmts)
+            else_body = yield self.statement_list(allow_empty=True)  # an empty ELSE is None
         self.expect_kw("END_IF")
         self.skip_op(";")
         return _fold_if(arms, else_body, (start.line, start.col))
@@ -403,7 +401,7 @@ def print_st_statement(p: Program, indent: int = 0) -> str:
             continue
         pad = "  " * depth
         if cls is Seq:
-            todo += (stmt.second, depth), (stmt.first, depth)
+            todo += [(s, depth) for s in reversed(stmt.stmts)]
         elif cls is Assign:
             lines.append(f"{pad}{stmt.target} := {print_st_term(stmt.value)};")
         elif cls is IfThen:

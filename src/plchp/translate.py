@@ -19,8 +19,7 @@ from .ir import (
     And, Assign, CHILDREN, Cmp, EQ, Equiv, Formula, GuardedChoice, HP,
     HP_STATEMENTS, Ident, IfThen, Imply, Not, Number, Or,
     PlantSpec, Program, RandomAssign, ST, ST_STATEMENTS, ScanCycleModel, Seq,
-    Term, Var, Xor, collect_vars, fold, list_to_seq, number_lexeme,
-    seq_to_list, walk,
+    Term, Var, Xor, collect_vars, fold, number_lexeme, walk,
 )
 from .st_syntax import StConfig, StUnit, StVarBlock
 
@@ -249,10 +248,5 @@ def task_st_to_hp(
             conjunct = Cmp(EQ, Var(symbol), Number(number_lexeme(u.config.interval)))
             assumptions = And(assumptions, conjunct)
 
-    # Fold the flat statement list so the body parses/prints as a fixpoint.
-    body = list_to_seq(
-        [RandomAssign(x) for x in inputs]
-        + seq_to_list(ctrl)
-        + seq_to_list(plant_program(plant))
-    )
+    body = Seq(*[RandomAssign(x) for x in inputs], ctrl, plant_program(plant))
     return DlSafetyFormula(assumptions, body, safety)

@@ -13,7 +13,7 @@ import pytest
 from plchp import (
     And, Assign, BoolConst, Choice, Cmp, Equiv, GuardedChoice, Ident, IfThen, Imply, Loop, Neg,
     Not, Number, OdeSystem, Or, PlantSpec, RandomAssign, Seq, State, TestStmt, Var, Xor,
-    collect_vars,
+    collect_vars, parse_dl_model, print_dl, validate_scan_cycle_form,
 )
 from plchp.errors import DialectError, UnboundVariable
 from plchp.ir import GE, GT, HP, LE, ST, BinOp, DIV, SUB, TRUE, list_to_seq
@@ -261,7 +261,7 @@ REPRS = [
     (Not(_f), f"Not(operand={_F})"),
     *((cls(_f, _f), f"{cls.__name__}(left={_F}, right={_F})") for cls, *_ in CONNECTIVES),
     (Assign(_x, _one, pos=(1, 2)), "Assign(target=Ident(name='x'), value=Number(lexeme='1'))"),
-    (Seq(_p, _p), f"Seq(first={_P}, second={_P})"),
+    (Seq(_p, _p), f"Seq(stmts=({_P}, {_P}))"),
     (IfThen(_f, _p, pos=(1, 1)), f"IfThen(cond={_F}, then={_P}, else_=None)"),
     (IfThen(_f, _p, _p), f"IfThen(cond={_F}, then={_P}, else_={_P})"),
     (GuardedChoice(_f, _p, None, True), f"GuardedChoice(guard={_F}, then={_P}, else_=None, complemented=True)"),
@@ -358,18 +358,72 @@ def _statements(last):
                        + [Assign(_x, Number(last))])
 
 
+def _if_nest(last):
+    # Each IF's body is a Seq, whose tuple holds the next IF.
+    p = Assign(_x, Number(last))
+    for _ in range(DEPTH):
+        p = IfThen(_f, Seq(Assign(_x, _one), p))
+    return p
+
+
 _A = "Assign(target=Ident(name='x'), value=Number(lexeme='1'))"
 DEEP = [
     (_binop_chain, "BinOp(op='sub', left=" * DEPTH + "Number(lexeme='1')"
      + ", right=Number(lexeme='1'))" * DEPTH),
     (_not_chain, "Not(operand=" * DEPTH + _F + ")" * DEPTH),
-    (_statements, f"Seq(first={_A}, second=" * (DEPTH - 1) + _A + ")" * (DEPTH - 1)),
+    (_statements, "Seq(stmts=(" + ", ".join([_A] * DEPTH) + "))"),
+    (_if_nest, f"IfThen(cond={_F}, then=Seq(stmts=({_A}, " * DEPTH + _A + ")), else_=None)" * DEPTH),
 ]
 
 
-@pytest.mark.parametrize("build, text", DEEP, ids=["BinOp chain", "Not chain", "Seq of statements"])
+@pytest.mark.parametrize("build, text", DEEP,
+                         ids=["BinOp chain", "Not chain", "Seq of statements", "IF nest of Seqs"])
 def test_deep_trees_compare_hash_and_print(build, text):
     a, b, other = build("1"), build("1"), build("2")
     assert a is not b and a == b and not a != b and hash(a) == hash(b)
     assert a != other and other != b  # they differ only at the bottom
     assert repr(a) == text
+
+
+# ---------------------------------------------------------------------------
+# Flat sequences: a Seq holds its statements in one tuple, however grouped
+
+_s1, _s2, _s3 = (Assign(Ident(name), _one) for name in ("a", "b", "c"))
+
+
+def test_every_grouping_of_a_sequence_is_one_flat_seq():
+    right, left, flat = Seq(_s1, Seq(_s2, _s3)), Seq(Seq(_s1, _s2), _s3), Seq(_s1, _s2, _s3)
+    assert right == left == flat
+    assert hash(right) == hash(left) == hash(flat)
+    assert repr(right) == repr(left) == repr(flat) == f"Seq(stmts=({_s1!r}, {_s2!r}, {_s3!r}))"
+    assert right.stmts == left.stmts == flat.stmts == (_s1, _s2, _s3)
+    assert Seq(Seq(_s1, _s2), Seq(_s2, _s3)).stmts == (_s1, _s2, _s2, _s3)
+
+
+def test_a_seq_holds_at_least_two_statements():
+    for stmts in [(), (_s1,)]:
+        with pytest.raises(TypeError, match=rf"\Aa Seq holds two or more statements, not {len(stmts)}\Z"):
+            Seq(*stmts)
+    with pytest.raises(ValueError, match=r"\Aempty statement list\Z"):
+        list_to_seq([])
+    assert list_to_seq([_s1]) is _s1 and list_to_seq([_s1, Seq(_s2, _s3)]) == Seq(_s1, _s2, _s3)
+
+
+def test_braced_groups_in_a_dl_body_do_not_change_the_model():
+    text = "x>=0 -> [{{u:=*; {body} t:=0; {{x'=u, t'=1 & t<=eps}}}}*] x>=0"
+    left = parse_dl_model(text.format(body="{y:=u; z:=1;} w:=2;"))
+    right = parse_dl_model(text.format(body="y:=u; {z:=1; w:=2;}"))
+    assert left == right and print_dl(left) == print_dl(right)
+    assert left.body.stmts[1:4] == (
+        Assign(Ident("y"), Var(Ident("u"))), Assign(Ident("z"), _one), Assign(Ident("w"), Number("2")))
+    assert validate_scan_cycle_form(left) == validate_scan_cycle_form(right)
+
+
+def test_a_flat_seq_copies_and_pickles_flat():
+    node = Seq(_s1, _s2, _s3)
+    copies = [copy.copy(node), copy.deepcopy(node)]
+    copies += [pickle.loads(pickle.dumps(node, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies:
+        assert twin.__class__ is Seq and twin.stmts == (_s1, _s2, _s3) and twin == node
+        assert not hasattr(twin, "pos")

@@ -21,7 +21,7 @@ SIGNATURES = {
     Not: "(operand)",
     **dict.fromkeys((And, Or, Imply, Equiv, Xor), "(left, right)"),
     Assign: "(target, value, *, pos=None)",
-    Seq: "(first, second)",
+    Seq: "(*stmts)",
     IfThen: "(cond, then, else_=None, *, pos=None)",
     GuardedChoice: "(guard, then, else_, complemented, *, pos=None)",
     RandomAssign: "(target, *, pos=None)",

@@ -192,7 +192,7 @@ def _st_constructs(p):
     if isinstance(p, Assign):
         return {"assign"}
     if isinstance(p, Seq):
-        return {"seq"} | _st_constructs(p.first) | _st_constructs(p.second)
+        return {"seq"}.union(*map(_st_constructs, p.stmts))
     if isinstance(p, IfThen) and p.else_ is None:
         return {"ifthen"} | _st_constructs(p.then)
     if isinstance(p, IfThen):
@@ -204,7 +204,7 @@ def _hp_constructs(p):
     if isinstance(p, Assign):
         return {"assign"}
     if isinstance(p, Seq):
-        return {"seq"} | _hp_constructs(p.first) | _hp_constructs(p.second)
+        return {"seq"}.union(*map(_hp_constructs, p.stmts))
     if isinstance(p, GuardedChoice):
         inner = _hp_constructs(p.then)
         if p.else_ is not None:

@@ -221,7 +221,7 @@ def test_round_trip_hp_st_hp_on_complemented_programs():
 
 def _complement_all(p):
     if isinstance(p, Seq):
-        return Seq(_complement_all(p.first), _complement_all(p.second))
+        return Seq(*map(_complement_all, p.stmts))
     if isinstance(p, GuardedChoice):
         else_ = None if p.else_ is None else _complement_all(p.else_)
         return GuardedChoice(p.guard, _complement_all(p.then), else_, complemented=True)

@@ -71,8 +71,8 @@ def ref_collect(node, out):
         out.add(node.target)
         ref_collect(node.value, out)
     elif isinstance(node, Seq):
-        ref_collect(node.first, out)
-        ref_collect(node.second, out)
+        for stmt in node.stmts:
+            ref_collect(stmt, out)
     elif isinstance(node, IfThen):
         ref_collect(node.cond, out)
         ref_collect(node.then, out)
@@ -113,13 +113,15 @@ def ref_var_sets(p):
         target = frozenset((p.target,))
         return VarSets(frozenset(ref_collect_vars(p.value)), target, target)
     if isinstance(p, Seq):
-        first = ref_var_sets(p.first)
-        second = ref_var_sets(p.second)
-        return VarSets(
-            first.free | (second.free - first.must_bound),
-            first.bound | second.bound,
-            first.must_bound | second.must_bound,
-        )
+        first = ref_var_sets(p.stmts[0])
+        for stmt in p.stmts[1:]:
+            second = ref_var_sets(stmt)
+            first = VarSets(
+                first.free | (second.free - first.must_bound),
+                first.bound | second.bound,
+                first.must_bound | second.must_bound,
+            )
+        return first
     if isinstance(p, (GuardedChoice, IfThen)):
         if isinstance(p, GuardedChoice):
             guard, then, else_ = p.guard, p.then, p.else_
@@ -139,7 +141,7 @@ def ref_read_order(p):
     if isinstance(p, Assign):
         return ref_term_vars(p.value)
     if isinstance(p, Seq):
-        return ref_read_order(p.first) + ref_read_order(p.second)
+        return [x for stmt in p.stmts for x in ref_read_order(stmt)]
     if isinstance(p, (GuardedChoice, IfThen)):
         guard = p.guard if isinstance(p, GuardedChoice) else p.cond
         out = ref_formula_vars(guard) + ref_read_order(p.then)
@@ -154,7 +156,7 @@ def ref_bound_order(p):
     if isinstance(p, Assign):
         return [p.target]
     if isinstance(p, Seq):
-        return ref_bound_order(p.first) + ref_bound_order(p.second)
+        return [x for stmt in p.stmts for x in ref_bound_order(stmt)]
     if isinstance(p, (GuardedChoice, IfThen)):
         out = ref_bound_order(p.then)
         else_ = p.else_
@@ -217,8 +219,8 @@ def ref_check_ctrl(p):
     if isinstance(p, Assign):
         return
     if isinstance(p, Seq):
-        ref_check_ctrl(p.first)
-        ref_check_ctrl(p.second)
+        for stmt in p.stmts:
+            ref_check_ctrl(stmt)
         return
     if isinstance(p, GuardedChoice):
         ref_check_ctrl(p.then)
@@ -242,7 +244,7 @@ def ref_fully_complemented(p):
     if isinstance(p, Assign):
         return True
     if isinstance(p, Seq):
-        return ref_fully_complemented(p.first) and ref_fully_complemented(p.second)
+        return all(ref_fully_complemented(stmt) for stmt in p.stmts)
     if isinstance(p, GuardedChoice):
         if not p.complemented:
             return False
@@ -254,7 +256,7 @@ def ref_fully_complemented(p):
 
 def ref_count_choices(p):
     if isinstance(p, Seq):
-        return ref_count_choices(p.first) + ref_count_choices(p.second)
+        return sum(ref_count_choices(stmt) for stmt in p.stmts)
     if isinstance(p, GuardedChoice):
         inner = ref_count_choices(p.then)
         if p.else_ is not None:
@@ -267,7 +269,7 @@ def ref_is_st_only(p):
     if isinstance(p, IfThen):
         return True
     if isinstance(p, Seq):
-        return ref_is_st_only(p.first) or ref_is_st_only(p.second)
+        return any(ref_is_st_only(stmt) for stmt in p.stmts)
     return False
 
 
@@ -314,7 +316,7 @@ def ref_prog_st_to_hp(s):
     if isinstance(s, Assign):
         return Assign(s.target, s.value)
     if isinstance(s, Seq):
-        return Seq(ref_prog_st_to_hp(s.first), ref_prog_st_to_hp(s.second))
+        return Seq(*map(ref_prog_st_to_hp, s.stmts))
     if isinstance(s, IfThen):
         return GuardedChoice(f(s.cond), ref_prog_st_to_hp(s.then),
                              None if s.else_ is None else ref_prog_st_to_hp(s.else_),
@@ -326,7 +328,7 @@ def ref_p_hp_to_st(p, warnings):
     if isinstance(p, Assign):
         return Assign(p.target, p.value)
     if isinstance(p, Seq):
-        return Seq(ref_p_hp_to_st(p.first, warnings), ref_p_hp_to_st(p.second, warnings))
+        return Seq(*(ref_p_hp_to_st(stmt, warnings) for stmt in p.stmts))
     if isinstance(p, GuardedChoice):
         cond = ref_f_hp_to_st(p.guard)
         then = ref_p_hp_to_st(p.then, warnings)
@@ -358,8 +360,8 @@ def ref_zero_one_outputs(ctrl):
             ok = isinstance(p.value, Number) and p.value.value in (0.0, 1.0)
             assigned[p.target] = assigned.get(p.target, True) and ok
         elif isinstance(p, Seq):
-            visit(p.first)
-            visit(p.second)
+            for stmt in p.stmts:
+                visit(stmt)
         elif isinstance(p, GuardedChoice):
             visit(p.then)
             if p.else_ is not None:
@@ -463,7 +465,9 @@ def ref_run_st(p, s):
     if isinstance(p, Assign):
         return s.set(p.target, eval_term(p.value, s))
     if isinstance(p, Seq):
-        return ref_run_st(p.second, ref_run_st(p.first, s))
+        for stmt in p.stmts:
+            s = ref_run_st(stmt, s)
+        return s
     if isinstance(p, IfThen):
         if eval_formula(p.cond, s):
             return ref_run_st(p.then, s)
@@ -476,10 +480,13 @@ def ref_reach(p, s):
     if isinstance(p, Assign):
         return {s.set(p.target, eval_term(p.value, s))}
     if isinstance(p, Seq):
-        out = set()
-        for mid in ref_reach(p.first, s):
-            out |= ref_reach(p.second, mid)
-        return out
+        states = {s}
+        for stmt in p.stmts:
+            out = set()
+            for mid in states:
+                out |= ref_reach(stmt, mid)
+            states = out
+        return states
     if isinstance(p, GuardedChoice):
         guard = eval_formula(p.guard, s)
         out = set()
@@ -558,7 +565,7 @@ def plant_bad(p, rng, chance):
             return bad_node(rng, (rng.randrange(1, 99), rng.randrange(1, 99)))
         return p
     if isinstance(p, Seq):
-        return Seq(plant_bad(p.first, rng, chance), plant_bad(p.second, rng, chance))
+        return Seq(*(plant_bad(stmt, rng, chance) for stmt in p.stmts))
     if isinstance(p, GuardedChoice):
         else_ = None if p.else_ is None else plant_bad(p.else_, rng, chance)
         return GuardedChoice(p.guard, plant_bad(p.then, rng, chance), else_,
