@@ -1,7 +1,7 @@
 """Static semantics and scan-cycle shape checking.
 
-Free/bound/must-bound variable computation over the translatable program
-fragment, input/output classification for configuration generation, and
+Free/bound/must-bound variables (`ir.program_facts` computes them) and the
+input/output classification of a model for configuration generation, and
 the scan-cycle boundary: validation of parsed safety formulas into
 scan-cycle models and of plant fragments, and the one rule that gives a
 model its scan cycle duration.
@@ -16,24 +16,11 @@ from typing import Optional, Union
 from .dl_syntax import DlSafetyFormula, print_dl_formula
 from .errors import ConflictingEpsilon, MissingEpsilon, NotNormalForm
 from .ir import (
-    Assign, CHILDREN, Choice, Cmp, EQ, Formula, GE, GT, GuardedChoice, HP_STATEMENTS,
-    Ident, IfThen, LE, LT, Loop, NE, Number, OdeSystem, PlantSpec, Program,
-    RandomAssign, ScanCycleModel, Seq, TRUE, TestStmt, Var,
-    conjoin, conjuncts, fold, list_to_seq, number_lexeme, walk,
+    Assign, Choice, Cmp, EQ, Formula, GE, GT, HP_STATEMENTS, Ident, LE, LT, Loop, NE,
+    Number, OdeSystem, PlantSpec, Program, RandomAssign, ScanCycleModel, Seq, TRUE,
+    TestStmt, Var, VarSets, conjoin, conjuncts, list_to_seq, number_lexeme, program_facts,
+    walk,
 )
-
-
-@dataclass(frozen=True)
-class VarSets:
-    """Free, bound, and must-bound (bound on all paths) variables."""
-
-    free: frozenset[Ident]
-    bound: frozenset[Ident]
-    must_bound: frozenset[Ident]
-
-    def __post_init__(self):
-        if not self.must_bound <= self.bound:
-            raise ValueError("must-bound variables must be a subset of bound variables")
 
 
 @dataclass(frozen=True)
@@ -52,74 +39,21 @@ class IoClassification:
 
 
 def var_sets(p: Program) -> VarSets:
-    """FV/BV/MBV of a translatable program (ST statements included).
-
-    Assignment: FV = vars(rhs), BV = MBV = {target}. Sequence: FV(a) united
-    with FV(b) minus MBV(a); BV and MBV are unions. Conditionals: the guard's
-    variables are free, BV is the union of the branches, MBV the intersection
-    (an absent branch contributes nothing).
-    """
-    return _facts(p)[0]
+    """FV/BV/MBV of a translatable program, by `ir.program_facts`."""
+    return program_facts(p).var_sets
 
 
-# The translatable statements, with the right-hand side of an assignment and
-# the guard of a conditional as children, so a fold meets them in source order.
-_FACT_CHILDREN = {cls: CHILDREN[cls] for cls in (Assign, Seq, IfThen, GuardedChoice)}
-
-
-def _facts(p: Program) -> tuple[VarSets, dict[Ident, None], dict[Ident, None]]:
-    """The VarSets of a translatable program, and the variables it reads and
-    assigns, each in first-seen order, from one fold. Only a parent reads the
-    sets of its children, so each step grows the larger operand in place, and
-    Seq and ELSIF chains cost set work linear in their length."""
-    read, assigned = {}, {}
-
-    def combine(n, kids):
-        cls = n.__class__
-        if cls is Assign:
-            assigned[n.target] = None
-            return kids[0], {n.target}, {n.target}
-        if cls is Seq:
-            free, bound, must = kids[0]
-            for f, b, m in kids[1:]:
-                f -= must  # iterates the smaller of the two sets
-                free, bound, must = _grow(free, f), _grow(bound, b), _grow(must, m)
-            return free, bound, must
-        if cls is IfThen or cls is GuardedChoice:
-            guard, (ft, bt, mt), (fe, be, me) = (
-                kids if len(kids) == 3 else (*kids, (set(), set(), set())))
-            return _grow(_grow(guard, ft), fe), _grow(bt, be), mt & me
-        if n is p or isinstance(n, Program):
-            raise TypeError(f"var_sets is defined on the translatable fragment, not {cls.__name__}")
-        found = [v.ident for v in walk(n) if v.__class__ is Var]
-        read.update(dict.fromkeys(found))
-        return set(found)
-
-    free, bound, must = fold(p, combine, _FACT_CHILDREN)
-    return VarSets(frozenset(free), frozenset(bound), frozenset(must)), read, assigned
-
-
-def _grow(a: set, b: set) -> set:
-    if len(a) < len(b):
-        a, b = b, a
-    a |= b
-    return a
-
-
-def classify_io(
-    ctrl: Program,
-    declared_inputs: tuple[Ident, ...],
-    plant: PlantSpec,
-) -> IoClassification:
-    """Derive VAR_INPUT/VAR_OUTPUT/VAR_EXTERNAL roles from static semantics.
+def classify_io(m: ScanCycleModel) -> IoClassification:
+    """Derive VAR_INPUT/VAR_OUTPUT/VAR_EXTERNAL roles from the facts of the
+    model's controller.
 
     Outputs are the bound variables of the controller. Inputs are the
     declared inputs plus plant state read by the controller, minus outputs.
-    Whatever remains free (and is not the clock) is a parameter.
+    Whatever else it reads free (never the clock, in a model) is a parameter.
     """
-    vs, read, assigned = _facts(ctrl)
-    plant_states = [x for x in plant.state_vars() if x in vs.free]
-    candidates = plant_states + [x for x in declared_inputs if x not in plant_states]
+    vs = m.facts.var_sets
+    plant_states = [x for x in m.plant.state_vars() if x in vs.free]
+    candidates = plant_states + [x for x in m.inputs if x not in plant_states]
     warnings = tuple(
         f"variable {x} is both an input and an output; declared VAR_OUTPUT"
         for x in candidates
@@ -127,8 +61,8 @@ def classify_io(
     )
     inputs = dict.fromkeys(x for x in candidates if x not in vs.bound)
     # A variable read but not free is bound before it is read.
-    params = tuple(x for x in read if x not in inputs and x not in vs.bound and x != plant.clock)
-    return IoClassification(tuple(inputs), tuple(assigned), params, warnings)
+    params = tuple(x for x in m.facts.read if x not in inputs and x not in vs.bound)
+    return IoClassification(tuple(inputs), m.facts.assigned, params, warnings)
 
 
 # ---------------------------------------------------------------------------

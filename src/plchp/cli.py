@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import (
     classify_io, interval_exceeds_model, plant_fragment, resolve_epsilon,
-    validate_scan_cycle_form, var_sets,
+    validate_scan_cycle_form,
 )
 from .dl_syntax import parse_dl_formula, parse_dl_model, parse_dl_program, print_dl_model
 from .errors import InputFileError, NotNormalForm, ParseError, PlchpError
@@ -166,6 +166,11 @@ def _read(args, path: str) -> str:
         raise InputFileError(path, "not UTF-8 text") from None
 
 
+def _model(args, path: str):
+    """The scan-cycle model in file `path`, validated."""
+    return validate_scan_cycle_form(parse_dl_model(_read(args, path)))
+
+
 def cmd_st2hp(args) -> int:
     _bind("st_syntax", "translate")
     unit = parse_st(_read(args, args.st_file))
@@ -175,7 +180,7 @@ def cmd_st2hp(args) -> int:
     formula = task_st_to_hp(unit, plant, assumptions, safety)
     text = print_dl_model(formula)
     model = validate_scan_cycle_form(formula)
-    io_spec = classify_io(model.ctrl, model.inputs, model.plant)
+    io_spec = classify_io(model)
     sys.stderr.write(_io_summary(io_spec))
     if unit.config is not None:
         _warn("epsilon-exceeds-model", interval_exceeds_model(model, unit.config.interval))
@@ -188,7 +193,7 @@ def cmd_st2hp(args) -> int:
 
 def cmd_hp2st(args) -> int:
     _bind("st_syntax", "translate")
-    model = validate_scan_cycle_form(parse_dl_model(_read(args, args.dl_file)))
+    model = _model(args, args.dl_file)
     names = {kind: name for kind in NAME_KINDS if (name := getattr(args, f"{kind}_name"))}
     unit, diags = task_hp_to_st(model, epsilon=args.epsilon, names=names)
     for warning in diags.warnings:
@@ -219,11 +224,11 @@ def _io_summary(io_spec) -> str:
 
 
 def cmd_analyze(args) -> int:
-    model = validate_scan_cycle_form(parse_dl_model(_read(args, args.dl_file)))
+    model = _model(args, args.dl_file)
     symbolic = not isinstance(model.epsilon, float)
     epsilon = f"symbolic ({model.epsilon})" if symbolic else resolve_epsilon(model)
-    vs = var_sets(model.ctrl)
-    io_spec = classify_io(model.ctrl, model.inputs, model.plant)
+    vs = model.facts.var_sets
+    io_spec = classify_io(model)
 
     def names(items) -> str:
         return ", ".join(sorted(str(x) for x in items)) if items else "(none)"
@@ -325,7 +330,7 @@ def _load_run_config(args, model) -> tuple:
 
 def cmd_simulate(args) -> int:
     _bind("st_syntax", "translate", "sim")
-    model = validate_scan_cycle_form(parse_dl_model(_read(args, args.model)))
+    model = _model(args, args.model)
     if args.st:
         st_body = parse_st(_read(args, args.st)).body
     else:
@@ -339,7 +344,7 @@ def cmd_simulate(args) -> int:
     records = simulate(model, st_body, provider, args.cycles, initial, cfg)
     epsilon = resolve_epsilon(model, args.epsilon)
     _warn("epsilon-exceeds-model", interval_exceeds_model(model, epsilon))
-    io_spec = classify_io(model.ctrl, model.inputs, model.plant)
+    io_spec = classify_io(model)
     write_trace_file(args.out, records, io_spec)
     if records and records[-1].domain_exit is not None:
         exit_info = records[-1].domain_exit
@@ -355,8 +360,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_comply(args) -> int:
     _bind("sim")
-    model = validate_scan_cycle_form(parse_dl_model(_read(args, args.model)))
-    io_spec = classify_io(model.ctrl, model.inputs, model.plant)
+    model = _model(args, args.model)
+    io_spec = classify_io(model)
     _, rows = read_trace_file(args.trace)
     report = check_compliance(model.ctrl, rows, io_spec)
     sys.stdout.write(report.serialize())

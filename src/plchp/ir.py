@@ -14,10 +14,9 @@ between threads. Identifiers are interned: one object per name; `==` is
 from __future__ import annotations
 
 import math
-import operator
 import re
 import struct
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterator, Optional, Union
 
 from .errors import DialectError, NotNormalForm, UnboundVariable
@@ -595,10 +594,6 @@ def operator_key(n):
     return n.op if cls is BinOp else n.rel if cls is Cmp else cls
 
 
-# `a == b` on two trees, under the name it had before `==` took any depth.
-same = operator.eq
-
-
 def seq_to_list(p: Program) -> list[Program]:
     """The statement list that `p` is: a Seq's statements, or `p` alone."""
     return list(p.stmts) if p.__class__ is Seq else [p]
@@ -624,6 +619,79 @@ def collect_vars(node: Union[Term, Formula, Program]) -> set[Ident]:
         elif cls is OdeSystem:
             out.update(x for x, _ in n.odes)
     return out
+
+
+@dataclass(frozen=True)
+class VarSets:
+    """Free, bound, and must-bound (bound on all paths) variables."""
+
+    free: frozenset[Ident]
+    bound: frozenset[Ident]
+    must_bound: frozenset[Ident]
+
+    def __post_init__(self):
+        if not self.must_bound <= self.bound:
+            raise ValueError("must-bound variables must be a subset of bound variables")
+
+
+@dataclass(frozen=True)
+class ProgramFacts:
+    """A program's VarSets; the variables it reads and assigns, in first-seen
+    order; those it only ever assigns the literal 0 or 1."""
+
+    var_sets: VarSets
+    read: tuple[Ident, ...]
+    assigned: tuple[Ident, ...]
+    zero_one: frozenset[Ident]
+
+
+# The translatable statements, with the right-hand side of an assignment and
+# the guard of a conditional as children, so a fold meets them in source order.
+_FACT_CHILDREN = {cls: CHILDREN[cls] for cls in (Assign, Seq, IfThen, GuardedChoice)}
+
+
+def program_facts(p: Program) -> ProgramFacts:
+    """The facts of a translatable program (ST statements included), from one
+    fold; TypeError on any other statement. Assignment: FV = vars(rhs), BV =
+    MBV = {target}. Sequence: FV(a) united with FV(b) minus MBV(a); BV and MBV
+    are unions. Conditionals: the guard's variables are free, BV is the union
+    of the branches, MBV the intersection (an absent branch contributes
+    nothing). Only a parent reads the sets of its children, so each step grows
+    the larger operand in place: Seq and ELSIF chains cost linear set work."""
+    read, assigned = {}, {}  # assigned: variable -> only ever assigned 0 or 1
+
+    def combine(n, kids):
+        cls = n.__class__
+        if cls is Assign:
+            ok = n.value.__class__ is Number and n.value.value in (0.0, 1.0)
+            assigned[n.target] = assigned.get(n.target, True) and ok
+            return kids[0], {n.target}, {n.target}
+        if cls is Seq:
+            free, bound, must = kids[0]
+            for f, b, m in kids[1:]:
+                f -= must  # iterates the smaller of the two sets
+                free, bound, must = _grow(free, f), _grow(bound, b), _grow(must, m)
+            return free, bound, must
+        if cls is IfThen or cls is GuardedChoice:
+            guard, (ft, bt, mt), (fe, be, me) = (
+                kids if len(kids) == 3 else (*kids, (set(), set(), set())))
+            return _grow(_grow(guard, ft), fe), _grow(bt, be), mt & me
+        if n is p or isinstance(n, Program):
+            raise TypeError(f"var_sets is defined on the translatable fragment, not {cls.__name__}")
+        found = [v.ident for v in walk(n) if v.__class__ is Var]
+        read.update(dict.fromkeys(found))
+        return set(found)
+
+    free, bound, must = fold(p, combine, _FACT_CHILDREN)
+    return ProgramFacts(VarSets(frozenset(free), frozenset(bound), frozenset(must)), tuple(read),
+                        tuple(assigned), frozenset(x for x, ok in assigned.items() if ok))
+
+
+def _grow(a: set, b: set) -> set:
+    if len(a) < len(b):
+        a, b = b, a
+    a |= b
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +815,8 @@ class PlantSpec:
 
 @dataclass(frozen=True)
 class ScanCycleModel:
-    """A validated scan-cycle hybrid system: assumptions, the repeated
-    input/control/plant body, the cycle duration, and the safety property."""
+    """A validated scan-cycle hybrid system: assumptions, the repeated input/control/plant
+    body, the cycle duration, the safety property, and the facts of `ctrl`, derived once."""
 
     assumptions: Formula
     inputs: tuple[Ident, ...]
@@ -756,10 +824,13 @@ class ScanCycleModel:
     plant: PlantSpec
     epsilon: Union[float, Ident]
     safety: Formula
+    facts: ProgramFacts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.assumptions.dialect == ST or self.safety.dialect == ST:
             raise DialectError("assumptions and safety must be HP-dialect formulas")
+        facts = program_facts(self.ctrl)
         clock = self.plant.clock
-        if clock in self.inputs or clock in collect_vars(self.ctrl):
+        if clock in self.inputs or clock in facts.read or clock in facts.assigned:
             raise NotNormalForm(f"plant clock {clock} appears in ctrl or inputs")
+        object.__setattr__(self, "facts", facts)

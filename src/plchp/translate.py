@@ -19,7 +19,7 @@ from .ir import (
     And, Assign, CHILDREN, Cmp, EQ, Equiv, Formula, GuardedChoice, HP,
     HP_STATEMENTS, Ident, IfThen, Imply, Not, Number, Or,
     PlantSpec, Program, RandomAssign, ST, ST_STATEMENTS, ScanCycleModel, Seq,
-    Term, Var, Xor, collect_vars, fold, number_lexeme, walk,
+    Term, Var, Xor, collect_vars, fold, number_lexeme,
 )
 from .st_syntax import StConfig, StUnit, StVarBlock
 
@@ -173,20 +173,19 @@ def task_hp_to_st(
     epsilon = resolve_epsilon(m, epsilon)
 
     body, diags = prog_hp_to_st(m.ctrl)
-    io = classify_io(m.ctrl, m.inputs, m.plant)
+    io = classify_io(m)
     diags = diags.extend(CompileWarning("io-conflict", w) for w in io.warnings)
     exceeds = interval_exceeds_model(m, epsilon)
     if exceeds is not None:
         diags = diags.extend([CompileWarning("epsilon-exceeds-model", exceeds)])
 
-    bool_outputs = _zero_one_outputs(m.ctrl)
     blocks: list[StVarBlock] = []
     if io.inputs:
         blocks.append(StVarBlock("input", tuple((x, "LREAL") for x in io.inputs)))
     if io.outputs:
         blocks.append(StVarBlock(
             "output",
-            tuple((x, "BOOL" if x in bool_outputs else "LREAL") for x in io.outputs),
+            tuple((x, "BOOL" if x in m.facts.zero_one else "LREAL") for x in io.outputs),
         ))
     if io.params:
         blocks.append(StVarBlock("external", tuple((x, "LREAL") for x in io.params)))
@@ -201,16 +200,6 @@ def task_hp_to_st(
     )
     unit = StUnit(Ident(resolved["program"]), tuple(blocks), body, config)
     return unit, diags
-
-
-def _zero_one_outputs(ctrl: Program) -> set[Ident]:
-    """Bound variables that are only ever assigned literal 0 or 1."""
-    assigned: dict[Ident, bool] = {}
-    for p in walk(ctrl, HP_STATEMENTS):
-        if p.__class__ is Assign:
-            ok = p.value.__class__ is Number and p.value.value in (0.0, 1.0)
-            assigned[p.target] = assigned.get(p.target, True) and ok
-    return {x for x, ok in assigned.items() if ok}
 
 
 def task_st_to_hp(

@@ -224,7 +224,7 @@ def test_criterion_8_compliance_injection():
         model, body, ConstantInputs(golden.SCENARIO_INPUTS), 100, initial,
         SimConfig(epsilon=10.0),
     )
-    io_spec = classify_io(model.ctrl, model.inputs, model.plant)
+    io_spec = classify_io(model)
     buffer = _io.StringIO()
     write_trace(buffer, records, io_spec)
     buffer.seek(0)

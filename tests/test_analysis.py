@@ -1,5 +1,6 @@
 """Static semantics, I/O classification, normal-form validation, epsilon."""
 
+import dataclasses
 import gc
 import math
 import signal
@@ -16,7 +17,7 @@ from plchp import (
 from plchp.analysis import extract_epsilon
 from plchp.dl_syntax import DlSafetyFormula, parse_dl_program
 from plchp.errors import ConflictingEpsilon, NotNormalForm
-from plchp.ir import TRUE
+from plchp.ir import TRUE, Loop, ScanCycleModel, program_facts
 from plchp.semantics import GenConfig, gen_hp
 from plchp.st_syntax import parse_st, parse_st_statements
 from plchp.translate import task_st_to_hp
@@ -24,6 +25,11 @@ from plchp.translate import task_st_to_hp
 
 def ident(n):
     return Ident(n)
+
+
+def classify(ctrl, inputs=(), plant=golden.PLANT):
+    """`classify_io` of a raw controller, in a model around it."""
+    return classify_io(ScanCycleModel(TRUE, inputs, ctrl, plant, 1.0, TRUE))
 
 
 def test_var_sets_assignment():
@@ -56,7 +62,7 @@ def test_must_bound_subset_of_bound_on_generated_programs():
 
 
 def test_classify_io_watertank():
-    io = classify_io(golden.ORIGINAL_CTRL, golden.MODEL_INPUTS, golden.PLANT)
+    io = classify(golden.ORIGINAL_CTRL, golden.MODEL_INPUTS)
     assert set(io.inputs) >= {ident("f1"), ident("f2"), ident("x1"), ident("x2")}
     assert io.outputs == (ident("V1"), ident("P"), ident("V2"))
     assert set(io.params) == {
@@ -66,16 +72,14 @@ def test_classify_io_watertank():
 
 
 def test_classify_io_param_only():
-    ctrl = Assign(ident("a"), Var(ident("b")))
-    plant = golden.PLANT
-    io = classify_io(ctrl, (), plant)
+    io = classify(Assign(ident("a"), Var(ident("b"))))
     assert io.inputs == ()
     assert io.outputs == (ident("a"),)
     assert io.params == (ident("b"),)
 
 
 def test_classify_io_trivial():
-    io = classify_io(Assign(ident("a"), Number("1")), (), golden.PLANT)
+    io = classify(Assign(ident("a"), Number("1")))
     assert io.inputs == () and io.params == ()
     assert io.outputs == (ident("a"),)
 
@@ -85,6 +89,18 @@ def test_validate_watertank_model():
     assert model.plant.domain == golden.PLANT.domain  # t<=eps removed
     assert model.inputs == (ident("f1"), ident("f2"))
     assert model.epsilon == ident("eps")
+
+
+def test_a_model_keeps_the_facts_of_its_controller():
+    model = validate_scan_cycle_form(parse_dl_model((golden.DATA / "watertank_original_model.dlhp").read_text()))
+    assert model.facts == program_facts(model.ctrl) and "facts" not in repr(model)
+    # Derived, not given: `replace` derives them again, and `==` does not read them.
+    other = dataclasses.replace(model, ctrl=Assign(ident("a"), Number("1")))
+    assert other.facts.assigned == (ident("a"),) and other.facts.zero_one == {ident("a")}
+    assert dataclasses.replace(other, ctrl=model.ctrl) == model
+    # A controller outside the translatable fragment has none.
+    with pytest.raises(TypeError, match="translatable fragment, not Loop"):
+        dataclasses.replace(model, ctrl=Loop(Assign(ident("a"), Number("1"))))
 
 
 def _model_with_body(body_text: str) -> DlSafetyFormula:
@@ -236,19 +252,19 @@ def test_model_analysis_is_linear_in_the_controller():
         def run():
             m = validate_scan_cycle_form(f)
             var_sets(m.ctrl)
-            classify_io(m.ctrl, m.inputs, m.plant)
+            classify_io(m)
         return run
 
     small, large = _distinct_model(1000), _distinct_model(8000)
     growth = _growth(analysis(small), analysis(large))
     assert growth <= SCALE_LIMIT
-    io = classify_io(validate_scan_cycle_form(large).ctrl, (), golden.PLANT)
+    io = classify(validate_scan_cycle_form(large).ctrl)
     assert len(io.outputs) == len(io.params) == 8000
 
 
 def test_elsif_chain_analysis_is_linear_in_its_arms():
     def analysis(p):
-        return lambda: (var_sets(p), classify_io(p, (), golden.PLANT))
+        return lambda: (var_sets(p), classify(p))
 
     small, large = _elsif_chain(500), _elsif_chain(4000)
     growth = _growth(analysis(small), analysis(large))

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import golden
-from plchp import parse_dl_model, parse_st
+from plchp import Program, parse_dl_model, parse_st, validate_scan_cycle_form
+from plchp import compiled, sim  # noqa: F401  (loaded before a test wraps their names)
 from plchp.cli import NAME_KINDS, main
 from plchp.st_syntax import tokenize
 from plchp.translate import DEFAULT_NAMES
@@ -736,3 +737,53 @@ def test_simulate_matches_csv_rows_by_their_cycle_column(tmp_path, capsys):
 def test_simulate_refuses_csv_inputs_that_miss_a_cycle(tmp_path, capsys, rows, cycles, message):
     code, out, err, _ = simulate_csv(tmp_path, capsys, rows, cycles)
     assert (code, out, err) == (1, "", message.format(tmp_path / "in.csv"))
+
+
+# ---------------------------------------------------------------------------
+# One pass over the controller per command
+
+def test_each_command_folds_the_model_controller_once(tmp_path, capsys, monkeypatch):
+    # A validated model derives its controller's facts by one fold, and every
+    # command reads them there; only st2hp walks the ST body, once, first.
+    calls = []
+
+    def recording(name, real):
+        def wrapper(node, *args):
+            calls.append((name, node))
+            return real(node, *args)
+        return wrapper
+
+    for module in [m for name, m in sys.modules.items() if name.partition(".")[0] == "plchp"]:
+        for name in ("program_facts", "collect_vars"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+
+    def passes(*argv):
+        """The calls on statements that one command run makes."""
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        return [(name, node) for name, node in calls if isinstance(node, Program)]
+
+    generated = tmp_path / "generated.dlhp"
+    st2hp = passes("st2hp", data("watertank_original.st"), "--plant", data("watertank_plant.dlhp"),
+                   "--assumptions", data("watertank_assumptions.dlhp"),
+                   "--safety", data("watertank_safety.dlhp"), "--out", str(generated))
+    body = parse_st((golden.DATA / "watertank_original.st").read_text()).body
+    ctrl = validate_scan_cycle_form(parse_dl_model(generated.read_text())).ctrl
+    assert st2hp == [("collect_vars", body), ("program_facts", ctrl)]
+
+    model = golden.DATA / "watertank_safe_model.dlhp"
+    ctrl = validate_scan_cycle_form(parse_dl_model(model.read_text())).ctrl
+    config, trace = tmp_path / "run.json", tmp_path / "trace.csv"
+    config.write_text(json.dumps({
+        "params": {str(k): v for k, v in golden.SCENARIO_PARAMS.items()},
+        "init": {str(k): v for k, v in golden.SCENARIO_INIT.items()},
+        "inputs": {"mode": "constant",
+                   "values": {str(k): v for k, v in golden.SCENARIO_INPUTS.items()}},
+    }))
+    model = str(model)
+    for argv in (["hp2st", model, "--epsilon", "1"], ["analyze", model],
+                 ["simulate", "--model", model, "--inputs", str(config), "--cycles", "3",
+                  "--epsilon", "10", "--out", str(trace)],
+                 ["comply", "--model", model, "--trace", str(trace)]):
+        assert passes(*argv) == [("program_facts", ctrl)], argv[0]

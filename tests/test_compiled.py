@@ -503,7 +503,7 @@ def test_tank_runs_never_fall_back(monkeypatch, edit, method):
     compiled._code.cache_clear()
     model, records = tank_run(edit, method, cycles=20)
     assert check_safety(records, model.safety) == []
-    io_spec = classify_io(model.ctrl, model.inputs, model.plant)
+    io_spec = classify_io(model)
     trace = io.StringIO()
     write_trace(trace, records, io_spec)
     trace.seek(0)

@@ -5,8 +5,7 @@ The printer (`_syntax.render_term`/`render_formula`) and the compiler
 folds over the IR. Each is held here to a test-local copy of its plain
 recursive form, over the difftest generators at depths 1 to 5: the printer
 by text, the compiled functions by `float.hex` value or by error class and
-message, and by the slot layout they build. `ir.same` is held to the
-generated `==`.
+message, and by the slot layout they build.
 """
 
 import operator
@@ -21,7 +20,6 @@ from plchp.errors import DivisionByZero, EvalError, PlchpError
 from plchp.ir import (
     ADD, DIV, EQ, GE, GT, HP, LE, LT, MUL, NE, ST, SUB, And, BinOp,
     BoolConst, Cmp, Equiv, Ident, Imply, Neg, Not, Number, Or, State, Var,
-    same,
 )
 from plchp.semantics import (
     GenConfig, gen_formula, gen_state, gen_term, power,
@@ -253,26 +251,10 @@ def test_closures_run_up_to_the_depth_bound():
 # Structural equality
 
 
-def test_same_matches_generated_equality():
-    for seed in SEEDS:
-        cfg, other = config(seed), config(seed + 1)
-        pairs = [
-            (gen_term(cfg), gen_term(cfg)),
-            (gen_term(cfg), gen_term(other)),
-            (Neg(gen_term(cfg)), gen_term(cfg)),
-            (gen_formula(cfg, ST), gen_formula(cfg, ST)),
-            (gen_formula(cfg, ST), gen_formula(other, ST)),
-            (gen_formula(cfg, HP), gen_formula(other, HP)),
-            (gen_formula(cfg, HP), Not(gen_formula(cfg, HP))),
-        ]
-        for a, b in pairs:
-            assert same(a, b) == (a == b), (seed, a, b)
-
-
 def test_same_on_a_long_chain():
     left = right = Cmp(GT, Var(Ident("u")), Number("0"))
     for i in range(10_000):
         left = And(left, Cmp(GT, Var(Ident("u")), Number(str(i))))
         right = And(right, Cmp(GT, Var(Ident("u")), Number(str(i))))
-    assert same(left, right)
-    assert not same(left, And(right.left, Cmp(GE, Var(Ident("u")), Number("9999"))))
+    assert left == right
+    assert not left == And(right.left, Cmp(GE, Var(Ident("u")), Number("9999")))

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import os
 import pickle
 import re
 import sys
@@ -382,7 +383,11 @@ def test_deep_trees_compare_hash_and_print(build, text):
     a, b, other = build("1"), build("1"), build("2")
     assert a is not b and a == b and not a != b and hash(a) == hash(b)
     assert a != other and other != b  # they differ only at the bottom
-    assert repr(a) == text
+    # Compared as a bool: pytest would diff two failing texts this long for minutes.
+    printed = repr(a)
+    if printed != text:
+        pytest.fail(f"repr is {len(printed)} characters, not {len(text)}, and differs "
+                    f"from offset {len(os.path.commonprefix([printed, text]))}")
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ def test_respaced_st_statements(seed):
     text = print_st_statement(tree)
     for _ in range(3):
         parsed = parse_st_statements(_check_positions(text, *_ST, rng))
-        assert ir.same(parsed, tree)
+        assert parsed == tree
         assert print_st_statement(parsed) == text
 
 
@@ -104,7 +104,7 @@ def test_respaced_dl_programs(seed):
     text = print_dl_program(tree)
     for _ in range(3):
         parsed = parse_dl_program(_check_positions(text, *_DL, rng))
-        assert ir.same(parsed, tree)
+        assert parsed == tree
         assert print_dl_program(parsed) == text
 
 
@@ -116,7 +116,7 @@ def test_respaced_formulas(seed):
                                         (ir.HP, print_dl_formula, parse_dl_formula, _DL)):
         tree = gen_formula(cfg, dialect)
         parsed = parse(_check_positions(show(tree), *lexer, rng))
-        assert ir.same(parsed, tree)
+        assert parsed == tree
 
 
 def test_respaced_unit_with_configuration():

@@ -215,7 +215,7 @@ def _safe_trace(cycles=50):
         model, body, ConstantInputs(golden.SCENARIO_INPUTS), cycles,
         _scenario_initial(), SimConfig(epsilon=10.0),
     )
-    io_spec = classify_io(model.ctrl, model.inputs, model.plant)
+    io_spec = classify_io(model)
     buffer = io.StringIO()
     write_trace(buffer, records, io_spec)
     buffer.seek(0)

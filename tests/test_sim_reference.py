@@ -123,7 +123,7 @@ def outcome(run_simulate, run_safety, run_trace, case) -> dict:
     ]}
     stream = io.StringIO()
     try:
-        run_trace(stream, records, classify_io(model.ctrl, model.inputs, model.plant))
+        run_trace(stream, records, classify_io(model))
     except PlchpError as exc:
         result["trace_error"] = error(exc)
     result["trace"] = stream.getvalue()
@@ -444,7 +444,7 @@ def test_cycles_build_no_state(monkeypatch, model):
         start = built[0]
         records = simulate(m, body, inputs, cycles, initial, cfg)
         assert check_safety(records, m.safety) == []
-        write_trace(io.StringIO(), records, classify_io(m.ctrl, m.inputs, m.plant))
+        write_trace(io.StringIO(), records, classify_io(m))
         assert len(records) == cycles
         return built[0] - start
 

@@ -129,7 +129,7 @@ def generated_rows(seed, io_spec):
 
 @pytest.mark.parametrize("model", MODELS, ids=["safe", "original"])
 def test_compliance_matches_a_state_replay(model):
-    io_spec = classify_io(model.ctrl, model.inputs, model.plant)
+    io_spec = classify_io(model)
     kinds = set()
     for seed in range(300):
         rows = generated_rows(seed, io_spec)
