@@ -4,7 +4,12 @@
 Python function over a flat list of floats, which `Source` writes as Python
 source, one assignment per operation, and `compile()`s. A `Layout` maps each
 variable to its slot in that list; a slot holds None while its variable is
-unbound. `emit_rk4` writes a plant's whole RK4 substep loop the same way.
+unbound. `emit_rk4` writes a plant's whole RK4 substep loop the same way,
+and computes what reads neither an evolving variable nor the clock once, in
+a prologue before the loop: `render`, given the names that vary, writes each
+largest operation that reads none of them there. Those are the same float
+operations on the same operands, computed fewer times, and the checks that
+precede the loop have raised any error they could (see `emit_rk4`).
 
 The emitted code is a faster form of the reference interpreters `eval_term`,
 `eval_formula` and `run_st`, not a second semantics: it takes what each
@@ -151,7 +156,8 @@ def _code(text: str):
 class Source:
     """A Python module being written: `function` adds a function of a slot
     list for a tree, `line` a statement, `render` the statements that
-    evaluate a term or formula, and `module` runs it all, compiled once.
+    evaluate a term or formula (and `prologue` those of its parts that
+    `render` hoists), and `module` runs it all, compiled once.
 
     A term or formula is written one operation per assignment: each
     operator of `OPERATORS` as the Python operator that computes it, and
@@ -161,6 +167,7 @@ class Source:
 
     def __init__(self):
         self.lines: list[str] = []
+        self.prologue: list[str] = []
         self.constants = {
             "divide": divide, "power": power, "inf": math.inf, "UnboundVariable": UnboundVariable,
         }
@@ -184,19 +191,30 @@ class Source:
         self.lines += ["    " + text for text in body]
         return function
 
-    def render(self, target: str, node, name: Callable[[Ident], str]) -> list[str]:
+    def render(self, target: str, node, name: Callable[[Ident], str], varying=None) -> list[str]:
         """Unindented assignments that evaluate term or formula `node` into
-        `target`, reading variable x as `name(x)`."""
-        _, lines, text, _ = self._write(node, name)
-        return lines + [f"{target} = {text}"]
+        `target`, reading variable x as `name(x)`. Given the set `varying`,
+        each largest operation that reads no name in it is written once, to
+        `prologue`, and its temp stands in for it; a `node` that reads none
+        is written to `prologue` whole, and this returns no lines."""
+        _, lines, text, _, varies = self._write(node, name, varying=varying)
+        lines.append(f"{target} = {text}")
+        if varying is None or varies:
+            return lines
+        self.prologue += lines
+        return []
 
-    def _write(self, node, name, checked: bool = False) -> tuple:
+    def _write(self, node, name, checked: bool = False, varying=None) -> tuple:
         """One fold over `node` that writes it and refuses it when it is
         deeper than MAX_DEPTH. A term or formula gives (depth, lines, text,
-        pending): the assignments that evaluate its operands, and its own
-        operation, or operand when `pending` is false. A statement gives
-        (depth, lines, holds an IF). Lines are unindented. When `checked`,
-        each variable read is a local that raises UnboundVariable if None."""
+        pending, varies): the assignments that evaluate its operands, and
+        its own operation, or operand when `pending` is false, and whether
+        it reads a name in `varying`. An operand that does not, of an
+        operation that does, goes to `prologue`. A statement gives (depth,
+        lines, holds an IF). Lines are unindented. When `checked`, each
+        variable read is a local that raises UnboundVariable if None."""
+        varying = varying or ()
+
         def combine(n, kids):
             cls = n.__class__
             depth = max([kid[0] for kid in kids], default=0)
@@ -210,7 +228,7 @@ class Source:
                     lines += kid_lines
                 return depth, lines, any(kid[2] for kid in kids)
             if cls is Assign:
-                (_, lines, text, _), = kids
+                (_, lines, text, _, _), = kids
                 lines.append(f"{name(n.target)} = {text}")
                 return depth, lines, False
             if cls is IfThen:
@@ -218,21 +236,25 @@ class Source:
             if isinstance(n, Program):
                 message = f"run_st executes ST statements, not {cls.__name__}"
                 return depth, [f"raise TypeError({message!r})"], False
-            if cls is Var and checked:
-                temp = self._temp()
+            if cls is Var:
                 x = n.ident
+                if not checked:
+                    return depth, [], name(x), False, x in varying
+                temp = self._temp()
                 self.constants[f"n_{x.name}"] = x
                 return depth, [f"{temp} = {name(x)}",
-                               f"if {temp} is None: raise UnboundVariable(n_{x.name})"], temp, False
+                               f"if {temp} is None: raise UnboundVariable(n_{x.name})"], temp, False, False
+            varies = any(kid[4] for kid in kids)
             lines, operands = [], []
-            for _, kid_lines, text, pending in kids:
-                lines += kid_lines
+            for _, kid_lines, text, pending, kid_varies in kids:
+                into = lines if kid_varies or not varies else self.prologue
+                into += kid_lines
                 if pending:
                     temp = self._temp()
-                    lines.append(f"{temp} = {text}")
+                    into.append(f"{temp} = {text}")
                     text = temp
                 operands.append(text)
-            return depth, lines, self._operation(n, operands, name), bool(kids)
+            return depth, lines, self._operation(n, operands), bool(kids), varies
         return fold(node, combine, _COMPILED)
 
     def _chain(self, kids) -> list[str]:
@@ -240,7 +262,7 @@ class Source:
         under `if not taken:`, and `taken` holds the last guard evaluated."""
         lines = []
         for k in range(0, len(kids) - 1, 2):
-            (_, guard, text, _), (_, branch, holds_if) = kids[k:k + 2]
+            (_, guard, text, _, _), (_, branch, holds_if) = kids[k:k + 2]
             indent = "    " if k else ""
             if k:
                 lines.append("if not taken:")
@@ -263,14 +285,12 @@ class Source:
             lines = [f"{function}(v)"]
         return [indent + text for text in lines]
 
-    def _operation(self, n, operands: list[str], name) -> str:
+    def _operation(self, n, operands: list[str]) -> str:
         """The source of one operation `n` on its operands, each a local or
         a literal."""
         cls = n.__class__
         if cls is Number or cls is BoolConst:
             return repr(n.value)
-        if cls is Var:
-            return name(n.ident)
         if cls is Neg:
             return f"-{operands[0]}"
         if cls is Not:
@@ -312,22 +332,39 @@ def emit_rk4(plant: PlantSpec, layout: Layout):
     substep end time at which the state first leaves the evolution domain,
     or None. It reads every slot it needs into locals once, writes the
     evolving variables and the clock back at the end or at a domain exit,
-    and leaves `v` as it was on an error. Every slot it reads must be bound.
+    and leaves `v` as it was on an error.
 
     Each substep is the same float operations in the same order as a loop
     over the compiled right-hand sides: the four stages (the stage state `w`
     moves the clock to the middle of the substep for the second and third
     and to its end for the fourth), then `v[i] + (a + 2 * b + 2 * c + d) / 6
     * h`, then the domain test at the substep end. Each tree is written
-    once, with format fields for its rate, stage state and clock."""
+    once, with format fields for its rate, stage state and clock. What
+    reads neither an evolving variable nor the clock is computed once, in a
+    prologue before the loop: each largest such operation of a rate or the
+    domain, and a rate that is wholly such, with its increment
+    `(r + 2 * r + 2 * r + r) / 6 * h`. The loop writes no stage state that
+    no rate reads, and no mid-substep clock when no rate reads the clock.
+
+    The caller's contract: every slot the loop reads is bound, and the
+    domain and every rate have been evaluated on the start state without an
+    error. The connectives are strict and terms have no branches, so each
+    operation of the prologue has then been computed on the same operands
+    once already, and computing it again cannot raise; every value is the
+    same float operation on the same operands as in the loop it replaces.
+    """
     evolving = {x: j for j, (x, _) in enumerate(plant.odes)}
     ode_slots = [layout.slot(x) for x in evolving]
     clock = layout.slot(plant.clock)
     domain = None if plant.domain == TRUE else plant.domain
-    mentioned = set().union(*(collect_vars(rhs) for _, rhs in plant.odes))
-    if domain is not None:
-        mentioned |= collect_vars(domain)
+    reads = [collect_vars(rhs) for _, rhs in plant.odes]
+    read = set().union(*reads)
+    mentioned = read if domain is None else read | collect_vars(domain)
     params = sorted(layout.slot(x) for x in mentioned - set(evolving) - {plant.clock})
+    varying = {*evolving, plant.clock}
+    invariant = [not (names & varying) for names in reads]
+    staged = [j for x, j in evolving.items() if x in read]
+    timed = plant.clock in read
 
     def field(x: Ident) -> str:
         j = evolving.get(x)
@@ -335,17 +372,23 @@ def emit_rk4(plant: PlantSpec, layout: Layout):
             return f"{{s}}{j}"
         return "{now}" if x == plant.clock else f"p{layout.slot(x)}"
 
+    def rate(j: int, stage: str) -> str:
+        return f"r{j}" if invariant[j] else f"{stage}{j}"
+
     src = Source()
     line = src.line
     rate_lines = [text for j, (_, rhs) in enumerate(plant.odes)
-                  for text in src.render(f"{{rate}}{j}", rhs, field)]
+                  for text in src.render(rate(j, "{rate}"), rhs, field, varying)]
+    inside = [] if domain is None else src.render("inside", domain, field, varying)
+    src.prologue += [f"q{j} = (r{j} + 2 * r{j} + 2 * r{j} + r{j}) / 6 * h"
+                     for j in range(len(ode_slots)) if invariant[j]]
 
-    def stage(rate: str, state: str, now: str, update) -> None:
+    def stage(name: str, state: str, now: str, update) -> None:
         for text in rate_lines:
-            line(2, text.format(rate=rate, s=state, now=now))
+            line(2, text.format(rate=name, s=state, now=now))
         if update is not None:
-            for j in range(len(ode_slots)):
-                line(2, f"w{j} = x{j} + {rate}{j} * {update}")
+            for j in staged:
+                line(2, f"w{j} = x{j} + {rate(j, name)} * {update}")
 
     def write_back(indent: int, now: str) -> None:
         for j, i in enumerate(ode_slots):
@@ -360,19 +403,26 @@ def emit_rk4(plant: PlantSpec, layout: Layout):
     line(1, "clock = t0")
     line(1, "h = duration / n")
     line(1, "half = h / 2")
+    for text in src.prologue:
+        line(1, text)
     line(1, "for k in range(n):")
-    line(2, "t_mid = duration * k / n + half")
+    if timed:
+        line(2, "t_mid = duration * k / n + half")
     line(2, "t_next = duration * (k + 1) / n")
     stage("a", "x", "clock", "half")
-    line(2, "clock_mid = t0 + t_mid")
+    if timed:
+        line(2, "clock_mid = t0 + t_mid")
     stage("b", "w", "clock_mid", "half")
     stage("c", "w", "clock_mid", "h")
     line(2, "clock = t0 + t_next")
     stage("d", "w", "clock", None)
     for j in range(len(ode_slots)):
-        line(2, f"x{j} = x{j} + (a{j} + 2 * b{j} + 2 * c{j} + d{j}) / 6 * h")
+        if invariant[j]:
+            line(2, f"x{j} = x{j} + q{j}")
+        else:
+            line(2, f"x{j} = x{j} + (a{j} + 2 * b{j} + 2 * c{j} + d{j}) / 6 * h")
     if domain is not None:
-        for text in src.render("inside", domain, field):
+        for text in inside:
             line(2, text.format(s="x", now="clock"))
         line(2, "if not inside:")
         write_back(3, "clock")

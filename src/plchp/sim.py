@@ -93,10 +93,11 @@ def plant_is_affine(plant: PlantSpec) -> bool:
 
 
 class CompiledPlant:
-    """A plant compiled once for all the cycles of a run: right-hand sides,
-    evolution domain and its conjuncts as functions emitted into one module
-    over one layout (a new one unless given), plus the per-plant analysis
-    (affinity, which conjuncts are solved exactly)."""
+    """A plant compiled once for all the cycles of a run: right-hand sides
+    and evolution domain as functions emitted into one module over one
+    layout (a new one unless given), plus the per-plant analysis (affinity).
+    The domain's conjuncts, and the RK4 substep loop, are emitted the first
+    time a cycle needs them."""
 
     def __init__(self, plant: PlantSpec, layout: Optional[Layout] = None):
         self.spec = plant
@@ -107,22 +108,32 @@ class CompiledPlant:
         src = Source()
         rates = [src.function(rhs, layout) for _, rhs in plant.odes]
         domain = None if plant.domain == TRUE else src.function(plant.domain, layout)
-        # (conjunct, its function, (relation, left - right) when it is a
-        # comparison affine in the evolving variables, else None)
-        parts = []
-        if domain is not None:
-            evolving = set(plant.state_vars()) | {plant.clock}
-            for part in conjuncts(plant.domain):
-                linear = None
-                if isinstance(part, Cmp) and part.rel in (LT, LE, GT, GE) and \
-                        _is_affine_term(part.left, evolving) and _is_affine_term(part.right, evolving):
-                    linear = (part.rel, src.function(BinOp(SUB, part.left, part.right), layout))
-                parts.append((part, src.function(part, layout), linear))
         defined = src.module().get
         self.rates = [defined(f) for f in rates]
         self.domain = defined(domain)
-        self.parts = [(part, defined(holds), linear and (linear[0], defined(linear[1])))
-                      for part, holds, linear in parts]
+
+    @cached_property
+    def parts(self) -> list:
+        """Each conjunct of the domain, its function, and (relation, left -
+        right) when it is a comparison affine in the evolving variables,
+        else None. Emitted the first time a cycle reads them: the first
+        affine cycle of a plant with a domain, but an RK4 cycle only at a
+        domain exit."""
+        if self.domain is None:
+            return []
+        plant, layout = self.spec, self.layout
+        evolving = set(plant.state_vars()) | {plant.clock}
+        src = Source()
+        parts = []
+        for part in conjuncts(plant.domain):
+            linear = None
+            if isinstance(part, Cmp) and part.rel in (LT, LE, GT, GE) and \
+                    _is_affine_term(part.left, evolving) and _is_affine_term(part.right, evolving):
+                linear = (part.rel, src.function(BinOp(SUB, part.left, part.right), layout))
+            parts.append((part, src.function(part, layout), linear))
+        defined = src.module().get
+        return [(part, defined(holds), linear and (linear[0], defined(linear[1])))
+                for part, holds, linear in parts]
 
     @cached_property
     def rk4(self):
@@ -151,12 +162,14 @@ def integrate_plant(
     returns it, or on an error leaves it as it was (both integrators write
     it only once the cycle's step is computed).
 
-    Given a `PlantSpec`, this compiles the plant for this one call, and an
-    RK4 call also emits its substep loop. The process shares the code
-    objects, so only the first call on a plant runs `compile()`; a repeated
-    call still writes the source, about 0.4 ms for an RK4 call on the
-    water-tank plant. A caller integrating the same plant repeatedly passes
-    it compiled once, as a `CompiledPlant`, which emits the loop at most once.
+    Given a `PlantSpec`, this compiles the plant for this one call. An RK4
+    call also emits its substep loop, and the domain's conjuncts only at a
+    domain exit; an affine call emits the conjuncts. The process shares the
+    code objects, so only the first call on a plant runs `compile()`; a
+    repeated call still writes the source, about 0.4 ms for an RK4 call on
+    the water-tank plant. A caller integrating the same plant repeatedly
+    passes it compiled once, as a `CompiledPlant`, which emits each at most
+    once.
     """
     if duration < 0:
         raise ValueError("duration must be non-negative")
@@ -310,17 +323,19 @@ class ConstantInputs(InputProvider):
 @dataclass(frozen=True)
 class UniformInputs(InputProvider):
     """Per cycle and per input, an independent uniform draw; deterministic
-    in (seed, cycle)."""
+    in (seed, cycle). The inputs draw in the order of their names."""
 
     ranges: dict  # Ident -> (lo, hi)
     seed: int = 0
+    _draws: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_draws", tuple(
+            sorted(self.ranges.items(), key=lambda kv: kv[0].name)))
 
     def values(self, cycle: int) -> dict[Ident, float]:
         rng = random.Random(derive_seed(self.seed, cycle))
-        return {
-            name: rng.uniform(lo, hi)
-            for name, (lo, hi) in sorted(self.ranges.items(), key=lambda kv: kv[0].name)
-        }
+        return {name: rng.uniform(lo, hi) for name, (lo, hi) in self._draws}
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,9 @@ from plchp.compiled import (
     MAX_DEPTH, Layout, Source, compile_formula, compile_st, compile_term, read,
 )
 from plchp.errors import DivisionByZero, DomainError, EvalError, PlchpError, UnboundVariable
-from plchp.ir import HP, ST, TRUE, GuardedChoice, Ident, IfThen, PlantSpec, Var
+from plchp.ir import (
+    HP, ST, TRUE, GuardedChoice, Ident, IfThen, PlantSpec, Var, collect_vars,
+)
 from plchp.semantics import GenConfig, gen_formula, gen_st, gen_state, gen_term
 from plchp.sim import (
     CompiledPlant, ConstantInputs, DomainExit, IntegratorConfig, SimConfig, _integrate_rk4,
@@ -376,6 +378,30 @@ def test_emitted_rk4_unbound_variables(rates, domain, s, message):
     assert rk4_outcome(_integrate_rk4, hand_plant(rates, domain), s, 1.0, 7)[1] == message
 
 
+@pytest.mark.parametrize("rates, domain, s, expected", [
+    # a wholly invariant rate, and a partly invariant one
+    ([("x", "c*d+1"), ("y", "c*d-0.5*y")], "true", state(x=0, y=1, t=0, c=2, d=3), "value"),
+    ([("x", "c*t-d")], "true", state(x=0, t=0.25, c=2, d=3), "value"),  # reads the clock
+    ([("x", "c"), ("y", "y*d")], "true", state(x=0, y=1, t=0, c=2, d=3), "value"),  # no rate reads x
+    ([("x", "c")], "c*d>=0", state(x=0, t=0, c=2, d=3), "value"),  # an invariant domain, true
+    ([("x", "c")], "c*d>=0", state(x=0, t=0, c=-2, d=3), "exit at start"),  # and false
+    # an invariant conjunct after a varying one
+    ([("x", "0-x*d")], "x>=0.5 & c*d>=0", state(x=1, t=0, c=2, d=1), "exit mid-cycle"),
+    ([("x", "1/(c-c)+x")], "true", state(x=0, t=0, c=2), "DivisionByZero"),  # raised before the loop
+    ([("x", "1"), ("y", "(c*d)/(x-0.5)")], "true", state(x=0, y=0, t=0, c=2, d=3),
+     "DivisionByZero"),  # a varying division by zero at the second stage
+])
+def test_emitted_rk4_hoists_what_reads_no_evolving_variable(rates, domain, s, expected):
+    for substeps in (1, 7):  # x is 0.5 at the mid-point of a substep
+        assert assert_same_rk4(hand_plant(rates, domain), s, 1.0, substeps) == expected
+
+
+def test_some_generated_plants_have_an_invariant_rate():
+    invariant = [seed for seed in range(150)
+                 if any(not collect_vars(rhs) & {A, B, T} for _, rhs in generated_plant(seed).odes)]
+    assert invariant, "no generated plant has a rate that reads neither a, b nor t"
+
+
 # ---------------------------------------------------------------------------
 # The emitted loop on a deep plant, and who pays for emitting it
 
@@ -492,6 +518,33 @@ def test_a_repeated_run_compiles_nothing(monkeypatch, edit, method):
     assert first > 0
     tank_run(edit, method, cycles=20)
     assert len(texts) == first
+
+
+def test_outflow_tank_loop_computes_what_varies_in_the_loop(monkeypatch):
+    # x1' = V1*f1-V2*P*f2 reads no evolving variable and x2' = V2*P*f2-0.002*x2
+    # reads x2 only: each substep computes t_next and the clock, 0.002*w and a
+    # rate four times, w1 three times, x1 and x2, and the five varying
+    # operations of the domain x1>=0 & x2>=0 & f1>=0 & f2>=0.
+    texts = compiled_sources(monkeypatch)
+    compiled._code.cache_clear()
+    tank_run(OUTFLOW, "auto", cycles=20)
+    # The controller, the rates and domain, and the loop; no conjunct module.
+    assert [text.count("def ") for text in texts] == [1, 3, 1]
+    loop = texts[-1].split("    for k in range(n):\n")[1].split("        if not inside:")[0]
+    assignments = [text for text in loop.splitlines() if " = " in text]
+    assert len(assignments) == 20, loop
+    assert "w0 =" not in loop and "clock_mid" not in texts[-1]
+
+
+def test_rk4_cycles_emit_the_conjuncts_only_at_a_domain_exit():
+    plant = hand_plant([("x", "0-x")], "t>=0 & x>=0.5")
+    for duration, exits in ((0.5, False), (1.0, True)):  # x reaches 0.5 at ln 2
+        layout = Layout([Ident("x"), T])
+        compiled_plant = CompiledPlant(plant, layout)
+        values = layout.load(state(x=1, t=0))
+        domain_exit = _integrate_rk4(compiled_plant, values, duration, IntegratorConfig(substeps=7))
+        assert (domain_exit is not None) == exits
+        assert ("parts" in vars(compiled_plant)) == exits
 
 
 # ---------------------------------------------------------------------------

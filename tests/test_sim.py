@@ -1,6 +1,7 @@
 """Plant integration, scan-cycle simulation, safety, compliance."""
 
 import io
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from plchp.errors import (
     InputFileError, MissingInput, NondeterministicCtrl, SchemaError,
 )
 from plchp.ir import Cmp, GE, GuardedChoice, Neg, TRUE
+from plchp.semantics import derive_seed
 from plchp.sim import (
     ConstantInputs, CsvInputs, IntegratorConfig, SimConfig,
     UniformInputs, plant_is_affine, read_trace, write_trace,
@@ -206,6 +208,19 @@ def test_uniform_inputs_deterministic():
     provider = UniformInputs({ident("f1"): (0.0, 50.0)}, seed=7)
     assert provider.values(3) == provider.values(3)
     assert provider.values(3) != provider.values(4)
+
+
+def test_uniform_inputs_draw_in_name_order():
+    # One Random per cycle, seeded from (seed, cycle), draws the inputs in
+    # the order of their names, whatever the order of the ranges given.
+    ranges = {ident("f2"): (0.0, 50.0), ident("a"): (-1.0, 1.0), ident("f1"): (10.0, 20.0)}
+    provider = UniformInputs(ranges, seed=7)
+    for cycle in range(5):
+        rng = random.Random(derive_seed(7, cycle))
+        expected = [(name, rng.uniform(*ranges[ident(name)])) for name in ("a", "f1", "f2")]
+        got = provider.values(cycle)
+        assert [(x.name, value.hex()) for x, value in got.items()] == \
+            [(name, value.hex()) for name, value in expected]
 
 
 def _safe_trace(cycles=50):
