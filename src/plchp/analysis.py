@@ -165,9 +165,9 @@ def _compared(part: Formula, x: Ident) -> list:
     `part` compares variable `x` with a term, either way round."""
     if part.__class__ is not Cmp:
         return []
-    v = Var(x)
-    return ([(part.rel, part.right)] if part.left == v else []) + (
-        [(_CONVERSE[part.rel], part.left)] if part.right == v else [])
+    left, right = part.left, part.right
+    return ([(part.rel, right)] if left.__class__ is Var and left.ident is x else []) + (
+        [(_CONVERSE[part.rel], left)] if right.__class__ is Var and right.ident is x else [])
 
 
 # Why each statement class other than assignment, sequence and guarded

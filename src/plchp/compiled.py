@@ -21,11 +21,12 @@ the interpreters raise at the same point of the same left-to-right walk,
 and every call runs the emitted code alone. The tests hold the two to each
 other bit for bit, and to the class and message of every error.
 
-A tree is written in one fold (`ir.fold`), in bounded stack. The source stays
-inside CPython's compiler limits: no line nests parentheses, an ELSIF chain
-is written flat, and an IF branch that holds an IF is a function of its own,
-so no block nests more than three deep. `compile()` is the costly step, so
-the runs of one process share each code object, keyed on its source text.
+A tree is written in one fold (`ir.fold`), in bounded stack, as one
+function. The source stays inside CPython's compiler limits at any depth:
+no line nests parentheses, and every IF is written flat under guard locals,
+so no line sits more than two levels below its `def`. `compile()` is the
+costly step, so the runs of one process share each code object, keyed on
+its source text.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 import operator
 from typing import Callable
 
-from .errors import PlchpError, UnboundVariable
+from .errors import UnboundVariable
 from .ir import (
     CHILDREN, Assign, BoolConst, DIV, Formula, Ident, IfThen, Neg, Not, Number,
     POW, PlantSpec, Program, Seq, State, TRUE, Term, Var, collect_vars, fold,
@@ -88,15 +89,6 @@ def read(values: Slots, i: int, name: Ident) -> float:
     return value
 
 
-# Deepest tree that compiles, counted in expression nodes and IF statements
-# from root to leaf. The emitted code runs each IF branch that holds an IF as
-# a function of its own, one Python frame per level, so it runs at most about
-# 300 frames, inside the default recursion limit of 1000 with room for the
-# caller's. A division by zero prints its term with the iterative dL
-# printer, which needs no stack.
-MAX_DEPTH = 300
-
-
 def compile_term(t: Term, layout: Layout) -> TermFn:
     return _compile(t, layout)
 
@@ -116,23 +108,9 @@ def _compile(node, layout: Layout):
     return source.define(source.function(node, layout))
 
 
-def _arms(n: IfThen) -> list:
-    """An IF and its ELSIF arms as one node: each condition and branch, then any ELSE."""
-    kids = []
-    while n.__class__ is IfThen:
-        kids += (n.cond, n.then)
-        n = n.else_
-    if n is not None:
-        kids.append(n)
-    return kids
-
-
-# The emitting fold's children: a statement list and an IF chain are one node
-# each, and the statements of hybrid programs are leaves.
-_COMPILED = {
-    **{cls: kids for cls, kids in CHILDREN.items() if not issubclass(cls, Program)},
-    Assign: CHILDREN[Assign], Seq: CHILDREN[Seq], IfThen: _arms,
-}
+# The emitting fold's children: the statements of hybrid programs are leaves.
+_COMPILED = {cls: kids for cls, kids in CHILDREN.items()
+             if not issubclass(cls, Program) or cls in (Assign, Seq, IfThen)}
 
 # The Python operator that computes each function of `OPERATORS` on floats
 # and truth values. `_INFIX` reads each entry's symbol from it, so a new
@@ -145,6 +123,20 @@ _SYMBOL = {
     operator.and_: "&", operator.or_: "|",
 }
 _INFIX = {key: _SYMBOL[f] for key, f in OPERATORS.items() if f is not power}
+
+
+def _flat(rope, pad: str = "") -> list[str]:
+    """The lines of `rope`, a list of lines and of ropes, each after `pad`."""
+    out, stack = [], [iter(rope)]
+    while stack:
+        for item in stack[-1]:
+            if item.__class__ is not str:
+                stack.append(iter(item))
+                break
+            out.append(pad + item)
+        else:
+            stack.pop()
+    return out
 
 
 @functools.lru_cache(maxsize=128)
@@ -167,7 +159,7 @@ class Source:
 
     def __init__(self):
         self.lines: list[str] = []
-        self.prologue: list[str] = []
+        self.prologue: list = []  # a rope (see `_flat`)
         self.constants = {
             "divide": divide, "power": power, "inf": math.inf, "UnboundVariable": UnboundVariable,
         }
@@ -183,12 +175,14 @@ class Source:
         ST statement it updates `v` in place. Each variable read loads its
         slot into a local, which raises UnboundVariable where it is None."""
         written = self._write(node, lambda x: f"v[{layout.slot(x)}]", checked=True)
-        body = written[1]
-        if not isinstance(node, Program):
-            body.append(f"return {written[2]}")
+        if isinstance(node, Program):
+            body = self._under(None, written)
+        else:
+            body = written[0]
+            body.append(f"return {written[1]}")
         function = self._name()
         self.line(0, f"def {function}(v):")
-        self.lines += ["    " + text for text in body]
+        self.lines += _flat(body, "    ")
         return function
 
     def render(self, target: str, node, name: Callable[[Ident], str], varying=None) -> list[str]:
@@ -197,93 +191,89 @@ class Source:
         each largest operation that reads no name in it is written once, to
         `prologue`, and its temp stands in for it; a `node` that reads none
         is written to `prologue` whole, and this returns no lines."""
-        _, lines, text, _, varies = self._write(node, name, varying=varying)
+        lines, text, _, varies = self._write(node, name, varying=varying)
         lines.append(f"{target} = {text}")
         if varying is None or varies:
-            return lines
-        self.prologue += lines
+            return _flat(lines)
+        self.prologue.append(lines)
         return []
 
-    def _write(self, node, name, checked: bool = False, varying=None) -> tuple:
-        """One fold over `node` that writes it and refuses it when it is
-        deeper than MAX_DEPTH. A term or formula gives (depth, lines, text,
-        pending, varies): the assignments that evaluate its operands, and
-        its own operation, or operand when `pending` is false, and whether
-        it reads a name in `varying`. An operand that does not, of an
-        operation that does, goes to `prologue`. A statement gives (depth,
-        lines, holds an IF). Lines are unindented. When `checked`, each
-        variable read is a local that raises UnboundVariable if None."""
+    def _write(self, node, name, checked: bool = False, varying=None):
+        """One fold over `node` that writes it, in time linear in its size:
+        lines are ropes (see `_flat`), so a parent holds its kids' lines
+        without copying them. A term or formula gives (lines, text, pending,
+        varies): the lines that evaluate its operands, and its own
+        operation, or operand when `pending` is false, and whether it reads
+        a name in `varying`. An operand that does not, of an operation that
+        does, goes to `prologue`. A statement gives its segments (see
+        `_under`). When `checked`, each variable read is a local that
+        raises UnboundVariable if None."""
         varying = varying or ()
 
         def combine(n, kids):
             cls = n.__class__
-            depth = max([kid[0] for kid in kids], default=0)
-            depth += cls is not Seq and cls is not Assign
-            if depth > MAX_DEPTH:
-                raise PlchpError(
-                    f"expression nested too deeply to compile (more than {MAX_DEPTH} levels)")
             if cls is Seq:
-                lines = []
-                for _, kid_lines, _ in kids:
-                    lines += kid_lines
-                return depth, lines, any(kid[2] for kid in kids)
+                return [segment for kid in kids for segment in kid]
             if cls is Assign:
-                (_, lines, text, _, _), = kids
+                (lines, text, _, _), = kids
                 lines.append(f"{name(n.target)} = {text}")
-                return depth, lines, False
+                return [(None, lines)]
             if cls is IfThen:
-                return depth, self._chain(kids), True
+                return self._chain(kids)
             if isinstance(n, Program):
                 message = f"run_st executes ST statements, not {cls.__name__}"
-                return depth, [f"raise TypeError({message!r})"], False
+                return [(None, [f"raise TypeError({message!r})"])]
             if cls is Var:
                 x = n.ident
                 if not checked:
-                    return depth, [], name(x), False, x in varying
+                    return [], name(x), False, x in varying
                 temp = self._temp()
                 self.constants[f"n_{x.name}"] = x
-                return depth, [f"{temp} = {name(x)}",
-                               f"if {temp} is None: raise UnboundVariable(n_{x.name})"], temp, False, False
-            varies = any(kid[4] for kid in kids)
+                return [f"{temp} = {name(x)}",
+                        f"if {temp} is None: raise UnboundVariable(n_{x.name})"], temp, False, False
+            varies = any(kid[3] for kid in kids)
             lines, operands = [], []
-            for _, kid_lines, text, pending, kid_varies in kids:
+            for kid_lines, text, pending, kid_varies in kids:
                 into = lines if kid_varies or not varies else self.prologue
-                into += kid_lines
+                into.append(kid_lines)
                 if pending:
                     temp = self._temp()
                     into.append(f"{temp} = {text}")
                     text = temp
                 operands.append(text)
-            return depth, lines, self._operation(n, operands), bool(kids), varies
+            return lines, self._operation(n, operands), bool(kids), varies
         return fold(node, combine, _COMPILED)
 
-    def _chain(self, kids) -> list[str]:
-        """An IF and its ELSIF arms, written flat: each later guard runs
-        under `if not taken:`, and `taken` holds the last guard evaluated."""
-        lines = []
-        for k in range(0, len(kids) - 1, 2):
-            (_, guard, text, _, _), (_, branch, holds_if) = kids[k:k + 2]
-            indent = "    " if k else ""
-            if k:
-                lines.append("if not taken:")
-            lines += [indent + text_line for text_line in guard]
-            lines += [f"{indent}taken = {text}", f"{indent}if taken:"]
-            lines += self._branch(branch, holds_if, indent + "    ")
-        if len(kids) % 2:
-            _, branch, holds_if = kids[-1]
-            lines.append("if not taken:")
-            lines += self._branch(branch, holds_if, "    ")
-        return lines
+    def _chain(self, kids) -> list:
+        """An IF as one segment. Its local `entry` says the IF runs; under
+        it, a local `taken` of its own is set to the guard, and an ELSE
+        clears `entry` when the guard holds. The branch runs under `taken`
+        and the ELSE under `entry`, so an ELSIF chain, like any IF in a
+        branch, runs flat at any length or depth."""
+        (guard, text, _, _), branch, *else_ = kids
+        entry, taken = self._temp(), self._temp()
+        guard.append(f"{taken} = {text}")
+        if else_:
+            guard.append(f"{entry} = not {taken}")
+        lines = [f"{taken} = False", f"if {entry}:", _flat(guard, "    "),
+                 self._under(taken, branch)]
+        if else_:
+            lines.append(self._under(entry, else_[0]))
+        return [(entry, lines)]
 
-    def _branch(self, lines: list[str], holds_if: bool, indent: str) -> list[str]:
-        """A branch's lines at `indent`: a branch that holds an IF is a
-        function of its own, called here, so blocks never nest deeper."""
-        if holds_if:
-            function = self._name()
-            self.line(0, f"def {function}(v):")
-            self.lines += ["    " + text for text in lines]
-            lines = [f"{function}(v)"]
-        return [indent + text for text in lines]
+    def _under(self, guard, segments) -> list:
+        """The lines that run a statement's segments when local `guard` is
+        true, or always when it is None. A segment is `(None, lines)` for an
+        assignment, or `(entry, lines)` for an IF (see `_chain`)."""
+        lines = []
+        for entry, kid_lines in segments:
+            if entry is not None:
+                lines += [f"{entry} = {guard or True}", kid_lines]
+            elif guard is None:
+                lines.append(kid_lines)
+            else:
+                lines += [f"if {guard}:", _flat(kid_lines, "    ")]
+        return lines
 
     def _operation(self, n, operands: list[str]) -> str:
         """The source of one operation `n` on its operands, each a local or
@@ -344,7 +334,8 @@ def emit_rk4(plant: PlantSpec, layout: Layout):
     prologue before the loop: each largest such operation of a rate or the
     domain, and a rate that is wholly such, with its increment
     `(r + 2 * r + 2 * r + r) / 6 * h`. The loop writes no stage state that
-    no rate reads, and no mid-substep clock when no rate reads the clock.
+    no rate reads, and the clock only where a rate or the domain reads it;
+    the substep's end time is computed at a domain exit.
 
     The caller's contract: every slot the loop reads is bound, and the
     domain and every rate have been evaluated on the start state without an
@@ -365,6 +356,7 @@ def emit_rk4(plant: PlantSpec, layout: Layout):
     invariant = [not (names & varying) for names in reads]
     staged = [j for x, j in evolving.items() if x in read]
     timed = plant.clock in read
+    clocked = plant.clock in mentioned
 
     def field(x: Ident) -> str:
         j = evolving.get(x)
@@ -403,18 +395,17 @@ def emit_rk4(plant: PlantSpec, layout: Layout):
     line(1, "clock = t0")
     line(1, "h = duration / n")
     line(1, "half = h / 2")
-    for text in src.prologue:
-        line(1, text)
+    src.lines += _flat(src.prologue, "    ")
     line(1, "for k in range(n):")
     if timed:
         line(2, "t_mid = duration * k / n + half")
-    line(2, "t_next = duration * (k + 1) / n")
     stage("a", "x", "clock", "half")
     if timed:
         line(2, "clock_mid = t0 + t_mid")
     stage("b", "w", "clock_mid", "half")
     stage("c", "w", "clock_mid", "h")
-    line(2, "clock = t0 + t_next")
+    if clocked:
+        line(2, "clock = t0 + duration * (k + 1) / n")
     stage("d", "w", "clock", None)
     for j in range(len(ode_slots)):
         if invariant[j]:
@@ -425,7 +416,8 @@ def emit_rk4(plant: PlantSpec, layout: Layout):
         for text in inside:
             line(2, text.format(s="x", now="clock"))
         line(2, "if not inside:")
-        write_back(3, "clock")
+        line(3, "t_next = duration * (k + 1) / n")
+        write_back(3, "t0 + t_next")
         line(3, "return t_next")
     write_back(1, "t0 + duration")
     line(1, "return None")

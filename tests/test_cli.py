@@ -455,8 +455,7 @@ def test_round_trip_10000_deep_expressions(tmp_path, body):
 # ---------------------------------------------------------------------------
 # Long expressions. Sums, conjunctions and power chains of any length go
 # st2hp -> hp2st -> st2hp and give the same model text both times.
-# `simulate` and `comply` refuse an expression nested past
-# `compiled.MAX_DEPTH` with a one-line error.
+# `simulate` and `comply` run them at any depth too.
 
 def chain(op, n, operand="u"):
     return f" {op} ".join([operand] * n)
@@ -497,19 +496,17 @@ def test_300_term_sum_simulates_and_complies(tmp_path):
     assert simulate(tmp_path, "sum.dlhp") == (0, "")
 
 
-def test_10000_term_sum_is_refused_by_simulate_and_comply(tmp_path):
+def test_10000_term_sum_simulates_and_complies(tmp_path):
     (tmp_path / "small.st").write_text(UNIT.format("y := u;\n"))
     (tmp_path / "sum.st").write_text(UNIT.format(f"y := {chain('+', 10000)};\n"))
     assert st2hp(tmp_path, "small.st", "small.dlhp")[0] == 0
     assert st2hp(tmp_path, "sum.st", "sum.dlhp")[0] == 0
-    assert simulate(tmp_path, "small.dlhp") == (0, "")
-    for code, err in (
-        simulate(tmp_path, "small.dlhp", "--st", "sum.st"),
-        simulate(tmp_path, "sum.dlhp"),
-        run_process(tmp_path, "comply", "--model", "sum.dlhp", "--trace", "trace.csv"),
-    ):
-        assert code == 1
-        assert err.startswith("error: expression nested too deeply") and err.count("\n") == 1
+    assert simulate(tmp_path, "small.dlhp", "--st", "sum.st") == (0, "")
+    assert run_process(tmp_path, "comply", "--model", "sum.dlhp", "--trace", "trace.csv") == (0, "")
+    assert simulate(tmp_path, "sum.dlhp") == (0, "")
+    assert run_process(tmp_path, "comply", "--model", "sum.dlhp", "--trace", "trace.csv") == (0, "")
+    # u is 1 in every cycle, so y is the number of terms.
+    assert (tmp_path / "trace.csv").read_text().splitlines()[1].endswith(",10000.0")
 
 
 def nested_ifs(n):
@@ -526,19 +523,17 @@ def test_250_nested_ifs_simulate_and_comply(tmp_path):
     assert simulate(tmp_path, "deep.dlhp") == (0, "")
 
 
-def test_1000_nested_ifs_are_refused_by_simulate_and_comply(tmp_path):
+def test_1000_nested_ifs_simulate_and_comply(tmp_path):
     (tmp_path / "small.st").write_text(UNIT.format("y := u;\n"))
     (tmp_path / "deep.st").write_text(UNIT.format(nested_ifs(1000)))
     assert st2hp(tmp_path, "small.st", "small.dlhp")[0] == 0
     assert st2hp(tmp_path, "deep.st", "deep.dlhp")[0] == 0
-    assert simulate(tmp_path, "small.dlhp") == (0, "")
-    for outcome in (
-        simulate(tmp_path, "small.dlhp", "--st", "deep.st"),
-        simulate(tmp_path, "deep.dlhp"),
-        run_process(tmp_path, "comply", "--model", "deep.dlhp", "--trace", "trace.csv"),
-    ):
-        assert outcome == (
-            1, "error: expression nested too deeply to compile (more than 300 levels)\n")
+    assert simulate(tmp_path, "small.dlhp", "--st", "deep.st") == (0, "")
+    assert run_process(tmp_path, "comply", "--model", "deep.dlhp", "--trace", "trace.csv") == (0, "")
+    assert simulate(tmp_path, "deep.dlhp") == (0, "")
+    assert run_process(tmp_path, "comply", "--model", "deep.dlhp", "--trace", "trace.csv") == (0, "")
+    # u is 1 in every cycle, so the innermost assignment runs.
+    assert (tmp_path / "trace.csv").read_text().splitlines()[1].endswith(",1.0")
 
 
 def test_comply_on_an_empty_trace(tmp_path, capsys):

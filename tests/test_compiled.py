@@ -5,7 +5,7 @@ Each case runs a tree through the interpreter (`eval_term`, `eval_formula`,
 `run_st`) and through its compiled function, and requires the same outcome:
 bit-equal values (`float.hex`, bit-pattern `State` equality), or the same
 `EvalError` subclass with the same message. Random cases come from the
-difftest generators at depth 5 (ST bodies also at depths 1 to 4), on full
+difftest generators at depth 5 (ST bodies also at depths 1 to 8), on full
 states and on states with variables left unbound, where the compiled code
 raises from its own check at the first unbound read. Terms and formulas
 written by `Source.render`, which reads without a check, are held to the
@@ -29,9 +29,9 @@ from plchp import (
 )
 from plchp import compiled, sim
 from plchp.compiled import (
-    MAX_DEPTH, Layout, Source, compile_formula, compile_st, compile_term, read,
+    Layout, Source, compile_formula, compile_st, compile_term, read,
 )
-from plchp.errors import DivisionByZero, DomainError, EvalError, PlchpError, UnboundVariable
+from plchp.errors import DivisionByZero, DomainError, EvalError, UnboundVariable
 from plchp.ir import (
     HP, ST, TRUE, GuardedChoice, Ident, IfThen, PlantSpec, Var, collect_vars,
 )
@@ -228,6 +228,11 @@ def test_emitted_formulas(dialect):
     assert {"value", "DivisionByZero"} <= set(kinds)
 
 
+# `eval_term` and `eval_formula` recurse once per level, so the emitted code
+# is held to them up to this depth; deeper trees are held to closed forms.
+REFERENCE_DEPTH = 300
+
+
 def nested_product(levels, inner):
     """`1*(1*(...(inner)...))`, right-nested `*` around `inner` until the
     tree is `levels` deep (`inner` is two deep)."""
@@ -236,8 +241,8 @@ def nested_product(levels, inner):
 
 def test_emitted_deep_trees_are_written_flat():
     s = state(x=3, y=0.5)
-    term = parse_dl_term(nested_product(MAX_DEPTH, "x/y"))
-    formula = parse_dl_formula(nested_product(MAX_DEPTH - 1, "x-y") + ">=0")
+    term = parse_dl_term(nested_product(REFERENCE_DEPTH, "x/y"))
+    formula = parse_dl_formula(nested_product(REFERENCE_DEPTH - 1, "x-y") + ">=0")
     # Both operands divide by zero: the left one's error is raised.
     zero = parse_dl_term(f"({nested_product(100, 'x/(y-y)')}) + ({nested_product(100, 'y/(x-x)')})")
     for tree, interpret in ((term, eval_term), (formula, eval_formula), (zero, eval_term)):
@@ -390,6 +395,7 @@ def test_emitted_rk4_unbound_variables(rates, domain, s, message):
     ([("x", "1/(c-c)+x")], "true", state(x=0, t=0, c=2), "DivisionByZero"),  # raised before the loop
     ([("x", "1"), ("y", "(c*d)/(x-0.5)")], "true", state(x=0, y=0, t=0, c=2, d=3),
      "DivisionByZero"),  # a varying division by zero at the second stage
+    ([("x", "c")], "t<=0.75", state(x=0, t=0, c=2), "exit mid-cycle"),  # only the domain reads t
 ])
 def test_emitted_rk4_hoists_what_reads_no_evolving_variable(rates, domain, s, expected):
     for substeps in (1, 7):  # x is 0.5 at the mid-point of a substep
@@ -423,20 +429,26 @@ def deep_case(model, substeps):
 def test_deep_rk4_plant_simulates(substeps):
     from test_sim_reference import assert_same
 
-    model = deep_model(MAX_DEPTH, MAX_DEPTH)
+    model = deep_model(REFERENCE_DEPTH, REFERENCE_DEPTH)
     got = assert_same(deep_case(model, substeps))
     assert len(got["records"]) == 1 and got["records"][0][-1] is not None  # exits at ln 2
     assert assert_same_rk4(model.plant, state(x=1, t=0), 1.0, substeps) == "exit mid-cycle"
 
 
-@pytest.mark.parametrize("rate_levels, domain_levels", [
-    (MAX_DEPTH + 1, MAX_DEPTH), (MAX_DEPTH, MAX_DEPTH + 1)])
-def test_deeper_rk4_plant_is_refused(rate_levels, domain_levels):
-    from test_sim_reference import assert_same
+@pytest.mark.parametrize("rate_levels, domain_levels", [(301, 300), (300, 301), (5000, 5000)])
+def test_deeper_rk4_plant_simulates(rate_levels, domain_levels):
+    from test_sim_reference import assert_same, outcome, plchp_safety
 
-    got = assert_same(deep_case(deep_model(rate_levels, domain_levels), 7))
-    assert got == {"simulate": (
-        "PlchpError", f"expression nested too deeply to compile (more than {MAX_DEPTH} levels)")}
+    def values(got):  # all but the conjunct the domain exit names
+        return [rec[:5] + (rec[5][0],) for rec in got.pop("records")], got
+
+    model = deep_model(rate_levels, domain_levels)
+    assert assert_same_rk4(model.plant, state(x=1, t=0)) == "exit mid-cycle"
+    got = outcome(simulate, plchp_safety, write_trace, deep_case(model, 7))
+    if max(rate_levels, domain_levels) <= REFERENCE_DEPTH + 1:
+        assert got == assert_same(deep_case(model, 7))
+    # `1*y` is `y` bit for bit, so the deep plant runs as `x'=0-x & x-0.5>=0`.
+    assert values(got) == values(assert_same(deep_case(deep_model(2, 3), 7)))
 
 
 def compiled_sources(monkeypatch):
@@ -522,9 +534,10 @@ def test_a_repeated_run_compiles_nothing(monkeypatch, edit, method):
 
 def test_outflow_tank_loop_computes_what_varies_in_the_loop(monkeypatch):
     # x1' = V1*f1-V2*P*f2 reads no evolving variable and x2' = V2*P*f2-0.002*x2
-    # reads x2 only: each substep computes t_next and the clock, 0.002*w and a
-    # rate four times, w1 three times, x1 and x2, and the five varying
-    # operations of the domain x1>=0 & x2>=0 & f1>=0 & f2>=0.
+    # reads x2 only: each substep computes 0.002*w and a rate four times, w1
+    # three times, x1 and x2, and the five varying operations of the domain
+    # x1>=0 & x2>=0 & f1>=0 & f2>=0. Neither reads the clock, so t_next and
+    # the clock are computed only at a domain exit.
     texts = compiled_sources(monkeypatch)
     compiled._code.cache_clear()
     tank_run(OUTFLOW, "auto", cycles=20)
@@ -532,8 +545,9 @@ def test_outflow_tank_loop_computes_what_varies_in_the_loop(monkeypatch):
     assert [text.count("def ") for text in texts] == [1, 3, 1]
     loop = texts[-1].split("    for k in range(n):\n")[1].split("        if not inside:")[0]
     assignments = [text for text in loop.splitlines() if " = " in text]
-    assert len(assignments) == 20, loop
+    assert len(assignments) == 18, loop
     assert "w0 =" not in loop and "clock_mid" not in texts[-1]
+    assert "t_next =" not in loop and "        clock =" not in loop
 
 
 def test_rk4_cycles_emit_the_conjuncts_only_at_a_domain_exit():
@@ -570,7 +584,7 @@ def test_tank_runs_never_fall_back(monkeypatch, edit, method):
         assert not any(name in text for name in ("eval_term", "eval_formula", "run_st(")), text
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_emitted_st_bodies_at_each_depth(depth):
     kinds = Counter()
     for seed in range(300):
@@ -582,17 +596,36 @@ def test_emitted_st_bodies_at_each_depth(depth):
     assert {"value", "UnboundVariable"} <= set(kinds), kinds
 
 
+def nested_ifs(depth, branch="y := {k};\n"):
+    """`depth` IFs, each in the branch of the one before: the k-th is
+    guarded by `u > k`, and its branch runs `branch` and then the next IF,
+    or `y := depth` in the last."""
+    return "".join(f"IF u > {k} THEN\n" + branch.format(k=k) for k in range(depth)) + \
+        f"y := {depth};\n" + "END_IF;\n" * depth
+
+
 def test_long_elsif_chain_and_deep_nesting_run_in_process():
-    # The chain is written flat and each nested IF is a function of its own,
-    # so neither meets CPython's limit of 100 indentation levels.
+    # Both are written flat, so neither meets CPython's limit of 100
+    # indentation levels, at any depth.
     arms = "".join(f"ELSIF u < {k} THEN y := {k};\n" for k in range(1, 2000))
-    chain = parse_st_statements(f"IF u < 0 THEN y := 0;\n{arms}ELSE y := u; END_IF;\n")
-    deepest = MAX_DEPTH - 2  # each IF is a level, and its guard two more
-    nested = parse_st_statements("IF u > 0 THEN\n" * deepest + "y := 1;\n" + "END_IF;\n" * deepest)
-    for body in (chain, nested):
+    chain = f"IF u < 0 THEN y := 0;\n{arms}ELSE y := u; END_IF;\n"
+    for text in (chain, nested_ifs(298), nested_ifs(1000), nested_ifs(1000, branch="")):
+        body = parse_st_statements(text)
         for u in (-1, 0.5, 1234.5, 5000):
             reference, emitted = st_outcomes(body, state(u=u, y=-2))
             assert emitted == reference and not isinstance(reference, tuple)
-    too_deep = "IF u > 0 THEN\n" * (deepest + 1) + "y := 1;\n" + "END_IF;\n" * (deepest + 1)
-    with pytest.raises(PlchpError, match="expression nested too deeply"):
-        compile_st(parse_st_statements(too_deep), Layout())
+
+
+def test_emitted_st_body_is_one_function_two_levels_deep(monkeypatch):
+    arms = "".join(f"ELSIF u < {k} THEN IF u > {k - 0.5} THEN y := {k}; END_IF;\n"
+                   for k in range(1, 2000))
+    chain = f"IF u < 0 THEN IF u > -1 THEN y := 0; END_IF;\n{arms}END_IF;\n"
+    texts = compiled_sources(monkeypatch)
+    compiled._code.cache_clear()
+    for text in (chain, nested_ifs(1000), nested_ifs(1000, branch="")):
+        compile_st(parse_st_statements(text), Layout())
+    assert len(texts) == 3
+    for text in texts:
+        first, *body = text.splitlines()
+        assert first.startswith("def ") and "def " not in text[len(first):]
+        assert all(line.startswith("    ") and not line.startswith(" " * 12) for line in body)
