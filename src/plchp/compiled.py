@@ -32,7 +32,6 @@ its source text.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from typing import Callable
 
@@ -155,14 +154,12 @@ class Source:
     operator of `OPERATORS` as the Python operator that computes it, and
     division and power as calls of `divide` and `power` (a division's term
     bound as a constant, for its message). Literals are `repr` of their
-    value (`inf`, past the float range, is bound as a constant)."""
+    value."""
 
     def __init__(self):
         self.lines: list[str] = []
         self.prologue: list = []  # a rope (see `_flat`)
-        self.constants = {
-            "divide": divide, "power": power, "inf": math.inf, "UnboundVariable": UnboundVariable,
-        }
+        self.constants = {"divide": divide, "power": power, "UnboundVariable": UnboundVariable}
         self._temps = 0
         self._functions = 0
 
@@ -217,12 +214,12 @@ class Source:
             if cls is Assign:
                 (lines, text, _, _), = kids
                 lines.append(f"{name(n.target)} = {text}")
-                return [(None, lines)]
+                return [(None, None, lines, ())]
             if cls is IfThen:
                 return self._chain(kids)
             if isinstance(n, Program):
                 message = f"run_st executes ST statements, not {cls.__name__}"
-                return [(None, [f"raise TypeError({message!r})"])]
+                return [(None, None, [f"raise TypeError({message!r})"], ())]
             if cls is Var:
                 x = n.ident
                 if not checked:
@@ -245,34 +242,41 @@ class Source:
         return fold(node, combine, _COMPILED)
 
     def _chain(self, kids) -> list:
-        """An IF as one segment. Its local `entry` says the IF runs; under
-        it, a local `taken` of its own is set to the guard, and an ELSE
-        clears `entry` when the guard holds. The branch runs under `taken`
-        and the ELSE under `entry`, so an ELSIF chain, like any IF in a
-        branch, runs flat at any length or depth."""
+        """An IF as one segment. Its guard goes into a local `taken` of its
+        own, which its branch runs under. An IF with an ELSE also has a
+        local `entry`, which its parent sets to whether the IF runs, the
+        guard clears when it holds, and the ELSE runs under. So an ELSIF
+        chain, like any IF in a branch, runs flat at any length or depth."""
         (guard, text, _, _), branch, *else_ = kids
-        entry, taken = self._temp(), self._temp()
+        taken = self._temp()
         guard.append(f"{taken} = {text}")
+        after = [self._under(taken, branch)]
+        entry = None
         if else_:
+            entry = self._temp()
             guard.append(f"{entry} = not {taken}")
-        lines = [f"{taken} = False", f"if {entry}:", _flat(guard, "    "),
-                 self._under(taken, branch)]
-        if else_:
-            lines.append(self._under(entry, else_[0]))
-        return [(entry, lines)]
+            after.append(self._under(entry, else_[0]))
+        return [(entry, taken, guard, after)]
 
     def _under(self, guard, segments) -> list:
         """The lines that run a statement's segments when local `guard` is
-        true, or always when it is None. A segment is `(None, lines)` for an
-        assignment, or `(entry, lines)` for an IF (see `_chain`)."""
+        true, or always when it is None. A segment is `(entry, taken,
+        lines, after)`: `lines` run under the guard, `after` unguarded.
+        An assignment has no `entry`, `taken` or `after`. An IF's `lines`
+        evaluate its guard into `taken`, which is first set False where
+        they may not run; an IF without ELSE has no `entry` and tests
+        `guard` itself (see `_chain`)."""
         lines = []
-        for entry, kid_lines in segments:
-            if entry is not None:
-                lines += [f"{entry} = {guard or True}", kid_lines]
-            elif guard is None:
+        for entry, taken, kid_lines, after in segments:
+            if guard is None:
                 lines.append(kid_lines)
             else:
-                lines += [f"if {guard}:", _flat(kid_lines, "    ")]
+                if entry is not None:
+                    lines.append(f"{entry} = {guard}")
+                if taken is not None:
+                    lines.append(f"{taken} = False")
+                lines += [f"if {entry or guard}:", _flat(kid_lines, "    ")]
+            lines.append(after)
         return lines
 
     def _operation(self, n, operands: list[str]) -> str:

@@ -10,6 +10,12 @@ written `eps`.
 Programs outside the translatable fragment (bare tests, unguarded choices,
 misplaced ODEs or loops) parse into raw nodes; `analysis.validate_scan_cycle_form`
 rejects them with a located diagnostic.
+
+`DL` is this language's `Dialect`: its one `re.split` pass (see `_syntax`)
+drops `/* ... */` and `// ...` comments and gives `true` and `false` as the
+values `TRUE` and `FALSE`. The parser walks the token arrays by index, and
+asks for a token's line:col only for the `pos` of a statement, choice, loop
+or ODE system, which diagnostics cite, and for an error.
 """
 
 from __future__ import annotations
@@ -109,7 +115,7 @@ class _Parser(Parser):
 
     # -- programs -------------------------------------------------------------
 
-    _LIST_END = ("}", "]", "++")
+    _LIST_END = ("}", "]", "++", "")  # "": end of input
 
     def program(self) -> Program:
         stmts = run_nested(self.statement_list())
@@ -122,52 +128,55 @@ class _Parser(Parser):
 
     def statement_list(self):
         stmts: list[Program] = []
+        values = self.values
         while True:
-            tok = self.tokens[self.pos]
-            if tok.kind == "eof" or (tok.kind == "op" and tok.value in self._LIST_END):
+            i = self.pos
+            value = values[i]
+            if value in self._LIST_END:
                 return stmts
-            if tok.kind == "op" and tok.value == "{":
-                self.pos += 1
-                stmts.append((yield self.group_statement(tok)))
+            if value == "{":
+                self.pos = i + 1
+                stmts.append((yield self.group_statement(i)))
             else:
                 stmts.append(self.statement())
 
     def statement(self) -> Program:
-        tok = self.tokens[self.pos]
-        if tok.kind == "ident":
+        i = self.pos
+        if self.kinds[i] == "ident":
             target = self.expect_ident()
             self.expect_op(":=")
             if self.skip_op("*"):
                 self.expect_op(";")
-                return RandomAssign(target, pos=(tok.line, tok.col))
+                return RandomAssign(target, pos=self.at(i))
             value = self.term()
             self.expect_op(";")
-            return Assign(target, value, pos=(tok.line, tok.col))
+            return Assign(target, value, pos=self.at(i))
         if self.skip_op("?"):
             cond = self.formula()
             self.expect_op(";")
-            return TestStmt(cond, pos=(tok.line, tok.col))
-        self.fail(f"found {self.describe(tok)}", "a statement")
+            return TestStmt(cond, pos=self.at(i))
+        self.fail(f"found {self.describe(i)}", "a statement")
 
-    def group_statement(self, tok: Token):
-        """A braced group after its opening `tok`, or a choice between several."""
-        node = yield self.braced_group(tok)
+    def group_statement(self, start: int):
+        """A braced group after its opening brace, token `start`, or a
+        choice between several."""
+        node = yield self.braced_group(start)
         while self.skip_op("++"):
             nxt = self.expect_op("{", "'{' opening a choice branch")
-            node = self.make_choice(node, (yield self.braced_group(nxt)), tok)
+            node = self.make_choice(node, (yield self.braced_group(nxt)), start)
         self.skip_op(";")
         return node
 
-    def braced_group(self, start: Token):
-        """One braced group after its opening `start`: an ODE system, a
-        block, an inner choice, or a loop."""
-        if self.tokens[self.pos].kind == "ident" and self.tokens[self.pos + 1].value == "'":
+    def braced_group(self, start: int):
+        """One braced group after its opening brace, token `start`: an ODE
+        system, a block, an inner choice, or a loop."""
+        if self.kinds[self.pos] == "ident" and self.values[self.pos + 1] == "'":
             return self.ode_system(start)
         branches = []
         while True:
             stmts = yield self.statement_list()
             if not stmts:
-                raise ParseError("empty choice branch", start.line, start.col)
+                raise ParseError("empty choice branch", *self.at(start))
             branches.append(list_to_seq(stmts))
             if not self.skip_op("++"):
                 break
@@ -176,12 +185,12 @@ class _Parser(Parser):
         for right in branches[1:]:
             node = self.make_choice(node, right, start)
         if len(branches) == 1 and self.skip_op("*"):
-            return Loop(node, pos=(start.line, start.col))
+            return Loop(node, pos=self.at(start))
         return node
 
-    def make_choice(self, left: Program, right: Program, at: Token) -> Program:
+    def make_choice(self, left: Program, right: Program, at: int) -> Program:
         """Shape a parsed choice: guarded forms become GuardedChoice."""
-        pos = (at.line, at.col)
+        pos = self.at(at)
         head, rest = _split_test(left)
         if rest is None:
             # The left branch has no test, or is a bare test: not a guarded execution.
@@ -191,13 +200,13 @@ class _Parser(Parser):
             return GuardedChoice(head.cond, rest, right_rest, complemented=True, pos=pos)
         return GuardedChoice(head.cond, rest, right, complemented=False, pos=pos)
 
-    def ode_system(self, start: Token) -> Program:
+    def ode_system(self, start: int) -> Program:
         odes: list[tuple[Ident, Term]] = []
         while True:
             x = self.expect_ident()
             self.expect_op("'")
             self.expect_op("=")
-            at = self.peek()
+            at = self.pos
             odes.append((x, self.require(self.expression(_TERM_LEVEL), Term, at)))
             if not self.skip_op(","):
                 break
@@ -206,15 +215,15 @@ class _Parser(Parser):
             domain = self.formula()
         self.expect_op("}")
         try:
-            return OdeSystem(tuple(odes), domain, pos=(start.line, start.col))
+            return OdeSystem(tuple(odes), domain, pos=self.at(start))
         except ValueError as exc:
-            raise ParseError(str(exc), start.line, start.col) from None
+            raise ParseError(str(exc), *self.at(start)) from None
 
     # -- safety formula --------------------------------------------------------
 
     def safety_formula(self) -> DlSafetyFormula:
-        tok = self.peek()
-        assumptions = self.require(self.expression(_ASSUMPTION_LEVEL), Formula, tok)
+        i = self.pos
+        assumptions = self.require(self.expression(_ASSUMPTION_LEVEL), Formula, i)
         self.expect_op("->")
         self.expect_op("[")
         self.expect_op("{", "'{' opening the loop body")

@@ -213,13 +213,16 @@ class Term(Node):
 
 class Number(Term):
     """Numeric literal. The source lexeme is kept so printing is lossless;
-    two literals are equal only if their lexemes agree."""
+    two literals are equal only if their lexemes agree. A lexeme past the
+    range of binary64, whose value would be `inf`, is refused."""
 
     __slots__ = FIELDS = ("lexeme",)
 
     def __post_init__(self):
         if not _NUMBER_RE.match(self.lexeme):
             raise ValueError(f"invalid number literal: {self.lexeme!r}")
+        if math.isinf(float(self.lexeme)):
+            raise ValueError(f"number literal out of range: {self.lexeme!r}")
 
     @property
     def value(self) -> float:

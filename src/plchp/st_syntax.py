@@ -6,17 +6,22 @@ single CONFIGURATION/RESOURCE/TASK section. Keywords match
 case-insensitively; `(* ... *)` and `// ...` comments are discarded.
 Constructs outside the subset (loops, CASE, calls, non-numeric types) are
 rejected with an error naming the construct.
+
+`ST` is this language's `Dialect`: its one `re.split` pass (see `_syntax`)
+gives each keyword as its upper-case value and each `T#` duration as one
+lexeme, whose seconds the configuration reads. The parser walks the
+token arrays by index, and asks for a token's line:col only for the `pos`
+of an assignment or IF and for an error.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Optional
 
 from ._syntax import (
-    LEFT, NUMBER, Dialect, Parser, Token, render_formula, render_term, run_nested,
+    LEFT, Dialect, Parser, Token, duration_seconds, render_formula, render_term, run_nested,
 )
 from .errors import ParseError
 from .ir import (
@@ -105,10 +110,6 @@ class StUnit:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_NUMBER = re.compile(NUMBER)
-_UNIT = re.compile(r"[ \t]*(ms|s)", re.IGNORECASE)
-
-
 def _classify(word: str) -> tuple[str, str]:
     upper = word.upper()
     if upper in RESERVED_WORDS:
@@ -118,26 +119,13 @@ def _classify(word: str) -> tuple[str, str]:
     return "ident", word
 
 
-def _duration(text: str, start: int, line: int, col: int) -> tuple[Token, int]:
-    """The `T#<number> s|ms` literal at `start`, and the index after it."""
-    number = _NUMBER.match(text, start + 2)
-    if not number:
-        raise ParseError("malformed duration literal", line, col, "T#<number> s|ms")
-    unit = _UNIT.match(text, number.end())
-    if not unit:
-        raise ParseError("malformed duration literal", line, col, "unit s or ms")
-    value = float(number.group(0))
-    seconds = value / 1000.0 if unit.group(1).lower() == "ms" else value
-    return Token("duration", text[start:unit.end()], line, col, seconds), unit.end()
-
-
 ST = Dialect(
     name="ST",
     operators=("**", ":=", "<=", ">=", "<>", "<", ">", "=", "+", "-", "*", "/",
                "(", ")", ";", ":", ","),
     comment=("(*", "*)"),
     classify=_classify,
-    duration=_duration,
+    durations=True,
     connectives=((LEFT, (("OR", Or), ("XOR", Xor))), (LEFT, (("AND", And),))),
     not_op="NOT",
     bools=("FALSE", "TRUE"),
@@ -161,44 +149,44 @@ class _Parser(Parser):
     dialect = ST
 
     def at_kw(self, *names: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "kw" and tok.value in names
+        return self.values[self.pos] in names
 
-    def expect_kw(self, name: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "kw" or tok.value != name:
-            self.fail(f"found {self.describe(tok)}", name)
-        return self.next()
+    def expect_kw(self, name: str) -> int:
+        """Step over keyword `name`, and return its index."""
+        i = self.pos
+        if self.values[i] != name:
+            self.fail(f"found {self.describe(i)}", name)
+        self.pos = i + 1
+        return i
 
     def named(self, keyword: str) -> Ident:
         """The identifier after `keyword`."""
         self.expect_kw(keyword)
         return self.expect_ident()
 
-    def describe(self, tok: Token) -> str:
-        if tok.kind == "kw":
-            return f"keyword {tok.value}"
-        return super().describe(tok)
+    def describe(self, i: int) -> str:
+        if self.kinds[i] == "kw":
+            return f"keyword {self.values[i]}"
+        return super().describe(i)
 
-    def reject_unsupported(self, tok: Token):
-        if tok.kind == "unsupported":
+    def reject_unsupported(self, i: int):
+        if self.kinds[i] == "unsupported":
             raise ParseError(
-                f"unsupported construct {tok.value} (outside the translatable subset)",
-                tok.line, tok.col,
+                f"unsupported construct {self.values[i]} (outside the translatable subset)",
+                *self.at(i),
             )
 
-    def atom(self, tok: Token):
-        if tok.kind == "ident":
-            after = self.tokens[self.pos + 1]
-            if after.value == "(" and after.kind == "op":
-                raise ParseError(f"function call {tok.value}(...) is not supported", tok.line, tok.col)
+    def atom(self, i: int):
+        if self.kinds[i] == "ident":
+            if self.values[i + 1] == "(":
+                raise ParseError(f"function call {self.values[i]}(...) is not supported", *self.at(i))
         else:
-            self.reject_unsupported(tok)
-        return super().atom(tok)
+            self.reject_unsupported(i)
+        return super().atom(i)
 
     # -- statements ----------------------------------------------------------
 
-    _STMT_END = ("END_IF", "ELSE", "ELSIF", "END_PROGRAM")
+    _STMT_END = ("END_IF", "ELSE", "ELSIF", "END_PROGRAM", "")  # "": end of input
 
     def body(self) -> Program:
         return run_nested(self.statement_list())
@@ -208,64 +196,67 @@ class _Parser(Parser):
 
     def statement_list(self, allow_empty: bool = False):
         stmts: list[Program] = []
+        values, kinds = self.values, self.kinds
         while True:
-            tok = self.tokens[self.pos]
-            if tok.kind == "eof" or (tok.kind == "kw" and tok.value in self._STMT_END):
+            i = self.pos
+            value = values[i]
+            if value in self._STMT_END:
                 break
-            self.reject_unsupported(tok)
-            if tok.kind == "kw" and tok.value == "IF":
+            if value == "IF":
                 stmts.append((yield self.if_statement()))
+            elif kinds[i] == "ident":
+                stmts.append(self.assignment(i))
             else:
-                stmts.append(self.assignment(tok))
+                self.reject_unsupported(i)
+                self.fail(f"found {self.describe(i)}", "assignment or IF")
         if not stmts and not allow_empty:
             self.fail("statement expected", "assignment or IF")
         return list_to_seq(stmts) if stmts else None
 
     def if_statement(self):
-        start = self.expect_kw("IF")
+        pos = self.at(self.expect_kw("IF"))
         arms: list[tuple[Formula, Program]] = []
         cond = self.formula()
         self.expect_kw("THEN")
         arms.append((cond, (yield self.statement_list())))
         while self.at_kw("ELSIF"):
-            self.next()
+            self.pos += 1
             cond = self.formula()
             self.expect_kw("THEN")
             arms.append((cond, (yield self.statement_list())))
         else_body: Optional[Program] = None
         if self.at_kw("ELSE"):
-            self.next()
+            self.pos += 1
             else_body = yield self.statement_list(allow_empty=True)  # an empty ELSE is None
         self.expect_kw("END_IF")
         self.skip_op(";")
-        return _fold_if(arms, else_body, (start.line, start.col))
+        return _fold_if(arms, else_body, pos)
 
-    def assignment(self, tok: Token) -> Program:
-        if tok.kind != "ident":
-            self.fail(f"found {self.describe(tok)}", "assignment or IF")
+    def assignment(self, i: int) -> Program:
+        """The assignment whose target is identifier token `i`, the next."""
         target = self.expect_ident()
         self.expect_op(":=")
-        op = self.tokens[self.pos]
+        op = self.pos
         value = self.expression()
         if not isinstance(value, Term):
-            raise ParseError("can only assign arithmetic terms", op.line, op.col)
+            raise ParseError("can only assign arithmetic terms", *self.at(op))
         self.expect_op(";")
-        return Assign(target, value, pos=(tok.line, tok.col))
+        return Assign(target, value, pos=self.at(i))
 
     # -- declarations and configuration ---------------------------------------
 
     def var_block(self, declared: set) -> StVarBlock:
         """A VAR block; each name it declares joins `declared`, and one
         already there is an error at the name."""
-        kw = self.next()
-        kind = VAR_KINDS[kw.value]
+        kind = VAR_KINDS[self.values[self.pos]]
+        self.pos += 1
         decls: list[tuple[Ident, str]] = []
 
         def declare() -> Ident:
-            tok = self.peek()
+            i = self.pos
             name = self.expect_ident()
             if name in declared:
-                raise ParseError(f"duplicate variable declaration: {name}", tok.line, tok.col)
+                raise ParseError(f"duplicate variable declaration: {name}", *self.at(i))
             declared.add(name)
             return name
 
@@ -274,16 +265,12 @@ class _Parser(Parser):
             while self.skip_op(","):
                 names.append(declare())
             self.expect_op(":")
-            ty = self.peek()
-            if ty.kind == "kw" and ty.value in TYPES:
-                self.next()
-            else:
-                raise ParseError(
-                    f"unsupported type {ty.value!r} (only LREAL, REAL, BOOL)",
-                    ty.line, ty.col,
-                )
+            ty = self.values[self.pos]
+            if ty not in TYPES:
+                raise ParseError(f"unsupported type {ty!r} (only LREAL, REAL, BOOL)", *self.at(self.pos))
+            self.pos += 1
             self.expect_op(";")
-            decls.extend((name, ty.value) for name in names)
+            decls.extend((name, ty) for name in names)
         self.expect_kw("END_VAR")
         self.skip_op(";")
         return StVarBlock(kind, tuple(decls))
@@ -296,19 +283,19 @@ class _Parser(Parser):
         self.expect_op("(")
         self.expect_kw("INTERVAL")
         self.expect_op(":=")
-        dur = self.peek()
-        if dur.kind != "duration":
-            self.fail(f"found {self.describe(dur)}", "duration literal T#<n> s|ms")
-        if not 0 < dur.seconds < math.inf:
+        if self.kinds[self.pos] != "duration":
+            self.fail(f"found {self.describe(self.pos)}", "duration literal T#<n> s|ms")
+        seconds = duration_seconds(self.values[self.pos])
+        if not 0 < seconds < math.inf:
             self.fail("task interval must be positive and finite")
-        self.next()
+        self.pos += 1
         self.expect_op(",")
         self.expect_kw("PRIORITY")
         self.expect_op(":=")
-        prio = self.peek()
-        if prio.kind != "number" or not prio.value.isdigit():
-            self.fail(f"found {self.describe(prio)}", "non-negative integer priority")
-        self.next()
+        priority = self.values[self.pos]
+        if self.kinds[self.pos] != "number" or not priority.isdigit():
+            self.fail(f"found {self.describe(self.pos)}", "non-negative integer priority")
+        self.pos += 1
         self.expect_op(")")
         self.skip_op(";")
         instance = self.named("PROGRAM")
@@ -327,8 +314,8 @@ class _Parser(Parser):
             resource_name=resource_name,
             task_name=task_name,
             program_instance=instance,
-            interval=dur.seconds,
-            priority=int(prio.value),
+            interval=seconds,
+            priority=int(priority),
             host=host,
         ), prog_ref
 

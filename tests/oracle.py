@@ -1,14 +1,21 @@
-"""The static-semantics oracle: a generator of programs on which the FV/BV
-rules are behaviorally exact, a brute-force FV/BV computed from
-`hp_reachable` over a grid of states, and a count of guarded choices.
-Criterion 6 and the generator and walker tests use them; no command does.
+"""Reference implementations that the tests hold plchp to; no command uses them.
+
+- The static-semantics oracle: a generator of programs on which the FV/BV
+  rules are behaviorally exact, a brute-force FV/BV computed from
+  `hp_reachable` over a grid of states, and a count of guarded choices.
+  Criterion 6 and the generator and walker tests use them.
+- `ReferenceLexer`, the per-match lexer that `Dialect.lex` replaced.
+  tests/test_lexer_oracle.py holds the one-pass lexer to it.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from typing import Optional
 
+from plchp._syntax import Token
+from plchp.errors import ParseError
 from plchp.ir import (
     ADD, Assign, BinOp, Cmp, GE, GT, GuardedChoice, HP_STATEMENTS, Ident, LE,
     LT, Number, Program, State, Term, Var, list_to_seq, number_lexeme, walk,
@@ -146,3 +153,87 @@ def _grid_states(pool) -> list[State]:
 
 def _project(reach: ReachSet, pool) -> frozenset:
     return frozenset(tuple(s.get(x) for x in pool) for s in reach.states)
+
+
+# ---------------------------------------------------------------------------
+# Reference lexer: one master-regex match per lexeme, in a Python loop.
+
+_NUMBER = r"\d+(\.\d+)?([eE][+-]?\d+)?"
+_NUMBER_RE = re.compile(_NUMBER)
+_UNIT = re.compile(r"[ \t]*(ms|s)", re.IGNORECASE)
+
+
+def _duration(text: str, start: int, line: int, col: int) -> tuple[Token, int]:
+    """The `T#<number> s|ms` literal at `start`, and the index after it."""
+    number = _NUMBER_RE.match(text, start + 2)
+    if not number:
+        raise ParseError("malformed duration literal", line, col, "T#<number> s|ms")
+    unit = _UNIT.match(text, number.end())
+    if not unit:
+        raise ParseError("malformed duration literal", line, col, "unit s or ms")
+    value = float(number.group(0))
+    seconds = value / 1000.0 if unit.group(1).lower() == "ms" else value
+    return Token("duration", text[start:unit.end()], line, col, seconds), unit.end()
+
+
+class ReferenceLexer:
+    """The tokens of a dialect's text, lexed one match of a master regex at
+    a time. Each match takes the spaces, tabs and carriage returns before
+    its lexeme; newlines and comments are counted as they pass."""
+
+    def __init__(self, dialect):
+        self.classify = dialect.classify
+        self.comment_close = dialect.comment[1]
+        self.duration = _duration if dialect.durations else None
+        # Layout before a lexeme is part of its match. A match with no
+        # group is layout up to the end of the text or to a character
+        # that starts no lexeme.
+        self.pattern = re.compile(r"[ \t\r]*(?:" + "|".join([
+            r"(?P<newline>\n)",
+            r"(?P<line_comment>//[^\n]*)",
+            f"(?P<comment>{re.escape(dialect.comment[0])})",
+            *([r"(?P<duration>[Tt]#)"] if self.duration else []),
+            r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)",
+            f"(?P<number>{_NUMBER})",
+            "(?P<op>" + "|".join(map(re.escape, dialect.operators)) + ")",
+        ]) + ")?")
+
+    def tokenize(self, text: str) -> list[Token]:
+        """The tokens of `text`, then an eof token. A column is the offset
+        from the start of its line, counted in characters from 1."""
+        tokens: list[Token] = []
+        append, match, classify = tokens.append, self.pattern.match, self.classify
+        new = tuple.__new__  # builds a Token without the call of its Python-level __new__
+        pos, line, line_start, end_at = 0, 1, -1, len(text)
+        while True:
+            m = match(text, pos)
+            kind = m.lastgroup
+            if kind is None:
+                break
+            start, pos = m.span(kind)
+            if kind == "op" or kind == "number":
+                append(new(Token, (kind, text[start:pos], line, start - line_start, 0.0)))
+            elif kind == "word":
+                append(new(Token, (*classify(text[start:pos]), line, start - line_start, 0.0)))
+            elif kind == "newline":
+                line += 1
+                line_start = start
+            elif kind == "comment":
+                close = text.find(self.comment_close, pos)
+                if close < 0:
+                    raise ParseError("unterminated comment", line, start - line_start)
+                pos = close + len(self.comment_close)
+                newlines = text.count("\n", start, pos)
+                if newlines:
+                    line += newlines
+                    line_start = text.rfind("\n", start, pos)
+            elif kind == "duration":
+                token, pos = self.duration(text, start, line, start - line_start)
+                append(token)
+            elif pos == end_at:  # a line comment closes the input, which ends where it starts
+                end_at = start
+        end = m.end()
+        if end < len(text):
+            raise ParseError(f"unexpected character {text[end]!r}", line, end - line_start)
+        append(Token("eof", "", line, min(end, end_at) - line_start))
+        return tokens

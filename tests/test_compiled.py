@@ -17,6 +17,7 @@ they compile calls an interpreter.
 
 import io
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -629,3 +630,16 @@ def test_emitted_st_body_is_one_function_two_levels_deep(monkeypatch):
         first, *body = text.splitlines()
         assert first.startswith("def ") and "def " not in text[len(first):]
         assert all(line.startswith("    ") and not line.startswith(" " * 12) for line in body)
+
+
+def test_if_without_else_writes_no_entry_local(monkeypatch):
+    # An IF without ELSE never writes its entry, so it has none: at the top
+    # level its guard runs unconditionally, and in a branch it tests the
+    # branch's own local. A nest writes no constant or copied guard local.
+    texts = compiled_sources(monkeypatch)
+    compiled._code.cache_clear()
+    for text in (nested_ifs(1000), nested_ifs(1000, branch="")):
+        compile_st(parse_st_statements(text), Layout())
+    assert len(texts) == 2
+    for text in texts:
+        assert not re.search(r"^ *e\d+ = (True|e\d+)$", text, re.MULTILINE)

@@ -1,7 +1,7 @@
 """Grammar paths that no other test reaches: optional semicolons, the
 configuration's program check, raw choices, duplicate ODEs, the seconds
-form of a task interval, the model shapes that lack a controller, and the
-edges of a trace file."""
+form of a task interval, the model shapes that lack a controller, the
+edges of a trace file, and number literals past binary64's range."""
 
 import io
 
@@ -9,11 +9,11 @@ import pytest
 
 from plchp.analysis import validate_scan_cycle_form
 from plchp.cli import main
-from plchp.dl_syntax import parse_dl_model, parse_dl_program, print_dl_program
+from plchp.dl_syntax import parse_dl_formula, parse_dl_model, parse_dl_program, print_dl_program
 from plchp.errors import NotNormalForm, ParseError, SchemaError
-from plchp.ir import Choice, Ident, TestStmt
+from plchp.ir import Choice, Ident, Number, TestStmt
 from plchp.sim import read_trace
-from plchp.st_syntax import format_interval, parse_st
+from plchp.st_syntax import format_interval, parse_st, parse_st_statements
 
 UNIT = (
     "PROGRAM p VAR x : REAL; END_VAR{0} x:=1; END_PROGRAM{0}\n"
@@ -112,3 +112,25 @@ def test_read_trace_skips_a_blank_row():
     header, rows = read_trace(io.StringIO("cycle,x\n0,1.5\n\n1,2.5\n"))
     assert header == ["cycle", "x"]
     assert rows == [{"cycle": 0, Ident("x"): 1.5}, {"cycle": 1, Ident("x"): 2.5}]
+
+
+@pytest.mark.parametrize("parse, text, at", [
+    (parse_st_statements, "x := 1;\n  y := 2 * 1e400;", "2:12"),
+    (parse_st_statements, "IF 1E309 > x THEN x := 0; END_IF;", "1:4"),
+    (parse_dl_program, "x := 0;\n{x' = 1e400 & x <= 1}", "2:7"),
+    (parse_dl_formula, "x <= 1" + "0" * 309, "1:6"),
+])
+def test_number_literal_past_binary64_is_a_parse_error(parse, text, at):
+    # Such a literal would read as `inf`, and `1e400*0` as `nan`: it is
+    # refused where it is written, in both dialects.
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value).startswith(f"{at}: number literal out of range: ")
+
+
+def test_number_literals_at_the_edges_of_binary64():
+    with pytest.raises(ValueError, match="number literal out of range: '1e400'"):
+        Number("1e400")
+    assert Number("1.7976931348623157e308").value == 1.7976931348623157e308
+    assert Number("1e-400").value == 0.0  # underflow is finite
+    assert parse_dl_formula("x <= 1e308").right == Number("1e308")
