@@ -21,8 +21,9 @@ language's spellings, and this module holds the machinery built from them:
 - `Lines`, the line and column of an offset, by bisection over the offsets
   of the text's newlines. A parse computes them only where a node records
   its `pos` or an error is raised;
-- `render_term` and `render_formula`, a minimal-parenthesis printer that
-  folds the tree bottom up with `Dialect.render`.
+- `Dialect.render`, the step of a printing fold: terms and formulas with
+  the fewest parentheses, statements by the dialect's `statement` step;
+  `render_term` and `render_formula` fold a term or formula with it.
 
 Parser and printer read the same operator table, loosest level first:
 the dialect's connectives, negation, comparisons (non-associative), +/-,
@@ -42,7 +43,6 @@ from .errors import ParseError
 from .ir import (
     ADD, DIV, EQ, GE, GT, LE, LT, MUL, NE, POW, SUB,
     BinOp, BoolConst, Cmp, Formula, Ident, Neg, Not, Number, Term, Var, fold,
-    operator_key,
 )
 
 LEFT, RIGHT, NONASSOC = "left", "right", "nonassoc"
@@ -97,11 +97,12 @@ class Dialect:
     `connectives` lists the binary formula connectives, loosest level
     first, as `(associativity, ((spelling, node class), ...))`. `classify`
     maps an identifier-shaped word to its token kind and value; `durations`
-    says whether `T#` literals are lexemes. The three message texts are the
-    errors the expression grammar raises.
+    says whether `T#` literals are lexemes; `statement` prints a statement
+    for `render`. The three message texts are the errors the expression
+    grammar raises.
     """
 
-    def __init__(self, *, name, operators, comment, classify, connectives,
+    def __init__(self, *, name, operators, comment, classify, statement, connectives,
                  not_op, bools, ne_op, pow_op, cmp_space,
                  formula_expected, chain_expected, operand_expected,
                  durations=False):
@@ -109,6 +110,7 @@ class Dialect:
         self.operators = operators
         self.comment = comment
         self.classify = classify
+        self.statement = statement
         self.durations = durations
         # One capturing group around every lexeme, so `split` alternates
         # layout and lexemes. No alternative matches the empty string. A
@@ -166,10 +168,11 @@ class Dialect:
         return self.binary[spelling][0]
 
     def render(self, n, kids) -> tuple[str, int]:
-        """The printing fold's step: the text of node `n`, given its
-        children's, and the level its top operator binds at. A parent
+        """The printing fold's step: the text of term or formula `n`, given
+        its children's, and the level its top operator binds at. A parent
         parenthesizes an operand that binds looser than its side of the
-        operator needs."""
+        operator needs. Any other node goes to the dialect's `statement`
+        step, which raises TypeError for a node it cannot print."""
         cls = n.__class__
         atom = self.neg_level + 1  # atoms, and negations printed as `NOT(...)`
         if cls is Number:
@@ -182,9 +185,10 @@ class Dialect:
             return f"{self.not_op}({kids[0][0]})", atom
         if cls is Neg:
             return "-" + _wrap(*kids[0], self.neg_level), self.neg_level
-        entry = self.infix.get(operator_key(n))
+        # `ir.operator_key(n)`, inline, as this runs once per printed node.
+        entry = self.infix.get(n.op if cls is BinOp else n.rel if cls is Cmp else cls)
         if entry is None:
-            raise TypeError(f"cannot print {cls.__name__} in {self.name} syntax")
+            return self.statement(n, kids)
         text, level, assoc = entry
         # The operand on the associative side may sit at the operator's
         # level; the other needs strictly tighter binding.

@@ -17,9 +17,9 @@ from .dl_syntax import DlSafetyFormula, print_dl_formula
 from .errors import ConflictingEpsilon, MissingEpsilon, NotNormalForm
 from .ir import (
     Assign, Choice, Cmp, EQ, Formula, GE, GT, HP_STATEMENTS, Ident, LE, LT, Loop, NE,
-    Number, OdeSystem, PlantSpec, Program, RandomAssign, ScanCycleModel, Seq, TRUE,
+    Number, OdeSystem, PlantSpec, Program, RandomAssign, ScanCycleModel, TRUE,
     TestStmt, Var, VarSets, conjoin, conjuncts, list_to_seq, number_lexeme, program_facts,
-    walk,
+    seq_to_list, walk,
 )
 
 
@@ -72,7 +72,7 @@ def classify_io(m: ScanCycleModel) -> IoClassification:
 def validate_scan_cycle_form(f: DlSafetyFormula) -> ScanCycleModel:
     """Check top-level shape `A -> [{in; ctrl; t:=0; {odes & Q}}*] S` and
     return the structured model; one precise NotNormalForm reason otherwise."""
-    stmts = f.body.stmts if f.body.__class__ is Seq else (f.body,)
+    stmts = seq_to_list(f.body)
 
     inputs: dict[Ident, None] = {}
     for s in stmts:
@@ -110,7 +110,7 @@ def plant_fragment(p: Program) -> PlantSpec:
     """The plant `t:=0; {odes, t'=1 & t<=eps & Q}`: exactly a clock reset
     followed by the ODE, as a plant file holds it and as a scan-cycle body
     ends. One precise NotNormalForm reason otherwise."""
-    stmts = p.stmts if p.__class__ is Seq else (p,)
+    stmts = seq_to_list(p)
     last = stmts[-1]
     if not isinstance(last, OdeSystem):
         raise NotNormalForm("missing plant ODE as the last statement", _pos(last))

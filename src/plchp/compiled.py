@@ -22,9 +22,11 @@ and every call runs the emitted code alone. The tests hold the two to each
 other bit for bit, and to the class and message of every error.
 
 A tree is written in one fold (`ir.fold`), in bounded stack, as one
-function. The source stays inside CPython's compiler limits at any depth:
-no line nests parentheses, and every IF is written flat under guard locals,
-so no line sits more than two levels below its `def`. `compile()` is the
+function. The fold's results hold their lines as ropes, and `ir.flatten`,
+which lays out the ST printer's lines too, writes each function's once.
+The source stays inside CPython's compiler limits at any depth: no line
+nests parentheses, and every IF is written flat under guard locals, so no
+line sits more than two levels below its `def`. `compile()` is the
 costly step, so the runs of one process share each code object, keyed on
 its source text.
 """
@@ -37,9 +39,9 @@ from typing import Callable
 
 from .errors import UnboundVariable
 from .ir import (
-    CHILDREN, Assign, BoolConst, DIV, Formula, Ident, IfThen, Neg, Not, Number,
-    POW, PlantSpec, Program, Seq, State, TRUE, Term, Var, collect_vars, fold,
-    operator_key,
+    Assign, BoolConst, DIV, Formula, Ident, IfThen, Neg, Not, Number, POW,
+    PlantSpec, Program, ST_CHILDREN, Seq, State, TRUE, Term, Var, collect_vars,
+    flatten, fold, operator_key,
 )
 from .semantics import OPERATORS, divide, power
 
@@ -107,10 +109,6 @@ def _compile(node, layout: Layout):
     return source.define(source.function(node, layout))
 
 
-# The emitting fold's children: the statements of hybrid programs are leaves.
-_COMPILED = {cls: kids for cls, kids in CHILDREN.items()
-             if not issubclass(cls, Program) or cls in (Assign, Seq, IfThen)}
-
 # The Python operator that computes each function of `OPERATORS` on floats
 # and truth values. `_INFIX` reads each entry's symbol from it, so a new
 # entry that is neither here nor `power` fails at import. Power, and
@@ -122,20 +120,7 @@ _SYMBOL = {
     operator.and_: "&", operator.or_: "|",
 }
 _INFIX = {key: _SYMBOL[f] for key, f in OPERATORS.items() if f is not power}
-
-
-def _flat(rope, pad: str = "") -> list[str]:
-    """The lines of `rope`, a list of lines and of ropes, each after `pad`."""
-    out, stack = [], [iter(rope)]
-    while stack:
-        for item in stack[-1]:
-            if item.__class__ is not str:
-                stack.append(iter(item))
-                break
-            out.append(pad + item)
-        else:
-            stack.pop()
-    return out
+_INDENT = "    "
 
 
 @functools.lru_cache(maxsize=128)
@@ -146,9 +131,9 @@ def _code(text: str):
 
 class Source:
     """A Python module being written: `function` adds a function of a slot
-    list for a tree, `line` a statement, `render` the statements that
-    evaluate a term or formula (and `prologue` those of its parts that
-    `render` hoists), and `module` runs it all, compiled once.
+    list for a tree to `lines`, `render` gives the statements that evaluate
+    a term or formula (and `prologue` those of its parts that `render`
+    hoists), and `module` runs it all, compiled once.
 
     A term or formula is written one operation per assignment: each
     operator of `OPERATORS` as the Python operator that computes it, and
@@ -158,13 +143,10 @@ class Source:
 
     def __init__(self):
         self.lines: list[str] = []
-        self.prologue: list = []  # a rope (see `_flat`)
+        self.prologue: list = []  # a rope (see `ir.flatten`)
         self.constants = {"divide": divide, "power": power, "UnboundVariable": UnboundVariable}
         self._temps = 0
         self._functions = 0
-
-    def line(self, indent: int, text: str) -> None:
-        self.lines.append("    " * indent + text)
 
     def function(self, node, layout: Layout) -> str:
         """Add `node` as a function of a slot list `v` of `layout`, and
@@ -178,8 +160,7 @@ class Source:
             body = written[0]
             body.append(f"return {written[1]}")
         function = self._name()
-        self.line(0, f"def {function}(v):")
-        self.lines += _flat(body, "    ")
+        self.lines += flatten([f"def {function}(v):", (body,)], "", _INDENT)
         return function
 
     def render(self, target: str, node, name: Callable[[Ident], str], varying=None) -> list[str]:
@@ -191,13 +172,13 @@ class Source:
         lines, text, _, varies = self._write(node, name, varying=varying)
         lines.append(f"{target} = {text}")
         if varying is None or varies:
-            return _flat(lines)
+            return flatten(lines, "", _INDENT)
         self.prologue.append(lines)
         return []
 
     def _write(self, node, name, checked: bool = False, varying=None):
         """One fold over `node` that writes it, in time linear in its size:
-        lines are ropes (see `_flat`), so a parent holds its kids' lines
+        lines are ropes (see `ir.flatten`), so a parent holds its kids' lines
         without copying them. A term or formula gives (lines, text, pending,
         varies): the lines that evaluate its operands, and its own
         operation, or operand when `pending` is false, and whether it reads
@@ -239,7 +220,7 @@ class Source:
                     text = temp
                 operands.append(text)
             return lines, self._operation(n, operands), bool(kids), varies
-        return fold(node, combine, _COMPILED)
+        return fold(node, combine, ST_CHILDREN)
 
     def _chain(self, kids) -> list:
         """An IF as one segment. Its guard goes into a local `taken` of its
@@ -265,7 +246,8 @@ class Source:
         An assignment has no `entry`, `taken` or `after`. An IF's `lines`
         evaluate its guard into `taken`, which is first set False where
         they may not run; an IF without ELSE has no `entry` and tests
-        `guard` itself (see `_chain`)."""
+        `guard` itself (see `_chain`). A guarded segment's lines are a
+        block under its `if`, which holds them without copying."""
         lines = []
         for entry, taken, kid_lines, after in segments:
             if guard is None:
@@ -275,7 +257,7 @@ class Source:
                     lines.append(f"{entry} = {guard}")
                 if taken is not None:
                     lines.append(f"{taken} = False")
-                lines += [f"if {entry or guard}:", _flat(kid_lines, "    ")]
+                lines += f"if {entry or guard}:", (kid_lines,)
             lines.append(after)
         return lines
 
@@ -372,57 +354,38 @@ def emit_rk4(plant: PlantSpec, layout: Layout):
         return f"r{j}" if invariant[j] else f"{stage}{j}"
 
     src = Source()
-    line = src.line
     rate_lines = [text for j, (_, rhs) in enumerate(plant.odes)
                   for text in src.render(rate(j, "{rate}"), rhs, field, varying)]
     inside = [] if domain is None else src.render("inside", domain, field, varying)
     src.prologue += [f"q{j} = (r{j} + 2 * r{j} + 2 * r{j} + r{j}) / 6 * h"
                      for j in range(len(ode_slots)) if invariant[j]]
 
-    def stage(name: str, state: str, now: str, update) -> None:
-        for text in rate_lines:
-            line(2, text.format(rate=name, s=state, now=now))
+    def stage(name: str, state: str, now: str, update) -> list[str]:
+        lines = [text.format(rate=name, s=state, now=now) for text in rate_lines]
         if update is not None:
-            for j in staged:
-                line(2, f"w{j} = x{j} + {rate(j, name)} * {update}")
+            lines += (f"w{j} = x{j} + {rate(j, name)} * {update}" for j in staged)
+        return lines
 
-    def write_back(indent: int, now: str) -> None:
-        for j, i in enumerate(ode_slots):
-            line(indent, f"v[{i}] = x{j}")
-        line(indent, f"v[{clock}] = {now}")
+    def write_back(now: str) -> list[str]:
+        return [*(f"v[{i}] = x{j}" for j, i in enumerate(ode_slots)), f"v[{clock}] = {now}"]
 
-    line(0, "def rk4(v, t0, duration, n):")
-    for i in params:
-        line(1, f"p{i} = v[{i}]")
-    for j, i in enumerate(ode_slots):
-        line(1, f"x{j} = v[{i}]")
-    line(1, "clock = t0")
-    line(1, "h = duration / n")
-    line(1, "half = h / 2")
-    src.lines += _flat(src.prologue, "    ")
-    line(1, "for k in range(n):")
+    loop = ["t_mid = duration * k / n + half"] if timed else []
+    loop += stage("a", "x", "clock", "half")
     if timed:
-        line(2, "t_mid = duration * k / n + half")
-    stage("a", "x", "clock", "half")
-    if timed:
-        line(2, "clock_mid = t0 + t_mid")
-    stage("b", "w", "clock_mid", "half")
-    stage("c", "w", "clock_mid", "h")
+        loop.append("clock_mid = t0 + t_mid")
+    loop += stage("b", "w", "clock_mid", "half") + stage("c", "w", "clock_mid", "h")
     if clocked:
-        line(2, "clock = t0 + duration * (k + 1) / n")
-    stage("d", "w", "clock", None)
-    for j in range(len(ode_slots)):
-        if invariant[j]:
-            line(2, f"x{j} = x{j} + q{j}")
-        else:
-            line(2, f"x{j} = x{j} + (a{j} + 2 * b{j} + 2 * c{j} + d{j}) / 6 * h")
+        loop.append("clock = t0 + duration * (k + 1) / n")
+    loop += stage("d", "w", "clock", None)
+    loop += (f"x{j} = x{j} + q{j}" if invariant[j]
+             else f"x{j} = x{j} + (a{j} + 2 * b{j} + 2 * c{j} + d{j}) / 6 * h"
+             for j in range(len(ode_slots)))
     if domain is not None:
-        for text in inside:
-            line(2, text.format(s="x", now="clock"))
-        line(2, "if not inside:")
-        line(3, "t_next = duration * (k + 1) / n")
-        write_back(3, "t0 + t_next")
-        line(3, "return t_next")
-    write_back(1, "t0 + duration")
-    line(1, "return None")
+        loop += (text.format(s="x", now="clock") for text in inside)
+        loop += "if not inside:", ("t_next = duration * (k + 1) / n", write_back("t0 + t_next"),
+                                   "return t_next")
+    body = [*(f"p{i} = v[{i}]" for i in params), *(f"x{j} = v[{i}]" for j, i in enumerate(ode_slots)),
+            "clock = t0", "h = duration / n", "half = h / 2", src.prologue,
+            "for k in range(n):", (loop,), write_back("t0 + duration"), "return None"]
+    src.lines += flatten(["def rk4(v, t0, duration, n):", (body,)], "", _INDENT)
     return src.define("rk4")

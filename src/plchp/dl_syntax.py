@@ -15,7 +15,8 @@ rejects them with a located diagnostic.
 drops `/* ... */` and `// ...` comments and gives `true` and `false` as the
 values `TRUE` and `FALSE`. The parser walks the token arrays by index, and
 asks for a token's line:col only for the `pos` of a statement, choice, loop
-or ODE system, which diagnostics cite, and for an error.
+or ODE system, which diagnostics cite, and for an error. The printer folds
+each top-level statement once, its terms and formulas included.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from ._syntax import (
 )
 from .errors import ParseError
 from .ir import (
-    LE, And, Assign, BoolConst, Choice, Cmp, Equiv, Formula, GuardedChoice,
-    Ident, Imply, Loop, Not, Number, OdeSystem, Or, PlantSpec, Program,
-    RandomAssign, STATEMENTS, Seq, Term, TestStmt, Var, conjoin, conjuncts,
-    fold, list_to_seq,
+    CHILDREN, LE, TRUE, And, Assign, BoolConst, Choice, Cmp, Equiv, Formula,
+    GuardedChoice, Ident, IfThen, Imply, Loop, Not, Number, OdeSystem, Or,
+    PlantSpec, Program, RandomAssign, Seq, Term, TestStmt, Var, conjoin,
+    conjuncts, fold, list_to_seq, seq_to_list,
 )
 
 
@@ -74,12 +75,45 @@ def _classify(word: str) -> tuple[str, str]:
     return "ident", word
 
 
+def _inline(s, kids) -> str:
+    """The printing fold's step for a hybrid-program statement: its text, on
+    one line, with any statement list inside braces."""
+    cls = s.__class__
+    if cls is Seq:
+        return " ".join(kids)
+    if cls is Assign:
+        return f"{s.target}:={kids[0][0]};"
+    if cls is RandomAssign:
+        return f"{s.target}:=*;"
+    if cls is TestStmt:
+        return f"?{kids[0][0]};"
+    if cls is GuardedChoice:
+        (guard, _), then, *else_ = kids
+        left = f"{{?{guard}; {then}}}"
+        if not s.complemented:
+            return f"{left} ++ {{{else_[0]}}}"
+        if not else_:
+            return f"{left} ++ {{?!({guard});}}"
+        return f"{left} ++ {{?!({guard}); {else_[0]}}}"
+    if cls is Choice:
+        return f"{{{kids[0]}}} ++ {{{kids[1]}}}"
+    if cls is OdeSystem:
+        odes = ", ".join(f"{x}'={rhs}" for (x, _), (rhs, _) in zip(s.odes, kids))
+        if s.domain == TRUE:
+            return f"{{{odes}}}"
+        return f"{{{odes} & {kids[-1][0]}}}"
+    if cls is Loop:
+        return f"{{{kids[0]}}}*"
+    raise TypeError(f"cannot print {cls.__name__} in dL syntax")
+
+
 DL = Dialect(
     name="dL",
     operators=("<->", "->", "++", ":=", "!=", "<=", ">=", "=", "<", ">", "&", "|", "!",
                "{", "}", "[", "]", "(", ")", ";", ",", "?", "*", "/", "+", "-", "^", "'"),
     comment=("/*", "*/"),
     classify=_classify,
+    statement=_inline,
     connectives=(
         (RIGHT, (("<->", Equiv),)),
         (RIGHT, (("->", Imply),)),
@@ -237,7 +271,7 @@ class _Parser(Parser):
 
 def _split_test(p: Program) -> tuple[Optional[TestStmt], Optional[Program]]:
     """Split a branch into its leading test and the remainder (if any)."""
-    head, *rest = p.stmts if p.__class__ is Seq else (p,)
+    head, *rest = seq_to_list(p)
     if head.__class__ is not TestStmt:
         return None, None
     return head, list_to_seq(rest) if rest else None
@@ -265,11 +299,13 @@ def parse_dl_model(text: str) -> DlSafetyFormula:
 def parse_dl(text: str) -> Union[DlSafetyFormula, Program, Formula, Term]:
     """Parse any syntactic category, trying the model shape first. Text no
     category accepts raises the error of the program parse, the most
-    informative one."""
+    informative one. The text is lexed once, for every category."""
+    parser = _Parser(text)
     errors = []
-    for entry in (parse_dl_model, parse_dl_program, parse_dl_formula, parse_dl_term):
+    for rule in (_Parser.safety_formula, _Parser.program, _Parser.formula, _Parser.term):
+        parser.pos = 0
         try:
-            return entry(text)
+            return parser.whole(rule)
         except ParseError as exc:
             errors.append(exc)
     raise errors[1]
@@ -288,46 +324,18 @@ def print_dl_formula(f: Formula) -> str:
 
 def print_dl_program(p: Program) -> str:
     """One top-level statement per line."""
-    return "\n".join(map(_stmt_str, p.stmts if p.__class__ is Seq else (p,)))
+    return "\n".join(map(_statement_text, seq_to_list(p)))
 
 
-# A statement list inside braces prints on one line. Statements dL has no
-# syntax for are leaves, so they are rejected in source order.
-_PRINTED = {cls: STATEMENTS[cls] for cls in (Seq, GuardedChoice, Choice, Loop)}
+# A printed statement's tree: its terms and formulas, and every statement but
+# the ST conditional, which is a leaf, so it is rejected in source order.
+_PRINTED = {cls: kids for cls, kids in CHILDREN.items() if cls is not IfThen}
 
 
-def _stmt_str(s: Program) -> str:
-    return fold(s, _print_stmt, _PRINTED)
-
-
-def _print_stmt(s: Program, kids) -> str:
-    cls = s.__class__
-    if cls is Seq:
-        return " ".join(kids)
-    if cls is Assign:
-        return f"{s.target}:={print_dl_term(s.value)};"
-    if cls is RandomAssign:
-        return f"{s.target}:=*;"
-    if cls is TestStmt:
-        return f"?{print_dl_formula(s.cond)};"
-    if cls is GuardedChoice:
-        left = f"{{?{print_dl_formula(s.guard)}; {kids[0]}}}"
-        if s.complemented:
-            neg = print_dl_formula(Not(s.guard))
-            if s.else_ is None:
-                return f"{left} ++ {{?{neg};}}"
-            return f"{left} ++ {{?{neg}; {kids[1]}}}"
-        return f"{left} ++ {{{kids[1]}}}"
-    if cls is Choice:
-        return f"{{{kids[0]}}} ++ {{{kids[1]}}}"
-    if cls is OdeSystem:
-        odes = ", ".join(f"{x}'={print_dl_term(rhs)}" for x, rhs in s.odes)
-        if s.domain == BoolConst(True):
-            return f"{{{odes}}}"
-        return f"{{{odes} & {print_dl_formula(s.domain)}}}"
-    if cls is Loop:
-        return f"{{{kids[0]}}}*"
-    raise TypeError(f"cannot print {cls.__name__} in dL syntax")
+def _statement_text(s: Program) -> str:
+    if not isinstance(s, Program):
+        raise TypeError(f"cannot print {type(s).__name__} in dL syntax")
+    return fold(s, DL.render, _PRINTED)
 
 
 def print_dl_plant(plant: PlantSpec) -> str:
@@ -349,15 +357,9 @@ def plant_program(plant: PlantSpec) -> Program:
 
 def print_dl_model(m: DlSafetyFormula) -> str:
     """Canonical multi-line rendering of `A -> [{body}*] S`."""
-    body_lines = [f"  {line}" for line in print_dl_program(m.body).split("\n")]
-    parts = [
-        render_formula(m.assumptions, DL, _ASSUMPTION_LEVEL),
-        "->",
-        "[{",
-        *body_lines,
-        "}*]",
-        print_dl_formula(m.safety),
-    ]
+    body = [f"  {text}" for text in map(_statement_text, seq_to_list(m.body))]
+    parts = [render_formula(m.assumptions, DL, _ASSUMPTION_LEVEL), "->", "[{", *body, "}*]",
+             print_dl_formula(m.safety)]
     return "\n".join(parts) + "\n"
 
 

@@ -395,6 +395,10 @@ class Program(Node):
 class Assign(Program):
     __slots__ = FIELDS = ("target", "value")
 
+    def __post_init__(self):
+        if not isinstance(self.value, Term):
+            raise TypeError(f"not a term: {type(self.value).__name__}")
+
 
 class Seq(Program):
     """`a; b; c`: two or more statements, none a Seq. The constructor splices
@@ -531,17 +535,14 @@ CHILDREN = {
     Loop: lambda n: (n.body,),
 }
 
-# The children that are statements. A table cut down to some classes makes
-# the other statements leaves: a walk or fold over it does not enter them,
-# and meets them in source order, so a walker can reject them there.
-STATEMENTS = {
-    Seq: CHILDREN[Seq],
-    **dict.fromkeys((IfThen, GuardedChoice), _branches),
-    Loop: CHILDREN[Loop],
-    Choice: _pair,
-}
-ST_STATEMENTS = {cls: STATEMENTS[cls] for cls in (Seq, IfThen)}
-HP_STATEMENTS = {cls: STATEMENTS[cls] for cls in (Seq, GuardedChoice)}
+# Tables cut down to some classes make the other nodes leaves: a walk or fold
+# over one does not enter them, and meets them in source order, so a walker
+# can reject them there. The statements of either language, and an ST tree
+# with its terms and formulas, in which hybrid-program statements are leaves.
+ST_STATEMENTS = {Seq: CHILDREN[Seq], IfThen: _branches}
+HP_STATEMENTS = {Seq: CHILDREN[Seq], GuardedChoice: _branches}
+ST_CHILDREN = {cls: kids for cls, kids in CHILDREN.items()
+               if not issubclass(cls, Program) or cls in (Assign, Seq, IfThen)}
 _AND = {And: _pair}
 
 
@@ -569,18 +570,22 @@ def fold(node, combine, children=CHILDREN):
     if get(node.__class__) is None:
         return combine(node, ())
     # The reverse of a right-to-left pre-order is the left-to-right post-order.
-    order = []
+    nodes, counts = [], []
     stack = [node]
-    pop, push, visit = stack.pop, stack.extend, order.append
+    pop, push, visit, count = stack.pop, stack.extend, nodes.append, counts.append
     while stack:
         n = pop()
+        visit(n)
         kids = get(n.__class__)
-        kids = () if kids is None else kids(n)
-        visit((n, len(kids)))
-        push(kids)
+        if kids is None:
+            count(0)
+        else:
+            kids = kids(n)
+            count(len(kids))
+            push(kids)
     results = []
     keep = results.append
-    for n, k in reversed(order):
+    for n, k in zip(reversed(nodes), reversed(counts)):
         if k:
             args = results[-k:]
             del results[-k:]
@@ -588,6 +593,31 @@ def fold(node, combine, children=CHILDREN):
         else:
             keep(combine(n, ()))
     return results[0]
+
+
+def flatten(rope, pad: str, step: str) -> list[str]:
+    """The lines of the ropes in list `rope`, each after `pad` and its
+    indent. A rope is a line, a list of ropes at its own level, or a tuple
+    of ropes one `step` deeper (Boehm, Atkinson & Plass, "Ropes: an
+    alternative to strings", 1995): a printer holds its parts' ropes without
+    copying them, and this lays out the whole once, on an explicit stack."""
+    out, stack = [], []  # stack: the open ropes around `items`, with their pads
+    keep, push, pop = out.append, stack.append, stack.pop
+    items = iter(rope)
+    while True:
+        for item in items:
+            if item.__class__ is str:
+                keep(pad + item)
+            else:
+                push((items, pad))
+                items = iter(item)
+                if item.__class__ is tuple:
+                    pad += step
+                break
+        else:
+            if not stack:
+                return out
+            items, pad = pop()
 
 
 def operator_key(n):

@@ -12,6 +12,10 @@ gives each keyword as its upper-case value and each `T#` duration as one
 lexeme, whose seconds the configuration reads. The parser walks the
 token arrays by index, and asks for a token's line:col only for the `pos`
 of an assignment or IF and for an error.
+
+The printer folds a statement tree once, its terms and formulas included,
+into a rope of lines that `ir.flatten` lays out, so blocks nest without
+limit.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from ._syntax import (
 from .errors import ParseError
 from .ir import (
     And, Assign, Formula, Ident, IfThen, Or, Program,
-    RESERVED_WORDS, Seq, Term, Xor, list_to_seq, number_lexeme,
+    RESERVED_WORDS, ST_CHILDREN, Seq, Term, Xor, flatten, fold, list_to_seq, number_lexeme,
 )
 
 # Recognized so that out-of-subset sources fail with a named construct
@@ -108,7 +112,7 @@ class StUnit:
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Dialect: the lexer's and the printer's steps
 
 def _classify(word: str) -> tuple[str, str]:
     upper = word.upper()
@@ -119,12 +123,31 @@ def _classify(word: str) -> tuple[str, str]:
     return "ident", word
 
 
+def _layout(n, kids):
+    """The printing fold's step for an ST statement: its rope of lines (see
+    `ir.flatten`), each branch of an IF a block one indent deeper."""
+    cls = n.__class__
+    if cls is Assign:
+        return f"{n.target} := {kids[0][0]};"
+    if cls is Seq:
+        return kids
+    if cls is IfThen:
+        rope = [f"IF ({kids[0][0]}) THEN", (kids[1],)]
+        if len(kids) == 3:
+            rope += "ELSE", (kids[2],)
+        rope.append("END_IF;")
+        return rope
+    what = "as an ST statement" if isinstance(n, Program) else "in ST syntax"
+    raise TypeError(f"cannot print {cls.__name__} {what}")
+
+
 ST = Dialect(
     name="ST",
     operators=("**", ":=", "<=", ">=", "<>", "<", ">", "=", "+", "-", "*", "/",
                "(", ")", ";", ":", ","),
     comment=("(*", "*)"),
     classify=_classify,
+    statement=_layout,
     durations=True,
     connectives=((LEFT, (("OR", Or), ("XOR", Xor))), (LEFT, (("AND", And),))),
     not_op="NOT",
@@ -374,32 +397,9 @@ def print_st_formula(f: Formula) -> str:
 
 def print_st_statement(p: Program, indent: int = 0) -> str:
     """Canonical layout: two-space indent, one statement per line."""
-    # Indentation is handed down, so rather than a fold this walks an
-    # explicit stack, which lets blocks nest without limit. The stack holds
-    # what is still to print, next on top: statements with their indent,
-    # and the ELSE and END_IF lines of open IFs.
-    lines: list[str] = []
-    todo: list = [(p, indent)]
-    while todo:
-        stmt, depth = todo.pop()
-        cls = stmt.__class__
-        if cls is str:
-            lines.append(stmt)
-            continue
-        pad = "  " * depth
-        if cls is Seq:
-            todo += [(s, depth) for s in reversed(stmt.stmts)]
-        elif cls is Assign:
-            lines.append(f"{pad}{stmt.target} := {print_st_term(stmt.value)};")
-        elif cls is IfThen:
-            lines.append(f"{pad}IF ({print_st_formula(stmt.cond)}) THEN")
-            todo.append((f"{pad}END_IF;", depth))
-            if stmt.else_ is not None:
-                todo += (stmt.else_, depth + 1), (f"{pad}ELSE", depth)
-            todo.append((stmt.then, depth + 1))
-        else:
-            raise TypeError(f"cannot print {cls.__name__} as an ST statement")
-    return "\n".join(lines)
+    if not isinstance(p, Program):
+        raise TypeError(f"cannot print {type(p).__name__} as an ST statement")
+    return "\n".join(flatten([fold(p, ST.render, ST_CHILDREN)], "  " * indent, "  "))
 
 
 def format_interval(seconds: float) -> str:
@@ -414,27 +414,16 @@ def format_interval(seconds: float) -> str:
 
 def print_st(unit: StUnit) -> str:
     """Print a unit in the canonical layout; reparsing yields an equal AST."""
-    lines = [f"PROGRAM {unit.program_name}"]
-    for block in unit.var_blocks:
-        lines.append(f"  {KIND_KEYWORDS[block.kind]}")
-        for name, ty in block.decls:
-            lines.append(f"    {name} : {ty};")
-        lines.append("  END_VAR")
-    lines.append("")
-    lines.append(print_st_statement(unit.body, indent=1))
-    lines.append("END_PROGRAM")
-    if unit.config is not None:
-        cfg = unit.config
-        lines.append("")
-        lines.append(f"CONFIGURATION {cfg.config_name}")
-        lines.append(f"  RESOURCE {cfg.resource_name} ON {cfg.host}")
-        lines.append(
-            f"    TASK {cfg.task_name}(INTERVAL:={format_interval(cfg.interval)}, "
-            f"PRIORITY:={cfg.priority});"
-        )
-        lines.append(
-            f"    PROGRAM {cfg.program_instance} WITH {cfg.task_name} : {unit.program_name};"
-        )
-        lines.append("  END_RESOURCE")
-        lines.append("END_CONFIGURATION")
-    return "\n".join(lines) + "\n"
+    rope = [f"PROGRAM {unit.program_name}"]
+    rope += ((KIND_KEYWORDS[block.kind], tuple(f"{name} : {ty};" for name, ty in block.decls), "END_VAR")
+             for block in unit.var_blocks)
+    rope += "", (fold(unit.body, ST.render, ST_CHILDREN),), "END_PROGRAM"
+    cfg = unit.config
+    if cfg is not None:
+        task = (f"TASK {cfg.task_name}(INTERVAL:={format_interval(cfg.interval)}, "
+                f"PRIORITY:={cfg.priority});")
+        instance = f"PROGRAM {cfg.program_instance} WITH {cfg.task_name} : {unit.program_name};"
+        rope += ("", f"CONFIGURATION {cfg.config_name}",
+                 (f"RESOURCE {cfg.resource_name} ON {cfg.host}", (task, instance), "END_RESOURCE"),
+                 "END_CONFIGURATION")
+    return "\n".join(flatten(rope, "", "  ")) + "\n"

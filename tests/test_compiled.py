@@ -34,7 +34,7 @@ from plchp.compiled import (
 )
 from plchp.errors import DivisionByZero, DomainError, EvalError, UnboundVariable
 from plchp.ir import (
-    HP, ST, TRUE, GuardedChoice, Ident, IfThen, PlantSpec, Var, collect_vars,
+    HP, ST, TRUE, GuardedChoice, Ident, IfThen, PlantSpec, Var, collect_vars, flatten,
 )
 from plchp.semantics import GenConfig, gen_formula, gen_st, gen_state, gen_term
 from plchp.sim import (
@@ -199,10 +199,8 @@ def emitted_outcome(node, s):
     of `s`, and run on them."""
     names = {x: f"x{i}" for i, (x, _) in enumerate(s.items())}
     source = Source()
-    source.line(0, f"def f({', '.join(names.values())}):")
-    for text in source.render("result", node, names.__getitem__):
-        source.line(1, text)
-    source.line(1, "return result")
+    body = [*source.render("result", node, names.__getitem__), "return result"]
+    source.lines += flatten([f"def f({', '.join(names.values())}):", (body,)], "", "    ")
     f = source.define("f")
     return outcome(lambda: f(*(value for _, value in s.items())))
 

@@ -53,6 +53,7 @@ CHECKS = [
     (lambda: Number("-1"), ValueError, "invalid number literal: '-1'"),
     (lambda: BinOp("mod", _a, _a), ValueError, "unknown binary operator: 'mod'"),
     (lambda: Cmp("lt=", _a, _a), ValueError, "unknown relation: 'lt='"),
+    (lambda: Assign(_x, _a), TypeError, "not a term: Cmp"),
     (lambda: And(_hp, _st), DialectError, "cannot mix hp-dialect and st-dialect formulas under AND"),
     (lambda: Not(And(_st, _hp)), DialectError,
      "cannot mix st-dialect and hp-dialect formulas under AND"),
@@ -68,7 +69,7 @@ CHECKS = [
 
 
 @pytest.mark.parametrize("build, error, message", CHECKS, ids=[
-    "Number", "BinOp", "Cmp", "And", "Not", "IfThen", "GuardedChoice-dialect",
+    "Number", "BinOp", "Cmp", "Assign", "And", "Not", "IfThen", "GuardedChoice-dialect",
     "GuardedChoice-default", "TestStmt", "OdeSystem-dialect", "OdeSystem-duplicate"])
 def test_constructor_checks(build, error, message):
     with pytest.raises(error) as caught:
