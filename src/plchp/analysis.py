@@ -79,7 +79,7 @@ def validate_scan_cycle_form(f: DlSafetyFormula) -> ScanCycleModel:
         if not isinstance(s, RandomAssign):
             break
         if s.target in inputs:
-            raise NotNormalForm(f"duplicate input {s.target}", _pos(s))
+            raise NotNormalForm(f"duplicate input {s.target}", s.pos)
         inputs[s.target] = None
     idx = len(inputs)
 
@@ -113,16 +113,16 @@ def plant_fragment(p: Program) -> PlantSpec:
     stmts = seq_to_list(p)
     last = stmts[-1]
     if not isinstance(last, OdeSystem):
-        raise NotNormalForm("missing plant ODE as the last statement", _pos(last))
+        raise NotNormalForm("missing plant ODE as the last statement", last.pos)
     if len(stmts) < 2:
-        raise NotNormalForm("missing clock reset before the plant ODE", _pos(last))
+        raise NotNormalForm("missing clock reset before the plant ODE", last.pos)
     if len(stmts) > 2:
         raise NotNormalForm(
             "a plant is a clock reset followed by the plant ODE, with nothing before",
-            _pos(stmts[0]))
+            stmts[0].pos)
     reset = stmts[0]
     if not (isinstance(reset, Assign) and isinstance(reset.value, Number) and reset.value.value == 0.0):
-        raise NotNormalForm("missing clock reset", _pos(reset))
+        raise NotNormalForm("missing clock reset", reset.pos)
     clock = reset.target
 
     odes = list(last.odes)
@@ -130,7 +130,7 @@ def plant_fragment(p: Program) -> PlantSpec:
     if not clock_odes or not (
         isinstance(clock_odes[0][1], Number) and clock_odes[0][1].value == 1.0
     ):
-        raise NotNormalForm(f"missing clock ODE {clock}'=1", _pos(last))
+        raise NotNormalForm(f"missing clock ODE {clock}'=1", last.pos)
     plant_odes = tuple((x, rhs) for x, rhs in odes if x != clock)
 
     bound = None
@@ -143,7 +143,7 @@ def plant_fragment(p: Program) -> PlantSpec:
                 continue
         rest.append(part)
     if bound is None:
-        raise NotNormalForm(f"missing clock bound {clock}<=eps in the evolution domain", _pos(last))
+        raise NotNormalForm(f"missing clock bound {clock}<=eps in the evolution domain", last.pos)
     domain = conjoin([p for p in rest if p != TRUE])
     return PlantSpec(plant_odes, clock, domain, bound)
 
@@ -187,11 +187,7 @@ def _check_ctrl(p: Program) -> None:
         cls = s.__class__
         if cls is not Assign and cls not in HP_STATEMENTS:
             reason = _CTRL_ERRORS.get(cls, f"unsupported program construct {cls.__name__}")
-            raise NotNormalForm(reason, _pos(s))
-
-
-def _pos(p: Program):
-    return getattr(p, "pos", None)
+            raise NotNormalForm(reason, s.pos)
 
 
 # ---------------------------------------------------------------------------

@@ -213,20 +213,19 @@ class Term(Node):
 
 class Number(Term):
     """Numeric literal. The source lexeme is kept so printing is lossless;
-    two literals are equal only if their lexemes agree. A lexeme past the
-    range of binary64, whose value would be `inf`, is refused."""
+    two literals are equal only if their lexemes agree, and `value` is its
+    float. A lexeme past the range of binary64 (value `inf`) is refused."""
 
-    __slots__ = FIELDS = ("lexeme",)
+    FIELDS = ("lexeme",)
+    __slots__ = (*FIELDS, "value")
 
     def __post_init__(self):
         if not _NUMBER_RE.match(self.lexeme):
             raise ValueError(f"invalid number literal: {self.lexeme!r}")
-        if math.isinf(float(self.lexeme)):
+        value = float(self.lexeme)
+        if math.isinf(value):
             raise ValueError(f"number literal out of range: {self.lexeme!r}")
-
-    @property
-    def value(self) -> float:
-        return float(self.lexeme)
+        _set(self, "value", value)
 
 
 class Var(Term):
@@ -383,7 +382,8 @@ def conjoin(parts) -> Formula:
 # fragment. RandomAssign, TestStmt, OdeSystem, Loop, and Choice only appear
 # in raw parsed hybrid programs (the scan-cycle wrapper and ill-formed
 # inputs); validation rejects them inside a controller. A statement's `pos`
-# is its (line, col) in the source it was parsed from, or None.
+# is its (line, col) in the source it was parsed from, or that of the
+# statement it was translated from, or None.
 
 
 class Program(Node):
@@ -678,19 +678,19 @@ class ProgramFacts:
     zero_one: frozenset[Ident]
 
 
-# The translatable statements, with the right-hand side of an assignment and
-# the guard of a conditional as children, so a fold meets them in source order.
-_FACT_CHILDREN = {cls: CHILDREN[cls] for cls in (Assign, Seq, IfThen, GuardedChoice)}
+# The translatable statements of both languages, with their terms and formulas.
+_FACT_CHILDREN = {**ST_CHILDREN, GuardedChoice: CHILDREN[GuardedChoice]}
 
 
 def program_facts(p: Program) -> ProgramFacts:
     """The facts of a translatable program (ST statements included), from one
-    fold; TypeError on any other statement. Assignment: FV = vars(rhs), BV =
-    MBV = {target}. Sequence: FV(a) united with FV(b) minus MBV(a); BV and MBV
-    are unions. Conditionals: the guard's variables are free, BV is the union
-    of the branches, MBV the intersection (an absent branch contributes
-    nothing). Only a parent reads the sets of its children, so each step grows
-    the larger operand in place: Seq and ELSIF chains cost linear set work."""
+    fold over it, its guards and right-hand sides; TypeError on any other
+    statement. Assignment: FV = vars(rhs), BV = MBV = {target}. Sequence:
+    FV(a) united with FV(b) minus MBV(a); BV and MBV are unions.
+    Conditionals: the guard's variables are free, BV is the union of the
+    branches, MBV the intersection (an absent branch contributes nothing).
+    Only a parent reads the sets of its children, so each step grows the
+    larger operand in place: Seq and ELSIF chains cost linear set work."""
     read, assigned = {}, {}  # assigned: variable -> only ever assigned 0 or 1
 
     def combine(n, kids):
@@ -711,9 +711,10 @@ def program_facts(p: Program) -> ProgramFacts:
             return _grow(_grow(guard, ft), fe), _grow(bt, be), mt & me
         if n is p or isinstance(n, Program):
             raise TypeError(f"var_sets is defined on the translatable fragment, not {cls.__name__}")
-        found = [v.ident for v in walk(n) if v.__class__ is Var]
-        read.update(dict.fromkeys(found))
-        return set(found)
+        if cls is Var:
+            read[n.ident] = None
+            return {n.ident}
+        return _grow(*kids) if len(kids) == 2 else kids[0] if kids else set()
 
     free, bound, must = fold(p, combine, _FACT_CHILDREN)
     return ProgramFacts(VarSets(frozenset(free), frozenset(bound), frozenset(must)), tuple(read),

@@ -2,10 +2,10 @@
 
 Terms carry over unchanged (only the power operator is spelled differently
 at print time). Comparisons and AND/OR/NOT map one-to-one; XOR, implication,
-and biconditional are rewritten into the shared connective set before
-compiling. Conditionals become test-guarded choices and back; default-beta
-choices are linearized into if-then-else by favoring the guarded branch,
-which is recorded as a warning.
+and biconditional are rewritten into the shared connective set where the
+translating fold meets them. Conditionals become test-guarded choices and
+back; default-beta choices are linearized into if-then-else by favoring the
+guarded branch, which is recorded as a warning.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from .analysis import classify_io, extract_epsilon, interval_exceeds_model, reso
 from .dl_syntax import DlSafetyFormula, plant_program
 from .errors import DialectError, NotNormalForm, PlantVariableClash
 from .ir import (
-    And, Assign, CHILDREN, Cmp, EQ, Equiv, Formula, GuardedChoice, HP,
-    HP_STATEMENTS, Ident, IfThen, Imply, Not, Number, Or,
-    PlantSpec, Program, RandomAssign, ST, ST_STATEMENTS, ScanCycleModel, Seq,
-    Term, Var, Xor, collect_vars, fold, number_lexeme,
+    And, Assign, BoolConst, CHILDREN, Cmp, EQ, Equiv, Formula, GuardedChoice, HP,
+    Ident, IfThen, Imply, Not, Number, Or, PlantSpec, Program, RandomAssign, ST,
+    ScanCycleModel, Seq, Term, Var, Xor, collect_vars, fold, number_lexeme,
 )
 from .st_syntax import StConfig, StUnit, StVarBlock
 
@@ -43,7 +42,7 @@ class CompileDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# Terms
+# Terms, formulas and programs
 
 def term_st_to_hp(t: Term) -> Term:
     """Identity on the shared term trees; operator spelling is a print-time
@@ -55,30 +54,33 @@ def term_hp_to_st(t: Term) -> Term:
     return t
 
 
-# ---------------------------------------------------------------------------
-# Formulas
+# Each formula or program translator is one fold over its language's
+# statements and the connectives. Comparisons, truth values and assignments
+# are leaves, and carry over unchanged; terms are not entered.
+
+_ST_TREE = {cls: CHILDREN[cls] for cls in (Seq, IfThen, Not, And, Or, Xor, Imply, Equiv)}
+_HP_TREE = {cls: CHILDREN[cls] for cls in (Seq, GuardedChoice, Not, And, Or, Xor, Imply, Equiv)}
+
 
 def formula_st_to_hp(f: Formula) -> Formula:
     """Compile an ST formula; XOR is rewritten to (NOT p AND q) OR (NOT q AND p)."""
     if f.dialect == HP:
         raise DialectError("formula_st_to_hp expects an ST-dialect formula")
-    return fold(f, _shared_connectives, _CONNECTIVES)
+    return fold(f, _shared_connectives, _ST_TREE)
 
 
 def formula_hp_to_st(f: Formula) -> Formula:
     """Compile an HP formula; -> and <-> are rewritten into AND/OR/NOT first."""
     if f.dialect == ST:
         raise DialectError("formula_hp_to_st expects an HP-dialect formula")
-    return fold(f, _shared_connectives, _CONNECTIVES)
-
-
-# Comparisons and truth values are leaves, and carry over unchanged.
-_CONNECTIVES = {cls: CHILDREN[cls] for cls in (Not, And, Or, Xor, Imply, Equiv)}
+    return fold(f, _shared_connectives, _HP_TREE)
 
 
 def _shared_connectives(f: Formula, kids) -> Formula:
-    """`f` over the connectives both languages have. A formula has the
-    connectives of its own dialect only, so one rewrite serves both ways."""
+    """Connective `f`, given its operands' translations, over the connectives
+    both languages have (a formula has only its own dialect's); a leaf as it is."""
+    if not kids:
+        return f
     cls = f.__class__
     if cls is Xor:
         left, right = kids
@@ -89,29 +91,28 @@ def _shared_connectives(f: Formula, kids) -> Formula:
     if cls is Equiv:
         left, right = kids
         return Or(And(Not(left), Not(right)), And(left, right))
-    if cls in _CONNECTIVES:
-        return cls(*kids)
-    return f
+    return cls(*kids)
 
-
-# ---------------------------------------------------------------------------
-# Programs
 
 def prog_st_to_hp(s: Program) -> Program:
     """Compile ST statements to the translatable hybrid-program fragment."""
-    return fold(s, _st_to_hp, ST_STATEMENTS)
+    if not isinstance(s, Program):
+        raise TypeError(f"cannot compile {s.__class__.__name__} to a hybrid program")
+    return fold(s, _st_to_hp, _ST_TREE)
 
 
-def _st_to_hp(s: Program, kids) -> Program:
-    cls = s.__class__
-    if cls is Assign:
-        return Assign(s.target, term_st_to_hp(s.value))
+def _st_to_hp(n, kids):
+    cls = n.__class__
+    if not kids:
+        if cls is Assign or cls is Cmp or cls is BoolConst:
+            return n
+        raise TypeError(f"cannot compile {cls.__name__} to a hybrid program")
     if cls is Seq:
         return Seq(*kids)
     if cls is IfThen:
-        else_ = None if s.else_ is None else kids[1]
-        return GuardedChoice(formula_st_to_hp(s.cond), kids[0], else_, complemented=True)
-    raise TypeError(f"cannot compile {cls.__name__} to a hybrid program")
+        else_ = None if n.else_ is None else kids[2]
+        return GuardedChoice(kids[0], kids[1], else_, complemented=True, pos=n.pos)
+    return _shared_connectives(n, kids)
 
 
 def prog_hp_to_st(p: Program) -> tuple[Program, CompileDiagnostics]:
@@ -120,26 +121,27 @@ def prog_hp_to_st(p: Program) -> tuple[Program, CompileDiagnostics]:
     Default-beta choices resolve to if-then-else by favoring the guarded
     branch; each such linearization is recorded as a warning.
     """
+    if not isinstance(p, Program):
+        raise NotNormalForm(f"{p.__class__.__name__} has no ST counterpart")
     warnings: list[CompileWarning] = []
 
-    def hp_to_st(p: Program, kids) -> Program:
-        cls = p.__class__
-        if cls is Assign:
-            return Assign(p.target, term_hp_to_st(p.value))
+    def hp_to_st(n, kids):
+        cls = n.__class__
+        if not kids:
+            if cls is Assign or cls is Cmp or cls is BoolConst:
+                return n
+            raise NotNormalForm(f"{cls.__name__} has no ST counterpart", n.pos)
         if cls is Seq:
             return Seq(*kids)
-        if cls is not GuardedChoice:
-            raise NotNormalForm(f"{cls.__name__} has no ST counterpart", getattr(p, "pos", None))
-        if not p.complemented:
-            warnings.append(CompileWarning(
-                "linearized-choice",
-                "default branch of a guarded choice became ELSE; the PLC favors "
-                "the guarded branch, losing nondeterminism",
-                getattr(p, "pos", None),
-            ))
-        return IfThen(formula_hp_to_st(p.guard), *kids)
+        if cls is GuardedChoice:
+            if not n.complemented:
+                warnings.append(CompileWarning("linearized-choice", "default branch of a guarded "
+                                               "choice became ELSE; the PLC favors the guarded "
+                                               "branch, losing nondeterminism", n.pos))
+            return IfThen(*kids, pos=n.pos)
+        return _shared_connectives(n, kids)
 
-    result = fold(p, hp_to_st, HP_STATEMENTS)
+    result = fold(p, hp_to_st, _HP_TREE)
     return result, CompileDiagnostics(tuple(warnings))
 
 

@@ -6,6 +6,9 @@
   Criterion 6 and the generator and walker tests use them.
 - `ReferenceLexer`, the per-match lexer that `Dialect.lex` replaced.
   tests/test_lexer_oracle.py holds the one-pass lexer to it.
+- The four translators and `program_facts` as they were when each started
+  a second fold or walk per guard or right-hand side, under their old
+  names. tests/test_translate_folds.py holds the one-fold versions to them.
 """
 
 from __future__ import annotations
@@ -15,12 +18,14 @@ import re
 from typing import Optional
 
 from plchp._syntax import Token
-from plchp.errors import ParseError
+from plchp.errors import DialectError, NotNormalForm, ParseError
 from plchp.ir import (
-    ADD, Assign, BinOp, Cmp, GE, GT, GuardedChoice, HP_STATEMENTS, Ident, LE,
-    LT, Number, Program, State, Term, Var, list_to_seq, number_lexeme, walk,
+    ADD, And, Assign, BinOp, CHILDREN, Cmp, Equiv, Formula, GE, GT, GuardedChoice, HP,
+    HP_STATEMENTS, Ident, IfThen, Imply, LE, LT, Not, Number, Or, Program, ProgramFacts, ST,
+    ST_STATEMENTS, Seq, State, Term, Var, VarSets, Xor, fold, list_to_seq, number_lexeme, walk,
 )
 from plchp.semantics import GenConfig, ReachSet, hp_reachable
+from plchp.translate import CompileDiagnostics, CompileWarning, term_hp_to_st, term_st_to_hp
 
 
 def count_choices(p: Program) -> int:
@@ -237,3 +242,141 @@ class ReferenceLexer:
             raise ParseError(f"unexpected character {text[end]!r}", line, end - line_start)
         append(Token("eof", "", line, min(end, end_at) - line_start))
         return tokens
+
+
+# ---------------------------------------------------------------------------
+# The translators and the facts fold, each folding every guard or walking
+# every right-hand side again inside its own fold (copied unchanged)
+
+def formula_st_to_hp(f: Formula) -> Formula:
+    """Compile an ST formula; XOR is rewritten to (NOT p AND q) OR (NOT q AND p)."""
+    if f.dialect == HP:
+        raise DialectError("formula_st_to_hp expects an ST-dialect formula")
+    return fold(f, _shared_connectives, _CONNECTIVES)
+
+
+def formula_hp_to_st(f: Formula) -> Formula:
+    """Compile an HP formula; -> and <-> are rewritten into AND/OR/NOT first."""
+    if f.dialect == ST:
+        raise DialectError("formula_hp_to_st expects an HP-dialect formula")
+    return fold(f, _shared_connectives, _CONNECTIVES)
+
+
+# Comparisons and truth values are leaves, and carry over unchanged.
+_CONNECTIVES = {cls: CHILDREN[cls] for cls in (Not, And, Or, Xor, Imply, Equiv)}
+
+
+def _shared_connectives(f: Formula, kids) -> Formula:
+    """`f` over the connectives both languages have. A formula has the
+    connectives of its own dialect only, so one rewrite serves both ways."""
+    cls = f.__class__
+    if cls is Xor:
+        left, right = kids
+        return Or(And(Not(left), right), And(Not(right), left))
+    if cls is Imply:
+        left, right = kids
+        return Or(Not(left), right)
+    if cls is Equiv:
+        left, right = kids
+        return Or(And(Not(left), Not(right)), And(left, right))
+    if cls in _CONNECTIVES:
+        return cls(*kids)
+    return f
+
+
+# ---------------------------------------------------------------------------
+# Programs
+
+def prog_st_to_hp(s: Program) -> Program:
+    """Compile ST statements to the translatable hybrid-program fragment."""
+    return fold(s, _st_to_hp, ST_STATEMENTS)
+
+
+def _st_to_hp(s: Program, kids) -> Program:
+    cls = s.__class__
+    if cls is Assign:
+        return Assign(s.target, term_st_to_hp(s.value))
+    if cls is Seq:
+        return Seq(*kids)
+    if cls is IfThen:
+        else_ = None if s.else_ is None else kids[1]
+        return GuardedChoice(formula_st_to_hp(s.cond), kids[0], else_, complemented=True)
+    raise TypeError(f"cannot compile {cls.__name__} to a hybrid program")
+
+
+def prog_hp_to_st(p: Program) -> tuple[Program, CompileDiagnostics]:
+    """Compile a translatable hybrid program to ST statements.
+
+    Default-beta choices resolve to if-then-else by favoring the guarded
+    branch; each such linearization is recorded as a warning.
+    """
+    warnings: list[CompileWarning] = []
+
+    def hp_to_st(p: Program, kids) -> Program:
+        cls = p.__class__
+        if cls is Assign:
+            return Assign(p.target, term_hp_to_st(p.value))
+        if cls is Seq:
+            return Seq(*kids)
+        if cls is not GuardedChoice:
+            raise NotNormalForm(f"{cls.__name__} has no ST counterpart", getattr(p, "pos", None))
+        if not p.complemented:
+            warnings.append(CompileWarning(
+                "linearized-choice",
+                "default branch of a guarded choice became ELSE; the PLC favors "
+                "the guarded branch, losing nondeterminism",
+                getattr(p, "pos", None),
+            ))
+        return IfThen(formula_hp_to_st(p.guard), *kids)
+
+    result = fold(p, hp_to_st, HP_STATEMENTS)
+    return result, CompileDiagnostics(tuple(warnings))
+
+
+# The translatable statements, with the right-hand side of an assignment and
+# the guard of a conditional as children, so a fold meets them in source order.
+_FACT_CHILDREN = {cls: CHILDREN[cls] for cls in (Assign, Seq, IfThen, GuardedChoice)}
+
+
+def program_facts(p: Program) -> ProgramFacts:
+    """The facts of a translatable program (ST statements included), from one
+    fold; TypeError on any other statement. Assignment: FV = vars(rhs), BV =
+    MBV = {target}. Sequence: FV(a) united with FV(b) minus MBV(a); BV and MBV
+    are unions. Conditionals: the guard's variables are free, BV is the union
+    of the branches, MBV the intersection (an absent branch contributes
+    nothing). Only a parent reads the sets of its children, so each step grows
+    the larger operand in place: Seq and ELSIF chains cost linear set work."""
+    read, assigned = {}, {}  # assigned: variable -> only ever assigned 0 or 1
+
+    def combine(n, kids):
+        cls = n.__class__
+        if cls is Assign:
+            ok = n.value.__class__ is Number and n.value.value in (0.0, 1.0)
+            assigned[n.target] = assigned.get(n.target, True) and ok
+            return kids[0], {n.target}, {n.target}
+        if cls is Seq:
+            free, bound, must = kids[0]
+            for f, b, m in kids[1:]:
+                f -= must  # iterates the smaller of the two sets
+                free, bound, must = _grow(free, f), _grow(bound, b), _grow(must, m)
+            return free, bound, must
+        if cls is IfThen or cls is GuardedChoice:
+            guard, (ft, bt, mt), (fe, be, me) = (
+                kids if len(kids) == 3 else (*kids, (set(), set(), set())))
+            return _grow(_grow(guard, ft), fe), _grow(bt, be), mt & me
+        if n is p or isinstance(n, Program):
+            raise TypeError(f"var_sets is defined on the translatable fragment, not {cls.__name__}")
+        found = [v.ident for v in walk(n) if v.__class__ is Var]
+        read.update(dict.fromkeys(found))
+        return set(found)
+
+    free, bound, must = fold(p, combine, _FACT_CHILDREN)
+    return ProgramFacts(VarSets(frozenset(free), frozenset(bound), frozenset(must)), tuple(read),
+                        tuple(assigned), frozenset(x for x, ok in assigned.items() if ok))
+
+
+def _grow(a: set, b: set) -> set:
+    if len(a) < len(b):
+        a, b = b, a
+    a |= b
+    return a

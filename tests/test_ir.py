@@ -303,6 +303,22 @@ def test_node_is_frozen_with_the_dataclass_messages(node, text):
         node.pos = (1, 1)
 
 
+def test_number_keeps_the_float_of_its_lexeme():
+    n = Number("2.50")
+    assert n.value == 2.5 and n.value.__class__ is float and Number.FIELDS == ("lexeme",)
+    # Equality, hash, repr and pickling read the lexeme alone.
+    assert n == Number("2.50") and hash(n) == hash(Number("2.50")) and n != Number("2.5")
+    assert repr(n) == "Number(lexeme='2.50')" and n.__reduce__() == (Number, ("2.50",), None)
+    copies = [copy.copy(n), copy.deepcopy(n)]
+    copies += [pickle.loads(pickle.dumps(n, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies:
+        assert twin == n and twin.value == 2.5
+    with pytest.raises(dataclasses.FrozenInstanceError, match=r"\Acannot assign to field 'value'\Z"):
+        n.value = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError, match=r"\Acannot delete field 'value'\Z"):
+        del n.value
+
+
 def test_equality_and_hash_ignore_pos():
     rows = [
         (lambda pos: Assign(_x, _one, pos=pos)),
