@@ -16,8 +16,8 @@ language's spellings, and this module holds the machinery built from them:
   that yields a Term or a Formula and checks operand kinds. A token's
   value determines its kind (no identifier is spelled like an operator or
   a keyword), so the grammar tests values alone wherever it looks for an
-  operator or keyword. One parse builds one `Var` per name and one
-  `Number` per lexeme, which its trees share;
+  operator or keyword. Its leaves are `ir`'s interned ones: one `Var` per
+  name and one `Number` per lexeme in the process, which all trees share;
 - `Lines`, the line and column of an offset, by bisection over the offsets
   of the text's newlines. A parse computes them only where a node records
   its `pos` or an error is raised;
@@ -42,11 +42,10 @@ from typing import NamedTuple
 from .errors import ParseError
 from .ir import (
     ADD, DIV, EQ, GE, GT, LE, LT, MUL, NE, POW, SUB,
-    BinOp, BoolConst, Cmp, Formula, Ident, Neg, Not, Number, Term, Var, fold,
+    IDENT, NUMBER, BinOp, BoolConst, Cmp, Formula, Ident, Neg, Not, Number, Term, Var, fold,
 )
 
 LEFT, RIGHT, NONASSOC = "left", "right", "nonassoc"
-NUMBER = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
 # A `T#` duration: a number, then its unit after any spaces and tabs.
 _DURATION = r"[Tt]#" + NUMBER + r"[ \t]*(?i:ms|s)"
 _NUMBER = re.compile(NUMBER)
@@ -121,7 +120,7 @@ class Dialect:
         open_, close = map(re.escape, comment)
         self.split = re.compile("(" + "|".join([
             *([_DURATION, r"[Tt]#"] if durations else []),
-            r"[A-Za-z_][A-Za-z0-9_]*",
+            IDENT,
             NUMBER,
             r"//[^\n]*",
             f"{open_}(?s:.*?)(?:{close}|\\Z)",
@@ -290,9 +289,6 @@ class Parser:
         self.values, self.kinds, self.offsets = self.dialect.lex(text)
         self.pos = 0
         self.lines = None  # built by the first `at`
-        # Terms carry no position, so a parse builds one Var per name and one
-        # Number per lexeme. The keys cannot clash: no name starts with a digit.
-        self.leaves: dict[str, Term] = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -322,17 +318,15 @@ class Parser:
         if self.kinds[i] != "ident":
             self.fail(f"found {self.describe(i)}", "identifier")
         self.pos = i + 1
-        return (self.leaves.get(self.values[i]) or self.leaf(i)).ident
+        return self.leaf(i).ident
 
     def leaf(self, i: int) -> Term:
-        """The Var or Number of identifier or number token `i`, first met here."""
+        """The Var or Number of identifier or number token `i`."""
         value = self.values[i]
         try:
-            leaf = Var(Ident(value)) if self.kinds[i] == "ident" else Number(value)
+            return Var(Ident(value)) if self.kinds[i] == "ident" else Number(value)
         except ValueError as exc:  # a reserved word of the other language, or past binary64
             raise ParseError(str(exc), *self.at(i)) from None
-        self.leaves[value] = leaf
-        return leaf
 
     def fail(self, message: str, expected: str | None = None):
         """Raise `message` at the next token."""
@@ -419,7 +413,7 @@ class Parser:
         kind = self.kinds[i]
         if kind == "ident" or kind == "number":
             self.pos = i + 1
-            return self.leaves.get(self.values[i]) or self.leaf(i)
+            return self.leaf(i)
         value = self.values[i]
         if value == "TRUE" or value == "FALSE":
             self.pos = i + 1

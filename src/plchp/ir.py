@@ -7,8 +7,9 @@ valid in both) so connectives that exist in only one language cannot leak
 into the other: the constructors refuse to mix dialects.
 
 Everything in this module is immutable after construction and safe to share
-between threads. Identifiers are interned: one object per name; `==` is
-`is`.
+between threads. The leaves (identifiers, variables, number literals and
+truth values) are interned: one object per process for each name, lexeme or
+truth value, so `==` on them is `is`.
 """
 
 from __future__ import annotations
@@ -30,64 +31,19 @@ RESERVED_WORDS = frozenset({
     "LREAL", "REAL", "BOOL",
 })
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_NUMBER_RE = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?\Z")
+# The lexemes of a name and of a number literal, the same in both surface
+# syntaxes: `_syntax` builds its lexer from them, and `Ident` and `Number`
+# check what they are given against them.
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+NUMBER = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+_IDENT_RE = re.compile(IDENT + r"\Z")
+_NUMBER_RE = re.compile(NUMBER + r"\Z")
 
 # Formula dialects.
 HP = "hp"
 ST = "st"
 
 Pos = tuple  # (line, col), attached by the parsers, excluded from equality
-
-
-# Name -> its one Ident. Entries are never removed; a process holds one per
-# distinct name it has seen.
-_INTERNED: dict[str, "Ident"] = {}
-
-
-class Ident:
-    """A variable name, valid in both surface syntaxes.
-
-    Interned: `Ident(name)` returns the one object for that name, so `==`
-    is `is`, and the hash is the identity hash. Both run in C, and every
-    dict and set keyed by variables (states, trace rows, layouts) pays
-    for them. The name is checked the first time it is seen. The object
-    is immutable like a frozen dataclass, and copying or unpickling it
-    gives back the same object.
-    """
-
-    __slots__ = ("name",)
-    __match_args__ = ("name",)
-
-    def __new__(cls, name: str) -> "Ident":
-        # A name that is not a plain str takes the checks, which raise the
-        # constructor's own TypeError for a non-string.
-        ident = _INTERNED.get(name) if name.__class__ is str else None
-        if ident is None:
-            if not _IDENT_RE.match(name):
-                raise ValueError(f"invalid identifier: {name!r}")
-            if name.upper() in RESERVED_WORDS:
-                raise ValueError(f"reserved keyword cannot be an identifier: {name!r}")
-            ident = object.__new__(cls)
-            object.__setattr__(ident, "name", name)
-            # Of two threads racing on a new name, both get the first insert.
-            ident = _INTERNED.setdefault(name, ident)
-        return ident
-
-    def __setattr__(self, attr, value):
-        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
-
-    def __delattr__(self, attr):
-        raise FrozenInstanceError(f"cannot delete field {attr!r}")
-
-    def __reduce__(self):
-        return Ident, (self.name,)
-
-    def __repr__(self) -> str:
-        return f"Ident(name={self.name!r})"
-
-    def __str__(self) -> str:
-        return self.name
 
 
 # ---------------------------------------------------------------------------
@@ -97,20 +53,29 @@ _set = object.__setattr__
 
 
 class Node:
-    """Base class of terms, formulas and statements: slotted and immutable,
-    as a frozen dataclass is. `FIELDS` names a class's fields in constructor
-    order; `==`, `hash` and `repr` read those (not `pos`), and the items of
-    a tuple field, on an explicit stack, so any depth is in reach of each.
+    """Base class of identifiers, terms, formulas and statements: slotted
+    and immutable, as a frozen dataclass is. `FIELDS` names a class's fields
+    in constructor order; `==` and `hash` read one pre-order flattening of
+    them (not `pos`) and of the items of a tuple field, `repr` writes them,
+    and each works on an explicit stack, so any depth is in reach of each.
 
     A class that declares `FIELDS` and no `__init__` gets a constructor with
     one parameter per field, in that order, and `pos` by keyword on a
     statement. It stores them, then calls the class's `__post_init__`, if
-    any, which checks them and sets derived fields."""
+    any, which checks them and sets derived fields.
+
+    A class declared with `interned=True` is a leaf of one field, and its
+    constructor returns the one node for each value of that field: it looks
+    the value up in the class's table, `interned`, and only on a miss builds
+    and checks a node, then stores it. A refused value is not stored. So
+    `==` is `is`, and `==` and `hash` are object's own, in C; copying and
+    unpickling go through the constructor and give back the same node."""
 
     __slots__ = ()
     FIELDS: tuple[str, ...] = ()
+    interned: Optional[dict] = None  # an interned class's table: value -> its node
 
-    def __init_subclass__(cls):
+    def __init_subclass__(cls, interned=False):
         # The constructor is compiled once per class, as a dataclass's is.
         if "FIELDS" not in cls.__dict__ or "__init__" in cls.__dict__:
             return
@@ -120,10 +85,22 @@ class Node:
             body.append("_set(self, 'pos', pos)")
         if hasattr(cls, "__post_init__"):
             body.append("self.__post_init__()")
-        namespace = {"_set": _set, "__name__": __name__}
-        exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), namespace)
-        cls.__init__ = namespace["__init__"]
-        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        namespace = {"_set": _set, "__name__": __name__, "new": object.__new__}
+        if interned:
+            # A miss, or an unhashable value, which the checks then refuse,
+            # builds a node. Of two threads racing on a new value, both get
+            # the first insert.
+            (f,) = params
+            namespace["table"] = cls.interned = {}
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+            name, params = "__new__", ["cls", f]
+            body = [f"try:\n        return table[{f}]\n    except (KeyError, TypeError):\n        pass",
+                    "self = new(cls)", *body, f"return table.setdefault({f}, self)"]
+        else:
+            name, params = "__init__", ["self", *params]
+        exec(f"def {name}({', '.join(params)}):\n    " + "\n    ".join(body), namespace)
+        setattr(cls, name, namespace[name])
+        namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -131,45 +108,30 @@ class Node:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            for name in a.FIELDS:
-                x, y = getattr(a, name), getattr(b, name)
-                if x is y:
-                    continue
-                if isinstance(x, Node):
-                    if y.__class__ is not x.__class__:
-                        return False
-                    stack.append((x, y))
-                elif x.__class__ is y.__class__ is tuple and len(x) == len(y):
-                    for u, v in zip(x, y):  # a tuple field: its nodes go on the stack too
-                        if isinstance(u, Node) and v.__class__ is u.__class__:
-                            stack.append((u, v))
-                        elif u != v:
-                            return False
-                elif x != y:
-                    return False
-        return True
-
-    def __hash__(self) -> int:
-        # Each node's class, then its fields, and each tuple's length, then its
-        # items, in place of the node or tuple: equal trees give equal sequences.
+    def _flat(self) -> list:
+        """Each node's class, then its fields, and each tuple's `tuple` and
+        length, then its items, in place of the node or tuple; an interned
+        leaf stands for itself. Equal trees give equal lists."""
         flat, stack = [], [self]
         while stack:
             n = stack.pop()
-            if isinstance(n, Node):
-                flat.append(n.__class__)
-                stack += [getattr(n, name) for name in reversed(n.FIELDS)]
-            elif n.__class__ is tuple:
+            if n.__class__ is tuple:
                 flat += (tuple, len(n))
                 stack += reversed(n)
+            elif isinstance(n, Node) and n.interned is None:
+                flat.append(n.__class__)
+                stack += [getattr(n, name) for name in reversed(n.FIELDS)]
             else:
                 flat.append(n)
-        return hash(tuple(flat))
+        return flat
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._flat() == other._flat()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._flat()))
 
     def __repr__(self) -> str:
         # The stack holds text to write, and nodes and tuples to write out.
@@ -198,6 +160,24 @@ class Node:
         _set(self, "pos", pos)
 
 
+class Ident(Node, interned=True):
+    """A variable name, valid in both surface syntaxes; a name is checked
+    the first time it is seen. Interned, like every leaf: every dict and set
+    keyed by variables (states, trace rows, layouts) compares and hashes its
+    keys in C."""
+
+    __slots__ = FIELDS = ("name",)
+
+    def __post_init__(self):
+        if not _IDENT_RE.match(self.name):
+            raise ValueError(f"invalid identifier: {self.name!r}")
+        if self.name.upper() in RESERVED_WORDS:
+            raise ValueError(f"reserved keyword cannot be an identifier: {self.name!r}")
+
+    def __str__(self) -> str:
+        return self.name
+
+
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -211,10 +191,10 @@ class Term(Node):
     __slots__ = ()
 
 
-class Number(Term):
+class Number(Term, interned=True):
     """Numeric literal. The source lexeme is kept so printing is lossless;
-    two literals are equal only if their lexemes agree, and `value` is its
-    float. A lexeme past the range of binary64 (value `inf`) is refused."""
+    there is one literal per lexeme, and `value` is its float. A lexeme past
+    the range of binary64 (value `inf`) is refused."""
 
     FIELDS = ("lexeme",)
     __slots__ = (*FIELDS, "value")
@@ -228,7 +208,7 @@ class Number(Term):
         _set(self, "value", value)
 
 
-class Var(Term):
+class Var(Term, interned=True):
     __slots__ = FIELDS = ("ident",)
 
     def __str__(self) -> str:
@@ -263,10 +243,17 @@ EQ, NE, GT, GE, LT, LE = "eq", "ne", "gt", "ge", "lt", "le"
 RELATIONS = (EQ, NE, GT, GE, LT, LE)
 
 
+def _dialect(f) -> Optional[str]:
+    """The dialect of formula `f`; TypeError if `f` is not a formula."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {type(f).__name__}")
+    return f.dialect
+
+
 def _merge_dialects(node: str, own: Optional[str], children) -> Optional[str]:
     merged = own
     for child in children:
-        d = child.dialect
+        d = _dialect(child)
         if d is None:
             continue
         if merged is None:
@@ -290,7 +277,7 @@ class Formula(Node):
     dialect: Optional[str] = None
 
 
-class BoolConst(Formula):
+class BoolConst(Formula, interned=True):
     __slots__ = FIELDS = ("value",)
 
 
@@ -392,6 +379,14 @@ class Program(Node):
     __slots__ = ("pos",)  # unset on a Seq
 
 
+def _statements(*stmts) -> tuple:
+    """`stmts`, if each is a statement; else TypeError."""
+    for s in stmts:
+        if not isinstance(s, Program):
+            raise TypeError(f"not a statement: {type(s).__name__}")
+    return stmts
+
+
 class Assign(Program):
     __slots__ = FIELDS = ("target", "value")
 
@@ -412,7 +407,7 @@ class Seq(Program):
             flat += s.stmts if s.__class__ is Seq else (s,)
         if len(flat) < 2:
             raise TypeError(f"a Seq holds two or more statements, not {len(flat)}")
-        _set(self, "stmts", tuple(flat))
+        _set(self, "stmts", _statements(*flat))
 
     def __reduce__(self):
         return Seq, self.stmts
@@ -426,12 +421,13 @@ class IfThen(Program):
 
     def __init__(self, cond: Formula, then: Program, else_: Optional[Program] = None, *,
                  pos: Optional[Pos] = None):
-        if cond.dialect == HP:
+        if _dialect(cond) == HP:
             raise DialectError("IF condition must be an ST-dialect formula")
         _set(self, "cond", cond)
         _set(self, "then", then)
         _set(self, "else_", else_)
         _set(self, "pos", pos)
+        _statements(*_branches(self))
 
 
 class GuardedChoice(Program):
@@ -446,8 +442,9 @@ class GuardedChoice(Program):
     __slots__ = FIELDS = ("guard", "then", "else_", "complemented")
 
     def __post_init__(self):
-        if self.guard.dialect == ST:
+        if _dialect(self.guard) == ST:
             raise DialectError("choice guard must be an HP-dialect formula")
+        _statements(*_branches(self))
         if not self.complemented and self.else_ is None:
             raise ValueError("default-beta choice requires an explicit default branch")
 
@@ -465,7 +462,7 @@ class TestStmt(Program):
     __slots__ = FIELDS = ("cond",)
 
     def __post_init__(self):
-        if self.cond.dialect == ST:
+        if _dialect(self.cond) == ST:
             raise DialectError("test condition must be an HP-dialect formula")
 
 
@@ -485,7 +482,7 @@ class OdeSystem(Program):
     __slots__ = FIELDS = ("odes", "domain")
 
     def __post_init__(self):
-        if self.domain.dialect == ST:
+        if _dialect(self.domain) == ST:
             raise DialectError("evolution domain must be an HP-dialect formula")
         _reject_duplicate_odes(self.odes)
 
@@ -495,11 +492,17 @@ class Loop(Program):
 
     __slots__ = FIELDS = ("body",)
 
+    def __post_init__(self):
+        _statements(self.body)
+
 
 class Choice(Program):
     """Raw parsed choice whose left branch does not open with a test."""
 
     __slots__ = FIELDS = ("left", "right")
+
+    def __post_init__(self):
+        _statements(self.left, self.right)
 
 
 # ---------------------------------------------------------------------------

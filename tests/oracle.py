@@ -9,6 +9,9 @@
 - The four translators and `program_facts` as they were when each started
   a second fold or walk per guard or right-hand side, under their old
   names. tests/test_translate_folds.py holds the one-fold versions to them.
+- `node_eq`, the equality walker `Node.__eq__` was before `==` and `hash`
+  shared one flattening. tests/test_node_equality.py holds `==`, `!=` and
+  `hash` to it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from plchp._syntax import Token
 from plchp.errors import DialectError, NotNormalForm, ParseError
 from plchp.ir import (
     ADD, And, Assign, BinOp, CHILDREN, Cmp, Equiv, Formula, GE, GT, GuardedChoice, HP,
-    HP_STATEMENTS, Ident, IfThen, Imply, LE, LT, Not, Number, Or, Program, ProgramFacts, ST,
+    HP_STATEMENTS, Ident, IfThen, Imply, LE, LT, Node, Not, Number, Or, Program, ProgramFacts, ST,
     ST_STATEMENTS, Seq, State, Term, Var, VarSets, Xor, fold, list_to_seq, number_lexeme, walk,
 )
 from plchp.semantics import GenConfig, ReachSet, hp_reachable
@@ -380,3 +383,32 @@ def _grow(a: set, b: set) -> set:
         a, b = b, a
     a |= b
     return a
+
+
+# ---------------------------------------------------------------------------
+# Node equality, one explicit-stack walk of two trees' fields (copied unchanged
+# from `Node.__eq__`)
+
+def node_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        for name in a.FIELDS:
+            x, y = getattr(a, name), getattr(b, name)
+            if x is y:
+                continue
+            if isinstance(x, Node):
+                if y.__class__ is not x.__class__:
+                    return False
+                stack.append((x, y))
+            elif x.__class__ is y.__class__ is tuple and len(x) == len(y):
+                for u, v in zip(x, y):  # a tuple field: its nodes go on the stack too
+                    if isinstance(u, Node) and v.__class__ is u.__class__:
+                        stack.append((u, v))
+                    elif u != v:
+                        return False
+            elif x != y:
+                return False
+    return True

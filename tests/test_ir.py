@@ -17,7 +17,7 @@ from plchp import (
     collect_vars, parse_dl_model, print_dl, validate_scan_cycle_form,
 )
 from plchp.errors import DialectError, UnboundVariable
-from plchp.ir import GE, GT, HP, LE, ST, BinOp, DIV, SUB, TRUE, list_to_seq
+from plchp.ir import FALSE, GE, GT, HP, LE, ST, BinOp, DIV, SUB, TRUE, list_to_seq
 
 
 def test_ident_rejects_reserved_and_malformed():
@@ -85,14 +85,18 @@ def test_ident_refuses_a_name_that_is_not_a_string(name):
     assert str(err.value) == str(expected.value)
 
 
-def test_threads_racing_on_a_new_name_get_one_object():
-    name = "fresh_" + uuid.uuid4().hex
+@pytest.mark.parametrize("cls, fresh", [
+    (Ident, lambda: "fresh_" + uuid.uuid4().hex),
+    (Number, lambda: str(uuid.uuid4().int)),  # a lexeme no other test uses
+], ids=["Ident", "Number"])
+def test_threads_racing_on_a_new_name_get_one_object(cls, fresh):
+    name = fresh()
     start = threading.Barrier(8, timeout=10)
     got = []
 
     def make():
         start.wait()
-        got.append(Ident(name))
+        got.append(cls(name))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -105,7 +109,35 @@ def test_threads_racing_on_a_new_name_get_one_object():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(got) == 8 and all(x is Ident(name) for x in got)
+    assert len(got) == 8 and all(x is cls(name) for x in got)
+
+
+def test_every_leaf_is_one_object_per_value():
+    x = Ident("x")
+    assert Var(x) is Var(x) and Var(ident=x) is Var(Ident("x")) and Var(Ident("y")) is not Var(x)
+    assert BoolConst(True) is TRUE and BoolConst(value=False) is FALSE
+    n = Number("1")
+    assert Number("1") is n and Number(lexeme="1") is n and Number("1.0") is not n
+    copies = [copy.copy(n), copy.deepcopy(n), copy.deepcopy(Cmp(GE, Var(x), n)).right]
+    copies += [pickle.loads(pickle.dumps(n, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert all(twin is n for twin in copies)
+    # So a leaf's == is `is`, and its hash the identity hash, both object's own.
+    for leaf in (x, Var(x), n, TRUE):
+        cls = leaf.__class__
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+        assert cls.interned[getattr(leaf, cls.FIELDS[0])] is leaf
+
+
+@pytest.mark.parametrize("lexeme, message", [
+    ("-1", "invalid number literal: '-1'"),
+    ("1e400", "number literal out of range: '1e400'"),
+])
+def test_a_refused_number_is_not_remembered(lexeme, message):
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            Number(lexeme)
+        assert str(err.value) == message
+    assert lexeme not in Number.interned
 
 
 def test_number_keeps_lexeme():
@@ -337,7 +369,7 @@ def test_equality_and_hash_ignore_pos():
 
 
 def test_nodes_of_different_classes_with_equal_fields_differ():
-    pairs = [(Seq(_p, _p), Choice(_p, _p)), (Neg(_t), Loop(_t)), (Not(_f), TestStmt(_f)),
+    pairs = [(Seq(_p, _p), Choice(_p, _p)), (Neg(_p), Loop(_p)), (Not(_f), TestStmt(_f)),
              (Var(_x), RandomAssign(_x)), (And(_f, _f), Xor(_f, _f))]
     for a, b in pairs:
         assert a != b and b != a and not a == b

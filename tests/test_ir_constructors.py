@@ -65,12 +65,26 @@ CHECKS = [
     (lambda: TestStmt(_st), DialectError, "test condition must be an HP-dialect formula"),
     (lambda: OdeSystem(_dup, _st), DialectError, "evolution domain must be an HP-dialect formula"),
     (lambda: OdeSystem(_dup, TRUE), ValueError, "duplicate differential equation for x"),
+    (lambda: Seq(_s, _a), TypeError, "not a statement: Cmp"),
+    (lambda: IfThen(_a, _s, _a), TypeError, "not a statement: Cmp"),
+    (lambda: GuardedChoice(_a, _a, None, False), TypeError, "not a statement: Cmp"),
+    (lambda: Choice(_s, _a), TypeError, "not a statement: Cmp"),
+    (lambda: Loop(_a), TypeError, "not a statement: Cmp"),
+    (lambda: IfThen(Var(_x), _a), TypeError, "not a formula: Var"),
+    (lambda: GuardedChoice(Var(_x), _a, None, False), TypeError, "not a formula: Var"),
+    (lambda: TestStmt(Var(_x)), TypeError, "not a formula: Var"),
+    (lambda: OdeSystem(_dup, Var(_x)), TypeError, "not a formula: Var"),
+    (lambda: Not(Var(_x)), TypeError, "not a formula: Var"),
+    (lambda: Xor(_a, Var(_x)), TypeError, "not a formula: Var"),
 ]
 
 
 @pytest.mark.parametrize("build, error, message", CHECKS, ids=[
     "Number", "BinOp", "Cmp", "Assign", "And", "Not", "IfThen", "GuardedChoice-dialect",
-    "GuardedChoice-default", "TestStmt", "OdeSystem-dialect", "OdeSystem-duplicate"])
+    "GuardedChoice-default", "TestStmt", "OdeSystem-dialect", "OdeSystem-duplicate",
+    "Seq-statement", "IfThen-statement", "GuardedChoice-statement", "Choice-statement",
+    "Loop-statement", "IfThen-formula", "GuardedChoice-formula", "TestStmt-formula",
+    "OdeSystem-formula", "Not-formula", "Connective-formula"])
 def test_constructor_checks(build, error, message):
     with pytest.raises(error) as caught:
         build()
