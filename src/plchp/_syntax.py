@@ -17,7 +17,14 @@ language's spellings, and this module holds the machinery built from them:
   value determines its kind (no identifier is spelled like an operator or
   a keyword), so the grammar tests values alone wherever it looks for an
   operator or keyword. Its leaves are `ir`'s interned ones: one `Var` per
-  name and one `Number` per lexeme in the process, which all trees share;
+  name and one `Number` per lexeme in the process, which all trees share.
+  Each parse hash-conses its terms and formulas (Filliâtre & Conchon,
+  "Type-safe modular hash-consing", 2006) in one table that lives as long
+  as its parser: a leaf's lexeme maps to the leaf, and a builder with the
+  identities of its operands to the node it built, so each distinct
+  subtree of a source is built once and equal subtrees are one object,
+  whose `==` returns at `is`. The expression loop reads known leaves from
+  the table itself; `atom` reads every other operand token;
 - `Lines`, the line and column of an offset, by bisection over the offsets
   of the text's newlines. A parse computes them only where a node records
   its `pos` or an error is raised;
@@ -41,7 +48,7 @@ from typing import NamedTuple
 
 from .errors import ParseError
 from .ir import (
-    ADD, DIV, EQ, GE, GT, LE, LT, MUL, NE, POW, SUB,
+    ADD, DIV, EQ, FALSE, GE, GT, LE, LT, MUL, NE, POW, SUB, TRUE,
     IDENT, NUMBER, BinOp, BoolConst, Cmp, Formula, Ident, Neg, Not, Number, Term, Var, fold,
 )
 
@@ -289,6 +296,11 @@ class Parser:
         self.values, self.kinds, self.offsets = self.dialect.lex(text)
         self.pos = 0
         self.lines = None  # built by the first `at`
+        # The parse's hash-consing table: leaf lexeme -> its leaf, and
+        # (builder, id of each operand) -> the term or formula it built. It
+        # lives as long as the parser; its nodes keep their operands, and so
+        # the identities in its keys, alive.
+        self.table = {"TRUE": TRUE, "FALSE": FALSE}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -323,10 +335,14 @@ class Parser:
     def leaf(self, i: int) -> Term:
         """The Var or Number of identifier or number token `i`."""
         value = self.values[i]
-        try:
-            return Var(Ident(value)) if self.kinds[i] == "ident" else Number(value)
-        except ValueError as exc:  # a reserved word of the other language, or past binary64
-            raise ParseError(str(exc), *self.at(i)) from None
+        node = self.table.get(value)
+        if node is None:
+            try:
+                node = Var(Ident(value)) if self.kinds[i] == "ident" else Number(value)
+            except ValueError as exc:  # a reserved word of the other language, or past binary64
+                raise ParseError(str(exc), *self.at(i)) from None
+            self.table[value] = node
+        return node
 
     def fail(self, message: str, expected: str | None = None):
         """Raise `message` at the next token."""
@@ -362,10 +378,13 @@ class Parser:
         """An expression whose binary operators bind at `min_level` or tighter.
 
         Operands are parsed before their kinds are checked, and a failed
-        check is reported at the operator token.
+        check is reported at the operator token. A leaf the parse has met
+        before comes from the table; so does a node whose builder and
+        operands it has met before, so equal subtrees are one object.
         """
         d = self.dialect
-        binary, prefix, values = d.binary, d.prefix, self.values
+        binary, prefix, values, table = d.binary, d.prefix, self.values, self.table
+        pos = self.pos  # the cursor, stored back before any call that reads it
         # Everything that waits for an operand waits on one stack, so no
         # nesting costs a Python frame: prefix operators, binary operators
         # with their left operands, and open parentheses (entry None). Each
@@ -375,37 +394,55 @@ class Parser:
         pending = []  # (token index, left operand or None, entry or None, level around it)
         while True:
             while True:  # an operand, after its prefixes and open parentheses
-                i = self.pos
-                value = values[i]
+                value = values[pos]
                 entry = prefix.get(value)
                 if entry is not None and entry[0] >= min_level:
-                    pending.append((i, None, entry, min_level))
+                    pending.append((pos, None, entry, min_level))
                     min_level = entry[0]
                 elif value == "(":
-                    pending.append((i, None, None, min_level))
+                    pending.append((pos, None, None, min_level))
                     min_level = 1
                 else:
                     break
-                self.pos = i + 1
-            left = self.atom(i)
+                pos += 1
+            # A known leaf, unless a call's parenthesis follows it: `atom`
+            # reads every other token, and raises the dialect's errors.
+            left = table.get(value)
+            if left is None or values[pos + 1] == "(":
+                self.pos = pos
+                left = self.atom(pos)
+                pos = self.pos
+            else:
+                pos += 1
             while True:  # then the operators after it
-                entry = binary.get(values[self.pos])
+                entry = binary.get(values[pos])
                 if entry is not None and entry[0] >= min_level:
                     break
                 if not pending:
+                    self.pos = pos
                     return left
                 i, operand, waiting, min_level = pending.pop()
                 if waiting is None:
-                    self.expect_op(")")
+                    if values[pos] != ")":
+                        self.pos = pos
+                        self.expect_op(")")
+                    pos += 1
                     continue
                 level, assoc, operands, build = waiting
-                if not isinstance(left, operands) or not (operand is None or isinstance(operand, operands)):
-                    raise self.kind_error(operands, i)
-                left = build(left) if operand is None else build(operand, left)
+                # A hit passed the kind check when it was built.
+                key = (build, id(operand), id(left))
+                node = table.get(key)
+                if node is None:
+                    if not isinstance(left, operands) or not (
+                            operand is None or isinstance(operand, operands)):
+                        raise self.kind_error(operands, i)
+                    node = table[key] = build(left) if operand is None else build(operand, left)
+                left = node
                 if assoc == NONASSOC and entry is not None and entry[0] == level:
+                    self.pos = pos
                     self.fail("comparisons are non-associative", d.chain_expected)
-            pending.append((self.pos, left, entry, min_level))
-            self.pos += 1
+            pending.append((pos, left, entry, min_level))
+            pos += 1
             min_level = entry[0] + (entry[1] != RIGHT)
 
     def atom(self, i: int):

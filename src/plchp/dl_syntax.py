@@ -22,7 +22,7 @@ each top-level statement once, its terms and formulas included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from ._syntax import (
     LEFT, RIGHT, Dialect, Parser, Token, render_formula, render_term, run_nested,
@@ -191,48 +191,81 @@ class _Parser(Parser):
             return TestStmt(cond, pos=self.at(i))
         self.fail(f"found {self.describe(i)}", "a statement")
 
+    # A braced group is parsed as a branch: the formula of its leading test
+    # or None, where that test is, and the statements after it. The test is
+    # taken off before anything is built, and a TestStmt is built only for a
+    # branch that keeps it (see `joined`). Where the test is: the index of
+    # its `?` token, or the TestStmt it came in, when a nested group opens
+    # the branch.
+
     def group_statement(self, start: int):
         """A braced group after its opening brace, token `start`, or a
         choice between several."""
-        node = yield self.braced_group(start)
+        branch = yield self.braced_group(start)
         while self.skip_op("++"):
             nxt = self.expect_op("{", "'{' opening a choice branch")
-            node = self.make_choice(node, (yield self.braced_group(nxt)), start)
+            branch = None, None, [self.make_choice(branch, (yield self.braced_group(nxt)), start)]
         self.skip_op(";")
-        return node
+        return self.joined(branch)
 
     def braced_group(self, start: int):
-        """One braced group after its opening brace, token `start`: an ODE
-        system, a block, an inner choice, or a loop."""
+        """One braced group after its opening brace, token `start`, as a
+        branch: an ODE system, a block, an inner choice, or a loop."""
         if self.kinds[self.pos] == "ident" and self.values[self.pos + 1] == "'":
-            return self.ode_system(start)
+            return None, None, [self.ode_system(start)]
         branches = []
         while True:
-            stmts = yield self.statement_list()
-            if not stmts:
+            branch = yield self.branch()
+            if branch[0] is None and not branch[2]:
                 raise ParseError("empty choice branch", *self.at(start))
-            branches.append(list_to_seq(stmts))
+            branches.append(branch)
             if not self.skip_op("++"):
                 break
         self.expect_op("}")
-        node = branches[0]
+        branch = branches[0]
         for right in branches[1:]:
-            node = self.make_choice(node, right, start)
+            branch = None, None, [self.make_choice(branch, right, start)]
         if len(branches) == 1 and self.skip_op("*"):
-            return Loop(node, pos=self.at(start))
-        return node
+            return None, None, [Loop(self.joined(branch), pos=self.at(start))]
+        return branch
 
-    def make_choice(self, left: Program, right: Program, at: int) -> Program:
-        """Shape a parsed choice: guarded forms become GuardedChoice."""
+    def branch(self):
+        """A statement list, as a branch."""
+        i = self.pos
+        if self.values[i] == "?":
+            self.pos = i + 1
+            cond = self.formula()
+            self.expect_op(";")
+            return cond, i, (yield self.statement_list())
+        stmts = yield self.statement_list()
+        if stmts:
+            first = stmts[0]
+            inner = first.stmts if first.__class__ is Seq else (first,)
+            if inner[0].__class__ is TestStmt:
+                return inner[0].cond, inner[0], [*inner[1:], *stmts[1:]]
+        return None, None, stmts
+
+    def joined(self, branch) -> Program:
+        """A branch as one statement, its test back at its head."""
+        cond, at, stmts = branch
+        if cond is not None:
+            stmts = [at if at.__class__ is TestStmt else TestStmt(cond, pos=self.at(at)), *stmts]
+        return list_to_seq(stmts)
+
+    def make_choice(self, left, right, at: int) -> Program:
+        """Shape a parsed choice between two branches: guarded forms become
+        GuardedChoice."""
         pos = self.at(at)
-        head, rest = _split_test(left)
-        if rest is None:
+        cond, _, stmts = left
+        if cond is None or not stmts:
             # The left branch has no test, or is a bare test: not a guarded execution.
-            return Choice(left, right, pos=pos)
-        right_head, right_rest = _split_test(right)
-        if right_head is not None and detect_complement(head.cond, right_head.cond):
-            return GuardedChoice(head.cond, rest, right_rest, complemented=True, pos=pos)
-        return GuardedChoice(head.cond, rest, right, complemented=False, pos=pos)
+            return Choice(self.joined(left), self.joined(right), pos=pos)
+        then = list_to_seq(stmts)
+        right_cond, _, right_stmts = right
+        if right_cond is not None and detect_complement(cond, right_cond):
+            else_ = list_to_seq(right_stmts) if right_stmts else None
+            return GuardedChoice(cond, then, else_, complemented=True, pos=pos)
+        return GuardedChoice(cond, then, self.joined(right), complemented=False, pos=pos)
 
     def ode_system(self, start: int) -> Program:
         odes: list[tuple[Ident, Term]] = []
@@ -267,14 +300,6 @@ class _Parser(Parser):
         self.expect_op("]")
         safety = self.formula()
         return DlSafetyFormula(assumptions, body, safety)
-
-
-def _split_test(p: Program) -> tuple[Optional[TestStmt], Optional[Program]]:
-    """Split a branch into its leading test and the remainder (if any)."""
-    head, *rest = seq_to_list(p)
-    if head.__class__ is not TestStmt:
-        return None, None
-    return head, list_to_seq(rest) if rest else None
 
 
 # ---------------------------------------------------------------------------

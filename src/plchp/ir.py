@@ -191,6 +191,13 @@ class Term(Node):
     __slots__ = ()
 
 
+def _terms(*terms) -> None:
+    """TypeError unless each of `terms` is a term."""
+    for t in terms:
+        if not isinstance(t, Term):
+            raise TypeError(f"not a term: {type(t).__name__}")
+
+
 class Number(Term, interned=True):
     """Numeric literal. The source lexeme is kept so printing is lossless;
     there is one literal per lexeme, and `value` is its float. A lexeme past
@@ -218,6 +225,9 @@ class Var(Term, interned=True):
 class Neg(Term):
     __slots__ = FIELDS = ("operand",)
 
+    def __post_init__(self):
+        _terms(self.operand)
+
 
 class BinOp(Term):
     __slots__ = FIELDS = ("op", "left", "right")  # op: one of BINARY_OPS
@@ -225,6 +235,7 @@ class BinOp(Term):
     def __post_init__(self):
         if self.op not in BINARY_OPS:
             raise ValueError(f"unknown binary operator: {self.op!r}")
+        _terms(self.left, self.right)
 
 
 def number_lexeme(value: float) -> str:
@@ -287,6 +298,7 @@ class Cmp(Formula):
     def __post_init__(self):
         if self.rel not in RELATIONS:
             raise ValueError(f"unknown relation: {self.rel!r}")
+        _terms(self.left, self.right)
 
 
 class Not(Formula):
@@ -391,8 +403,7 @@ class Assign(Program):
     __slots__ = FIELDS = ("target", "value")
 
     def __post_init__(self):
-        if not isinstance(self.value, Term):
-            raise TypeError(f"not a term: {type(self.value).__name__}")
+        _terms(self.value)
 
 
 class Seq(Program):
@@ -840,7 +851,7 @@ class PlantSpec:
     bound: Term
 
     def __post_init__(self):
-        if self.domain.dialect == ST:
+        if _dialect(self.domain) == ST:
             raise DialectError("evolution domain must be an HP-dialect formula")
         if not isinstance(self.bound, (Var, Number)):
             raise ValueError("clock bound must be a variable or a number literal")
@@ -864,7 +875,7 @@ class ScanCycleModel:
     facts: ProgramFacts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.assumptions.dialect == ST or self.safety.dialect == ST:
+        if _dialect(self.assumptions) == ST or _dialect(self.safety) == ST:
             raise DialectError("assumptions and safety must be HP-dialect formulas")
         facts = program_facts(self.ctrl)
         clock = self.plant.clock

@@ -12,6 +12,10 @@
 - `node_eq`, the equality walker `Node.__eq__` was before `==` and `hash`
   shared one flattening. tests/test_node_equality.py holds `==`, `!=` and
   `hash` to it.
+- `ReferenceStParser` and `ReferenceDlParser`, the two parsers with the
+  expression grammar and the dL choice grammar they had before each parse
+  kept a hash-consing table. tests/test_parser_oracle.py holds the parsers
+  to them.
 """
 
 from __future__ import annotations
@@ -20,12 +24,14 @@ import random
 import re
 from typing import Optional
 
-from plchp._syntax import Token
+from plchp import dl_syntax, st_syntax
+from plchp._syntax import NONASSOC, RIGHT, Parser, Token
 from plchp.errors import DialectError, NotNormalForm, ParseError
 from plchp.ir import (
-    ADD, And, Assign, BinOp, CHILDREN, Cmp, Equiv, Formula, GE, GT, GuardedChoice, HP,
-    HP_STATEMENTS, Ident, IfThen, Imply, LE, LT, Node, Not, Number, Or, Program, ProgramFacts, ST,
-    ST_STATEMENTS, Seq, State, Term, Var, VarSets, Xor, fold, list_to_seq, number_lexeme, walk,
+    ADD, And, Assign, BinOp, BoolConst, CHILDREN, Choice, Cmp, Equiv, Formula, GE, GT,
+    GuardedChoice, HP, HP_STATEMENTS, Ident, IfThen, Imply, LE, LT, Loop, Node, Not, Number, Or,
+    Program, ProgramFacts, ST, ST_STATEMENTS, Seq, State, Term, TestStmt, Var, VarSets, Xor, fold,
+    list_to_seq, number_lexeme, seq_to_list, walk,
 )
 from plchp.semantics import GenConfig, ReachSet, hp_reachable
 from plchp.translate import CompileDiagnostics, CompileWarning, term_hp_to_st, term_st_to_hp
@@ -412,3 +418,138 @@ def node_eq(self, other):
             elif x != y:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The parsers before the per-parse hash-consing table: `Parser.expression`,
+# `atom` and `leaf`, and the dL `group_statement`, `braced_group`,
+# `make_choice` and `_split_test`, copied unchanged. Every other rule is the
+# parsers' own.
+
+class _ReferenceExpressions(Parser):
+    def leaf(self, i: int) -> Term:
+        """The Var or Number of identifier or number token `i`."""
+        value = self.values[i]
+        try:
+            return Var(Ident(value)) if self.kinds[i] == "ident" else Number(value)
+        except ValueError as exc:  # a reserved word of the other language, or past binary64
+            raise ParseError(str(exc), *self.at(i)) from None
+
+    def expression(self, min_level: int = 1):
+        """An expression whose binary operators bind at `min_level` or tighter.
+
+        Operands are parsed before their kinds are checked, and a failed
+        check is reported at the operator token.
+        """
+        d = self.dialect
+        binary, prefix, values = d.binary, d.prefix, self.values
+        # Everything that waits for an operand waits on one stack, so no
+        # nesting costs a Python frame: prefix operators, binary operators
+        # with their left operands, and open parentheses (entry None). Each
+        # entry keeps the level around it. An operator is reduced at the
+        # first operator after its operand that binds looser than it allows:
+        # `a - b - c` is `(a - b) - c` and `a ^ b ^ c` is `a ^ (b ^ c)`.
+        pending = []  # (token index, left operand or None, entry or None, level around it)
+        while True:
+            while True:  # an operand, after its prefixes and open parentheses
+                i = self.pos
+                value = values[i]
+                entry = prefix.get(value)
+                if entry is not None and entry[0] >= min_level:
+                    pending.append((i, None, entry, min_level))
+                    min_level = entry[0]
+                elif value == "(":
+                    pending.append((i, None, None, min_level))
+                    min_level = 1
+                else:
+                    break
+                self.pos = i + 1
+            left = self.atom(i)
+            while True:  # then the operators after it
+                entry = binary.get(values[self.pos])
+                if entry is not None and entry[0] >= min_level:
+                    break
+                if not pending:
+                    return left
+                i, operand, waiting, min_level = pending.pop()
+                if waiting is None:
+                    self.expect_op(")")
+                    continue
+                level, assoc, operands, build = waiting
+                if not isinstance(left, operands) or not (operand is None or isinstance(operand, operands)):
+                    raise self.kind_error(operands, i)
+                left = build(left) if operand is None else build(operand, left)
+                if assoc == NONASSOC and entry is not None and entry[0] == level:
+                    self.fail("comparisons are non-associative", d.chain_expected)
+            pending.append((self.pos, left, entry, min_level))
+            self.pos += 1
+            min_level = entry[0] + (entry[1] != RIGHT)
+
+    def atom(self, i: int):
+        """A number, a variable or a truth value: token `i`, the next."""
+        kind = self.kinds[i]
+        if kind == "ident" or kind == "number":
+            self.pos = i + 1
+            return self.leaf(i)
+        value = self.values[i]
+        if value == "TRUE" or value == "FALSE":
+            self.pos = i + 1
+            return BoolConst(value == "TRUE")
+        self.fail(f"found {self.describe(i)}", self.dialect.operand_expected)
+
+
+class ReferenceStParser(st_syntax._Parser, _ReferenceExpressions):
+    """The ST parser; its `atom` hands on to the reference `atom`."""
+
+
+class ReferenceDlParser(dl_syntax._Parser, _ReferenceExpressions):
+    def group_statement(self, start: int):
+        """A braced group after its opening brace, token `start`, or a
+        choice between several."""
+        node = yield self.braced_group(start)
+        while self.skip_op("++"):
+            nxt = self.expect_op("{", "'{' opening a choice branch")
+            node = self.make_choice(node, (yield self.braced_group(nxt)), start)
+        self.skip_op(";")
+        return node
+
+    def braced_group(self, start: int):
+        """One braced group after its opening brace, token `start`: an ODE
+        system, a block, an inner choice, or a loop."""
+        if self.kinds[self.pos] == "ident" and self.values[self.pos + 1] == "'":
+            return self.ode_system(start)
+        branches = []
+        while True:
+            stmts = yield self.statement_list()
+            if not stmts:
+                raise ParseError("empty choice branch", *self.at(start))
+            branches.append(list_to_seq(stmts))
+            if not self.skip_op("++"):
+                break
+        self.expect_op("}")
+        node = branches[0]
+        for right in branches[1:]:
+            node = self.make_choice(node, right, start)
+        if len(branches) == 1 and self.skip_op("*"):
+            return Loop(node, pos=self.at(start))
+        return node
+
+    def make_choice(self, left: Program, right: Program, at: int) -> Program:
+        """Shape a parsed choice: guarded forms become GuardedChoice."""
+        pos = self.at(at)
+        head, rest = _split_test(left)
+        if rest is None:
+            # The left branch has no test, or is a bare test: not a guarded execution.
+            return Choice(left, right, pos=pos)
+        right_head, right_rest = _split_test(right)
+        if right_head is not None and dl_syntax.detect_complement(head.cond, right_head.cond):
+            return GuardedChoice(head.cond, rest, right_rest, complemented=True, pos=pos)
+        return GuardedChoice(head.cond, rest, right, complemented=False, pos=pos)
+
+
+def _split_test(p: Program) -> tuple[Optional[TestStmt], Optional[Program]]:
+    """Split a branch into its leading test and the remainder (if any)."""
+    head, *rest = seq_to_list(p)
+    if head.__class__ is not TestStmt:
+        return None, None
+    return head, list_to_seq(rest) if rest else None

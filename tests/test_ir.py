@@ -369,7 +369,7 @@ def test_equality_and_hash_ignore_pos():
 
 
 def test_nodes_of_different_classes_with_equal_fields_differ():
-    pairs = [(Seq(_p, _p), Choice(_p, _p)), (Neg(_p), Loop(_p)), (Not(_f), TestStmt(_f)),
+    pairs = [(Seq(_p, _p), Choice(_p, _p)), (Not(_f), TestStmt(_f)),
              (Var(_x), RandomAssign(_x)), (And(_f, _f), Xor(_f, _f))]
     for a, b in pairs:
         assert a != b and b != a and not a == b

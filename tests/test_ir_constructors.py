@@ -7,8 +7,9 @@ import pytest
 
 from plchp.errors import DialectError
 from plchp.ir import (
-    GE, TRUE, And, Assign, BinOp, BoolConst, Choice, Cmp, Equiv, GuardedChoice, Ident, IfThen,
-    Imply, Loop, Neg, Not, Number, OdeSystem, Or, RandomAssign, Seq, TestStmt, Var, Xor,
+    ADD, GE, GT, TRUE, And, Assign, BinOp, BoolConst, Choice, Cmp, Equiv, GuardedChoice, Ident,
+    IfThen, Imply, Loop, Neg, Not, Number, OdeSystem, Or, PlantSpec, RandomAssign, ScanCycleModel,
+    Seq, TestStmt, Var, Xor,
 )
 
 SIGNATURES = {
@@ -47,6 +48,7 @@ _a = Cmp(GE, Var(_x), Number("1"))
 _hp, _st = Imply(_a, _a), Xor(_a, _a)
 _s = Assign(_x, Number("1"))
 _dup = ((_x, Number("1")), (_x, Number("2")))
+_plant = PlantSpec(((_x, Number("1")),), Ident("t"), TRUE, Number("1"))
 
 # Each check, and where a constructor has two, the one that comes first.
 CHECKS = [
@@ -76,6 +78,13 @@ CHECKS = [
     (lambda: OdeSystem(_dup, Var(_x)), TypeError, "not a formula: Var"),
     (lambda: Not(Var(_x)), TypeError, "not a formula: Var"),
     (lambda: Xor(_a, Var(_x)), TypeError, "not a formula: Var"),
+    (lambda: PlantSpec(((_x, Number("1")),), Ident("t"), Var(_x), Number("1")), TypeError,
+     "not a formula: Var"),
+    (lambda: ScanCycleModel(Var(_x), (), _s, _plant, 1.0, TRUE), TypeError, "not a formula: Var"),
+    (lambda: ScanCycleModel(TRUE, (), _s, _plant, 1.0, Var(_x)), TypeError, "not a formula: Var"),
+    (lambda: BinOp(ADD, Var(_x), TRUE), TypeError, "not a term: BoolConst"),
+    (lambda: Neg(_a), TypeError, "not a term: Cmp"),
+    (lambda: Cmp(GT, TRUE, Number("1")), TypeError, "not a term: BoolConst"),
 ]
 
 
@@ -84,7 +93,8 @@ CHECKS = [
     "GuardedChoice-default", "TestStmt", "OdeSystem-dialect", "OdeSystem-duplicate",
     "Seq-statement", "IfThen-statement", "GuardedChoice-statement", "Choice-statement",
     "Loop-statement", "IfThen-formula", "GuardedChoice-formula", "TestStmt-formula",
-    "OdeSystem-formula", "Not-formula", "Connective-formula"])
+    "OdeSystem-formula", "Not-formula", "Connective-formula", "PlantSpec-formula",
+    "ScanCycleModel-assumptions", "ScanCycleModel-safety", "BinOp-term", "Neg-term", "Cmp-term"])
 def test_constructor_checks(build, error, message):
     with pytest.raises(error) as caught:
         build()
