@@ -161,7 +161,7 @@ def _name(text: str) -> str:
 def _read(args, path: str) -> str:
     args._current_file = path
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise InputFileError(path, "not UTF-8 text") from None
 
@@ -362,7 +362,7 @@ def cmd_comply(args) -> int:
     _bind("sim")
     model = _model(args, args.model)
     io_spec = classify_io(model)
-    _, rows = read_trace_file(args.trace)
-    report = check_compliance(model.ctrl, rows, io_spec)
+    header, rows = read_trace_file(args.trace)
+    report = check_compliance(model.ctrl, rows, io_spec, header)
     sys.stdout.write(report.serialize())
     return 1 if report.instances else 0

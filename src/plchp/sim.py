@@ -7,19 +7,19 @@ evolution domain stops the run with a diagnostic. The integrator is a
 fixed-step RK4 with an exact closed form when every right-hand side is
 constant in the evolving variables over the cycle.
 
-The controller, the plant's right-hand sides and its evolution domain are
-compiled once per run into Python functions over one list of slot-indexed
-floats (see `compiled`), and so is the per-plant analysis. The RK4 substep
-loop is emitted for the plant too, by the first RK4 cycle of a run; an
-affine run never emits it. The runs of one process share the code objects,
-so a run of a model seen before compiles nothing. Each cycle runs on that
-list in place and records its snapshots as tuples of it, so a cycle builds
-no `State`; a record builds one only when a snapshot is read. The safety
-property and the trace columns are read from the tuples the same way. The
-emitted code performs the reference interpreters' float operations in the
-same order and raises the same errors, and the tests hold it to
-`eval_term`, `eval_formula` and `run_st` bit for bit, and the whole loop to
-one built from `State`s.
+The controller, the plant's right-hand sides and the conjuncts of its
+evolution domain are compiled once per run into Python functions over one
+list of slot-indexed floats (see `compiled`), and so is the per-plant
+analysis. The RK4 substep loop is emitted for the plant too, by the first
+RK4 cycle of a run; an affine run never emits it. The runs of one process
+share the code objects, so a run of a model seen before compiles nothing.
+Each cycle runs on that list in place and records its snapshots as tuples
+of it, so a cycle builds no `State`; a record builds one only when a
+snapshot is read. The safety property and the trace columns are read from
+the tuples the same way. The emitted code performs the reference
+interpreters' float operations in the same order and raises the same
+errors, and the tests hold it to `eval_term`, `eval_formula` and `run_st`
+bit for bit, and the whole loop to one built from `State`s.
 
 Compliance checking replays recorded sensor values through a deterministic
 controller and flags rows whose recorded actuations deviate, aggregated
@@ -93,11 +93,13 @@ def plant_is_affine(plant: PlantSpec) -> bool:
 
 
 class CompiledPlant:
-    """A plant compiled once for all the cycles of a run: right-hand sides
-    and evolution domain as functions emitted into one module over one
-    layout (a new one unless given), plus the per-plant analysis (affinity).
-    The domain's conjuncts, and the RK4 substep loop, are emitted the first
-    time a cycle needs them."""
+    """A plant compiled once for all the cycles of a run, into one module
+    over one layout (a new one unless given): a function for each
+    right-hand side, for each conjunct of the evolution domain and, on an
+    affine plant, for each conjunct's `left - right` where it is a
+    comparison affine in the evolving variables; plus the per-plant
+    analysis (affinity). The RK4 substep loop is emitted the first time a
+    cycle needs it."""
 
     def __init__(self, plant: PlantSpec, layout: Optional[Layout] = None):
         self.spec = plant
@@ -105,46 +107,36 @@ class CompiledPlant:
         self.odes = [(x, layout.slot(x)) for x, _ in plant.odes]
         self.clock = layout.slot(plant.clock)
         self.affine = plant_is_affine(plant)
-        src = Source()
-        rates = [src.function(rhs, layout) for _, rhs in plant.odes]
-        domain = None if plant.domain == TRUE else src.function(plant.domain, layout)
-        defined = src.module().get
-        self.rates = [defined(f) for f in rates]
-        self.domain = defined(domain)
-
-    @cached_property
-    def parts(self) -> list:
-        """Each conjunct of the domain, its function, and (relation, left -
-        right) when it is a comparison affine in the evolving variables,
-        else None. Emitted the first time a cycle reads them: the first
-        affine cycle of a plant with a domain, but an RK4 cycle only at a
-        domain exit."""
-        if self.domain is None:
-            return []
-        plant, layout = self.spec, self.layout
         evolving = set(plant.state_vars()) | {plant.clock}
         src = Source()
+        rates = [src.function(rhs, layout) for _, rhs in plant.odes]
         parts = []
-        for part in conjuncts(plant.domain):
+        for part in [] if plant.domain == TRUE else conjuncts(plant.domain):
             linear = None
-            if isinstance(part, Cmp) and part.rel in (LT, LE, GT, GE) and \
+            if self.affine and isinstance(part, Cmp) and part.rel in (LT, LE, GT, GE) and \
                     _is_affine_term(part.left, evolving) and _is_affine_term(part.right, evolving):
                 linear = (part.rel, src.function(BinOp(SUB, part.left, part.right), layout))
             parts.append((part, src.function(part, layout), linear))
         defined = src.module().get
-        return [(part, defined(holds), linear and (linear[0], defined(linear[1])))
-                for part, holds, linear in parts]
+        self.rates = [defined(f) for f in rates]
+        # Each conjunct, its function, and (relation, left - right) or None.
+        self.parts = [(part, defined(holds), linear and (linear[0], defined(linear[1])))
+                      for part, holds, linear in parts]
 
     @cached_property
     def rk4(self):
         """The RK4 substep loop, emitted the first time a cycle needs it."""
         return emit_rk4(self.spec, self.layout)
 
-    def failing_conjunct(self, values: Slots) -> Formula:
+    def failing_conjunct(self, values: Slots) -> Optional[Formula]:
+        """The first conjunct of the domain that is false on `values`, or
+        None. Every conjunct is evaluated, in order, so an error is the one
+        the strict conjunction of them all raises."""
+        failing = None
         for part, holds, _ in self.parts:
-            if not holds(values):
-                return part
-        return self.spec.domain
+            if not holds(values) and failing is None:
+                failing = part
+        return failing
 
 
 def integrate_plant(
@@ -162,14 +154,12 @@ def integrate_plant(
     returns it, or on an error leaves it as it was (both integrators write
     it only once the cycle's step is computed).
 
-    Given a `PlantSpec`, this compiles the plant for this one call. An RK4
-    call also emits its substep loop, and the domain's conjuncts only at a
-    domain exit; an affine call emits the conjuncts. The process shares the
-    code objects, so only the first call on a plant runs `compile()`; a
-    repeated call still writes the source, about 0.4 ms for an RK4 call on
-    the water-tank plant. A caller integrating the same plant repeatedly
-    passes it compiled once, as a `CompiledPlant`, which emits each at most
-    once.
+    Given a `PlantSpec`, this compiles the plant for this one call, and an
+    RK4 call its substep loop too. The process shares the code objects, so
+    only the first call on a plant runs `compile()`; a repeated call still
+    writes the source, about 0.3 ms for an RK4 call on the water-tank plant.
+    A caller integrating the same plant repeatedly passes it compiled once,
+    as a `CompiledPlant`.
     """
     if duration < 0:
         raise ValueError("duration must be non-negative")
@@ -193,7 +183,10 @@ def integrate_plant(
 
 
 def _integrate_affine(plant: CompiledPlant, v: Slots, duration, cfg) -> Optional[DomainExit]:
-    """One cycle of the closed form, advancing `v` in place."""
+    """One cycle of the closed form, advancing `v` in place to the end of
+    the cycle or to the earliest domain violation. A conjunct with a
+    linear difference is solved from its values at the two ends (linear in
+    time); any other is checked on a grid of `cfg.substeps` steps."""
     rates = [f(v) for f in plant.rates]
     t0 = read(v, plant.clock, plant.spec.clock)
 
@@ -205,31 +198,16 @@ def _integrate_affine(plant: CompiledPlant, v: Slots, duration, cfg) -> Optional
         return w
 
     end = at(duration)
-    exit_time, conjunct = _affine_domain_exit(plant, v, end, at, duration, cfg)
-    if exit_time is not None:
-        v[:] = at(exit_time)
-        return DomainExit(exit_time, conjunct)
-    v[:] = end
-    return None
-
-
-def _affine_domain_exit(plant: CompiledPlant, v0, end, at, duration, cfg):
-    """Earliest domain violation. Comparison conjuncts affine in the
-    evolving variables are solved from their endpoint values (linear in
-    time); anything else falls back to a grid scan."""
-    if plant.domain is None:
-        return None, None
-    best: tuple[float, Formula] | None = None
+    domain_exit = None
     for part, holds, linear in plant.parts:
         if linear is not None:
-            hit = _linear_violation(linear, v0, end, duration)
+            hit = _linear_violation(linear, v, end, duration)
         else:
             hit = _grid_violation(holds, at, duration, cfg.substeps)
-        if hit is not None and (best is None or hit < best[0]):
-            best = (hit, part)
-    if best is None:
-        return None, None
-    return best
+        if hit is not None and (domain_exit is None or hit < domain_exit.time):
+            domain_exit = DomainExit(hit, part)
+    v[:] = end if domain_exit is None else at(domain_exit.time)
+    return domain_exit
 
 
 def _is_affine_term(t, evolving) -> bool:
@@ -285,8 +263,9 @@ def _integrate_rk4(plant: CompiledPlant, v: Slots, duration, cfg) -> Optional[Do
     """One cycle of fixed-step RK4, advancing `v` in place with the plant's
     emitted substep loop."""
     t0 = read(v, plant.clock, plant.spec.clock)
-    if plant.domain is not None and not plant.domain(v):
-        return DomainExit(0.0, plant.failing_conjunct(v))
+    failing = plant.failing_conjunct(v)
+    if failing is not None:
+        return DomainExit(0.0, failing)
     # The first stage evaluates every rate before it reads an evolving
     # variable. The rates have no branches, so evaluated once here they raise
     # the first stage's error, if any; after that every slot the emitted
@@ -609,7 +588,7 @@ def read_trace(stream) -> tuple[list[str], list[dict]]:
 
 
 def read_trace_file(path) -> tuple[list[str], list[dict]]:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             return read_trace(handle)
         except UnicodeDecodeError:
@@ -650,9 +629,12 @@ def check_compliance(
     ctrl: Program,
     rows: Sequence[dict],
     io_spec: IoClassification,
+    header: Optional[Sequence[str]] = None,
 ) -> ComplianceReport:
     """Replay recorded sensor/parameter values through the deterministic
     controller and compare expected actuations with the recorded ones.
+    The trace's columns are those of `header`, else the keys of its first
+    row; one the model needs and the trace lacks raises SchemaError.
 
     Actuator values persist across cycles unless written: each row's run
     starts from the previous row's recorded actuators (the first row seeds
@@ -665,10 +647,12 @@ def check_compliance(
         )
     st_body, _ = prog_hp_to_st(ctrl)
 
-    needed = set(trace_columns(io_spec))
-    if rows:
-        have = {k for k in rows[0] if isinstance(k, Ident)}
-        missing = sorted((needed - have), key=lambda x: x.name)
+    if header is None and rows:
+        header = [str(key) for key in rows[0]]
+    if header is not None:
+        have = set(header)
+        missing = sorted({x for x in trace_columns(io_spec) if x.name not in have},
+                         key=lambda x: x.name)
         if missing:
             raise SchemaError(missing)
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +289,61 @@ def test_simulate_refuses_a_number_that_is_not_finite(tmp_path, config_text, lin
 def test_a_file_that_is_not_utf8_is_one_line(tmp_path, argv):
     (tmp_path / "bad.txt").write_bytes(b"cycle,f1\n0,\xff\n")
     assert run_process(tmp_path, *argv) == (1, "error: bad.txt: not UTF-8 text\n")
+
+
+TANK_MODEL = data("watertank_safe_model.dlhp")
+TANK_PLANT = ("--plant", data("watertank_plant.dlhp"),
+              "--assumptions", data("watertank_assumptions.dlhp"),
+              "--safety", data("watertank_safety.dlhp"))
+TANK_RUN = json.dumps({"params": {str(k): v for k, v in golden.SCENARIO_PARAMS.items()},
+                       "init": {str(k): v for k, v in golden.SCENARIO_INIT.items()},
+                       "inputs": {"mode": "constant", "values": {
+                           str(k): v for k, v in golden.SCENARIO_INPUTS.items()}}})
+
+
+@pytest.mark.parametrize("rows", ["", "0,1\n"], ids=["no rows", "one row"])
+def test_comply_checks_the_columns_of_the_header(tmp_path, capsys, rows):
+    (tmp_path / "trace.csv").write_text("cycle,f1\n" + rows)
+    code, out, err = run(capsys, "comply", "--model", TANK_MODEL,
+                         "--trace", str(tmp_path / "trace.csv"))
+    assert (code, out) == (1, "")
+    assert err == "error: trace is missing columns: FL, HH, L1, L2, LL, P, V1, V2, eps, " \
+                  "f2, x1, x2\n"
+
+
+def test_comply_on_the_header_of_a_tank_run_of_no_cycles(tmp_path, capsys):
+    (tmp_path / "run.json").write_text(TANK_RUN)
+    trace = str(tmp_path / "trace.csv")
+    assert run(capsys, "simulate", "--model", TANK_MODEL, "--inputs", str(tmp_path / "run.json"),
+               "--cycles", "0", "--epsilon", "10", "--out", trace)[0] == 0
+    assert run(capsys, "comply", "--model", TANK_MODEL, "--trace", trace) == \
+        (0, "checked=0 instances=0\n", "")
+
+
+@pytest.mark.parametrize("kind", ["st", "dlhp", "run", "trace"])
+def test_an_input_may_start_with_a_byte_order_mark(tmp_path, capsys, kind):
+    # Each kind of input file, read with and without a UTF-8 BOM, gives the
+    # same output; an output is written without one.
+    (tmp_path / "run.json").write_text(TANK_RUN)
+    trace, out = tmp_path / "trace.csv", tmp_path / "out.csv"
+    simulate = ("simulate", "--model", TANK_MODEL, "--cycles", "5", "--epsilon", "10")
+    assert run(capsys, *simulate, "--inputs", str(tmp_path / "run.json"),
+               "--out", str(trace))[0] == 0
+    source, argv = {
+        "st": (data("watertank_original.st"), lambda f: ("st2hp", f, *TANK_PLANT)),
+        "dlhp": (TANK_MODEL, lambda f: ("analyze", f)),
+        "run": (tmp_path / "run.json", lambda f: (*simulate, "--inputs", f, "--out", str(out))),
+        "trace": (trace, lambda f: ("comply", "--model", TANK_MODEL, "--trace", f)),
+    }[kind]
+    source = Path(source)
+    marked = tmp_path / f"marked_{source.name}"
+    marked.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    outputs = []
+    for path in (source, marked):
+        out.unlink(missing_ok=True)
+        outputs.append((run(capsys, *argv(str(path))), out.exists() and out.read_bytes()))
+    assert outputs[0][0][0] == 0
+    assert outputs[1] == outputs[0]
 
 
 # A numeric option out of range is a usage error: exit 2 and a usage line.

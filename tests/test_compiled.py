@@ -34,7 +34,8 @@ from plchp.compiled import (
 )
 from plchp.errors import DivisionByZero, DomainError, EvalError, UnboundVariable
 from plchp.ir import (
-    HP, ST, TRUE, GuardedChoice, Ident, IfThen, PlantSpec, Var, collect_vars, flatten,
+    HP, ST, TRUE, GuardedChoice, Ident, IfThen, PlantSpec, Var, collect_vars, conjuncts,
+    flatten,
 )
 from plchp.semantics import GenConfig, gen_formula, gen_st, gen_state, gen_term
 from plchp.sim import (
@@ -260,7 +261,8 @@ def closure_rk4(plant, v, duration, cfg):
     n = cfg.substeps
     h = duration / n
     half = h / 2
-    rates, domain = plant.rates, plant.domain
+    rates = plant.rates
+    domain = None if plant.spec.domain == TRUE else compile_formula(plant.spec.domain, plant.layout)
     slots = [i for _, i in plant.odes]
 
     if domain is not None and not domain(v):
@@ -376,6 +378,8 @@ def test_emitted_rk4_division_by_zero_in_a_later_stage(rates, stage):
     ([("x", "0-x")], "x>=d", state(x=1, t=0), "unbound variable d"),  # parameter in the domain
     ([("x", "1"), ("y", "x")], "true", state(y=1, t=0), "unbound variable x"),  # evolving
     ([("x", "1"), ("y", "1/0")], "true", state(y=1, t=0), "division by zero in 1/0"),
+    # a false conjunct, then one that divides by zero: no exit
+    ([("x", "1")], "x>=5 & 1/d>=0", state(x=0, t=0, d=0), "division by zero in 1/d"),
 ])
 def test_emitted_rk4_unbound_variables(rates, domain, s, message):
     assert assert_same_rk4(hand_plant(rates, domain), s) != "value"
@@ -395,10 +399,32 @@ def test_emitted_rk4_unbound_variables(rates, domain, s, message):
     ([("x", "1"), ("y", "(c*d)/(x-0.5)")], "true", state(x=0, y=0, t=0, c=2, d=3),
      "DivisionByZero"),  # a varying division by zero at the second stage
     ([("x", "c")], "t<=0.75", state(x=0, t=0, c=2), "exit mid-cycle"),  # only the domain reads t
+    ([("x", "c")], "t>=0 & x>=5 & x*x>=1", state(x=0, t=0, c=2), "exit at start"),  # two false
 ])
 def test_emitted_rk4_hoists_what_reads_no_evolving_variable(rates, domain, s, expected):
     for substeps in (1, 7):  # x is 0.5 at the mid-point of a substep
         assert assert_same_rk4(hand_plant(rates, domain), s, 1.0, substeps) == expected
+
+
+@pytest.mark.parametrize("integrate", [sim._integrate_affine, _integrate_rk4])
+@pytest.mark.parametrize("domain, s", [
+    # A false conjunct, then one that divides by zero: the strict
+    # conjunction raises, and no exit is reported.
+    ("x>=5 & 1/d>=0", state(x=0, t=0, d=0)),
+    ("x*x>=1 & 1/d>=0", state(x=0, t=0, d=0)),  # not linear: the affine grid
+    # Two false conjuncts: the exit names the first.
+    ("t>=0 & x>=5 & x*x>=1", state(x=0, t=0)),
+    ("t>=0 & x*x>=1 & x>=5", state(x=0, t=0)),
+])
+def test_the_domain_check_is_the_strict_conjunction(integrate, domain, s):
+    plant = hand_plant([("x", "1")], domain)
+    expected = outcome(lambda: eval_formula(plant.domain, s))
+    got = rk4_outcome(integrate, plant, s, 1.0, 7)
+    if expected is False:
+        first = next(part for part in conjuncts(plant.domain) if not eval_formula(part, s))
+        assert got[1] == ((0.0).hex(), first)
+    else:
+        assert got == expected
 
 
 def test_some_generated_plants_have_an_invariant_rate():
@@ -540,8 +566,8 @@ def test_outflow_tank_loop_computes_what_varies_in_the_loop(monkeypatch):
     texts = compiled_sources(monkeypatch)
     compiled._code.cache_clear()
     tank_run(OUTFLOW, "auto", cycles=20)
-    # The controller, the rates and domain, and the loop; no conjunct module.
-    assert [text.count("def ") for text in texts] == [1, 3, 1]
+    # The controller, the rates and the domain's conjuncts, and the loop.
+    assert [text.count("def ") for text in texts] == [1, 6, 1]
     loop = texts[-1].split("    for k in range(n):\n")[1].split("        if not inside:")[0]
     assignments = [text for text in loop.splitlines() if " = " in text]
     assert len(assignments) == 18, loop
@@ -549,15 +575,29 @@ def test_outflow_tank_loop_computes_what_varies_in_the_loop(monkeypatch):
     assert "t_next =" not in loop and "        clock =" not in loop
 
 
-def test_rk4_cycles_emit_the_conjuncts_only_at_a_domain_exit():
-    plant = hand_plant([("x", "0-x")], "t>=0 & x>=0.5")
-    for duration, exits in ((0.5, False), (1.0, True)):  # x reaches 0.5 at ln 2
+def test_each_run_writes_one_plant_module(monkeypatch):
+    # Each run compiles its controller, its plant and, if it needs one, its
+    # RK4 loop. The tank's plant module holds its two rates and the four
+    # conjuncts of x1>=0 & x2>=0 & f1>=0 & f2>=0; on the affine tank, each
+    # conjunct's left - right too.
+    texts = compiled_sources(monkeypatch)
+    for edit, method, functions in ((AFFINE, "auto", [1, 10]), (OUTFLOW, "auto", [1, 6, 1]),
+                                    (AFFINE, "rk4", [1, 10, 1])):
+        compiled._code.cache_clear()
+        texts.clear()
+        tank_run(edit, method, cycles=20)
+        assert [text.count("def ") for text in texts] == functions, (edit, method)
+    # A domain exit compiles nothing more: the plant module names its
+    # conjunct, and an RK4 cycle adds only its loop.
+    for rate, method, functions in (("0-1", "affine", [5]), ("0-x", "rk4", [3, 1])):
+        compiled._code.cache_clear()
+        texts.clear()
         layout = Layout([Ident("x"), T])
-        compiled_plant = CompiledPlant(plant, layout)
+        plant = CompiledPlant(hand_plant([("x", rate)], "t>=0 & x>=0.5"), layout)
         values = layout.load(state(x=1, t=0))
-        domain_exit = _integrate_rk4(compiled_plant, values, duration, IntegratorConfig(substeps=7))
-        assert (domain_exit is not None) == exits
-        assert ("parts" in vars(compiled_plant)) == exits
+        _, domain_exit = sim.integrate_plant(plant, values, 1.0, IntegratorConfig(7, method))
+        assert domain_exit.conjunct == parse_dl_formula("x>=0.5")
+        assert [text.count("def ") for text in texts] == functions, method
 
 
 # ---------------------------------------------------------------------------
