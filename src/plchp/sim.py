@@ -3,9 +3,13 @@
 Each cycle reads inputs, runs the controller body to completion, then
 integrates the plant for exactly the scan cycle duration (the model's
 nondeterministic dwell time is resolved to its maximum); leaving the
-evolution domain stops the run with a diagnostic. The integrator is a
-fixed-step RK4 with an exact closed form when every right-hand side is
-constant in the evolving variables over the cycle.
+evolution domain stops the run with a diagnostic. Fixed-step RK4 and, when
+no rate reads an evolving variable, the exact closed form take one plant
+step: it reads the clock, checks the domain, evaluates every rate and checks
+that every evolving variable is bound; its exit is the earliest time at
+which the strict conjunction of the domain is false or raises, reported as
+that error or the first false conjunct, and nothing is evaluated past it.
+A step that makes a plant state inf or nan raises.
 
 The controller, the plant's right-hand sides and the conjuncts of its
 evolution domain are compiled once per run into Python functions over one
@@ -37,13 +41,11 @@ from operator import itemgetter, ne
 from typing import Optional, Sequence
 
 from .analysis import IoClassification, resolve_epsilon
-from .compiled import (
-    Layout, Slots, Source, compile_formula, compile_st, emit_rk4, read,
-)
+from .compiled import Layout, Slots, Source, compile_formula, compile_st, emit_rk4, read
 from .dl_syntax import print_dl_formula
 from .errors import (
-    ConflictingEpsilon, InputFileError, MissingInput, NondeterministicCtrl, NotAffine,
-    PlchpError, SchemaError, UnboundVariable,
+    ConflictingEpsilon, DomainError, InputFileError, MissingInput, NondeterministicCtrl,
+    NotAffine, PlchpError, SchemaError, UnboundVariable,
 )
 from .ir import (
     ADD, BinOp, Cmp, DIV, Formula, GE, GT, Ident, LE, LT, MUL, Neg, Number,
@@ -96,32 +98,32 @@ class CompiledPlant:
     """A plant compiled once for all the cycles of a run, into one module
     over one layout (a new one unless given): a function for each
     right-hand side, for each conjunct of the evolution domain and, on an
-    affine plant, for each conjunct's `left - right` where it is a
-    comparison affine in the evolving variables; plus the per-plant
-    analysis (affinity). The RK4 substep loop is emitted the first time a
-    cycle needs it."""
+    affine plant, for each linear conjunct's `left - right` (a comparison
+    affine in the evolving variables). The RK4 substep loop is emitted the
+    first time a cycle needs it."""
 
     def __init__(self, plant: PlantSpec, layout: Optional[Layout] = None):
         self.spec = plant
         self.layout = layout = Layout() if layout is None else layout
         self.odes = [(x, layout.slot(x)) for x, _ in plant.odes]
         self.clock = layout.slot(plant.clock)
+        self.written = [*self.odes, (plant.clock, self.clock)]
         self.affine = plant_is_affine(plant)
         evolving = set(plant.state_vars()) | {plant.clock}
         src = Source()
         rates = [src.function(rhs, layout) for _, rhs in plant.odes]
-        parts = []
+        parts, linear = [], []
         for part in [] if plant.domain == TRUE else conjuncts(plant.domain):
-            linear = None
+            parts.append((part, src.function(part, layout)))
             if self.affine and isinstance(part, Cmp) and part.rel in (LT, LE, GT, GE) and \
                     _is_affine_term(part.left, evolving) and _is_affine_term(part.right, evolving):
-                linear = (part.rel, src.function(BinOp(SUB, part.left, part.right), layout))
-            parts.append((part, src.function(part, layout), linear))
+                linear.append((part, OPERATORS[part.rel],
+                               src.function(BinOp(SUB, part.left, part.right), layout)))
         defined = src.module().get
         self.rates = [defined(f) for f in rates]
-        # Each conjunct, its function, and (relation, left - right) or None.
-        self.parts = [(part, defined(holds), linear and (linear[0], defined(linear[1])))
-                      for part, holds, linear in parts]
+        self.parts = [(part, defined(holds)) for part, holds in parts]
+        self.linear = [(part, rel, defined(difference)) for part, rel, difference in linear]
+        self.gridded = len(linear) < len(parts)
 
     @cached_property
     def rk4(self):
@@ -133,7 +135,7 @@ class CompiledPlant:
         None. Every conjunct is evaluated, in order, so an error is the one
         the strict conjunction of them all raises."""
         failing = None
-        for part, holds, _ in self.parts:
+        for part, holds in self.parts:
             if not holds(values) and failing is None:
                 failing = part
         return failing
@@ -151,15 +153,13 @@ def integrate_plant(
     `clock <= eps` is enforced by the caller's choice of duration, not
     re-checked here). Given a `State`, this returns a new one; given a slot
     list of a `CompiledPlant`'s layout, it advances that list in place and
-    returns it, or on an error leaves it as it was (both integrators write
-    it only once the cycle's step is computed).
+    returns it, or on an error leaves it as it was (a step writes it only
+    once its end state is computed and found finite).
 
-    Given a `PlantSpec`, this compiles the plant for this one call, and an
-    RK4 call its substep loop too. The process shares the code objects, so
-    only the first call on a plant runs `compile()`; a repeated call still
-    writes the source, about 0.3 ms for an RK4 call on the water-tank plant.
-    A caller integrating the same plant repeatedly passes it compiled once,
-    as a `CompiledPlant`.
+    Given a `PlantSpec`, this compiles the plant, and an RK4 call its
+    substep loop, for this one call (only the first call on a plant runs
+    `compile()`, but each writes the source); a caller integrating a plant
+    repeatedly passes it once compiled, as a `CompiledPlant`.
     """
     if duration < 0:
         raise ValueError("duration must be non-negative")
@@ -169,50 +169,17 @@ def integrate_plant(
         if not isinstance(s, State):
             raise TypeError("a slot list needs the CompiledPlant of its layout")
         plant = CompiledPlant(plant)
-    method = cfg.method
-    if method == "affine" and not plant.affine:
+    if cfg.method == "affine" and not plant.affine:
         raise NotAffine("plant is not affine; use rk4 or auto")
-    if method == "auto":
-        method = "affine" if plant.affine else "rk4"
-    kernel = _integrate_affine if method == "affine" else _integrate_rk4
-    if not isinstance(s, State):
-        return s, kernel(plant, s, duration, cfg)
-    v = plant.layout.load(s)
+    affine = cfg.method == "affine" or cfg.method == "auto" and plant.affine
+    kernel = _integrate_affine if affine else _integrate_rk4
+    v = plant.layout.load(s) if isinstance(s, State) else s
     domain_exit = kernel(plant, v, duration, cfg)
-    return plant.layout.store(s, v), domain_exit
-
-
-def _integrate_affine(plant: CompiledPlant, v: Slots, duration, cfg) -> Optional[DomainExit]:
-    """One cycle of the closed form, advancing `v` in place to the end of
-    the cycle or to the earliest domain violation. A conjunct with a
-    linear difference is solved from its values at the two ends (linear in
-    time); any other is checked on a grid of `cfg.substeps` steps."""
-    rates = [f(v) for f in plant.rates]
-    t0 = read(v, plant.clock, plant.spec.clock)
-
-    def at(t: float) -> Slots:
-        w = v.copy()
-        for (x, i), rate in zip(plant.odes, rates):
-            w[i] = read(v, i, x) + rate * t
-        w[plant.clock] = t0 + t
-        return w
-
-    end = at(duration)
-    domain_exit = None
-    for part, holds, linear in plant.parts:
-        if linear is not None:
-            hit = _linear_violation(linear, v, end, duration)
-        else:
-            hit = _grid_violation(holds, at, duration, cfg.substeps)
-        if hit is not None and (domain_exit is None or hit < domain_exit.time):
-            domain_exit = DomainExit(hit, part)
-    v[:] = end if domain_exit is None else at(domain_exit.time)
-    return domain_exit
+    return (s if v is s else plant.layout.store(s, v)), domain_exit
 
 
 def _is_affine_term(t, evolving) -> bool:
     """Degree at most one in the evolving variables, constant coefficients."""
-
     # Each node's result: (affine, mentions an evolving variable).
     def affine(t, kids) -> tuple[bool, bool]:
         cls = t.__class__
@@ -237,48 +204,80 @@ def _is_affine_term(t, evolving) -> bool:
     return fold(t, affine)[0]
 
 
-def _linear_violation(linear, v0: Slots, v1: Slots, duration: float) -> Optional[float]:
-    """Exact first-violation time of a comparison linear in time."""
-    rel, difference = linear
-    d0 = difference(v0)
-    d1 = difference(v1)
-    holds = OPERATORS[rel]  # `left rel right` is `d rel 0`
-    if not holds(d0, 0.0):
-        return 0.0
-    if holds(d1, 0.0):
-        return None
-    # d(t) = d0 + (d1 - d0) * t / duration crosses the boundary once.
-    return duration * d0 / (d0 - d1)
+def _start(plant: CompiledPlant, v: Slots) -> DomainExit | list[float]:
+    """The start of every plant step, in its order (see the module's
+    docstring): the exit at 0 where the domain is false, else the rates.
+    After it, every slot that the step reads is bound."""
+    read(v, plant.clock, plant.spec.clock)
+    failing = plant.failing_conjunct(v)
+    if failing is not None:
+        return DomainExit(0.0, failing)
+    rates = [f(v) for f in plant.rates]
+    unbound = [x for x, i in plant.odes if v[i] is None]
+    if unbound:
+        raise UnboundVariable(unbound[0])
+    return rates
 
 
-def _grid_violation(holds, at, duration: float, substeps: int) -> Optional[float]:
-    for k in range(substeps + 1):
-        t = duration * k / substeps
-        if not holds(at(t)):
-            return t
-    return None
+def _finish(plant: CompiledPlant, v: Slots, end: Slots) -> None:
+    """Write a step's end state to `v`, or raise if it makes an evolving
+    variable or the clock inf or nan."""
+    for x, i in plant.written:
+        if not isfinite(end[i]):
+            raise DomainError(f"plant state {x} is not finite: {end[i]!r}")
+    v[:] = end
+
+
+def _integrate_affine(plant: CompiledPlant, v: Slots, duration, cfg) -> Optional[DomainExit]:
+    """One cycle of the closed form, advancing `v` in place. Each linear
+    conjunct (whose divisors read no evolving variable) is solved for its
+    exact crossing, and the earliest cuts the cycle short. If some conjunct
+    is not linear, the whole domain is checked at each of the
+    `cfg.substeps` grid points before that cut, up to the first that fails."""
+    rates = _start(plant, v)
+    if isinstance(rates, DomainExit):
+        return rates
+
+    def at(t: float) -> Slots:
+        w = v.copy()
+        for (_, i), rate in zip(plant.odes, rates):
+            w[i] = v[i] + rate * t
+        w[plant.clock] = v[plant.clock] + t
+        return w
+
+    end = at(duration)
+    domain_exit = None
+    for part, holds, difference in plant.linear:
+        d1 = difference(end)  # `left rel right` is `d rel 0`
+        if not holds(d1, 0.0):
+            # d(t) = d0 + (d1 - d0) * t / duration crosses the boundary once.
+            d0 = difference(v)
+            hit = duration * d0 / (d0 - d1)
+            if domain_exit is None or hit < domain_exit.time:
+                domain_exit = DomainExit(hit, part)
+    if plant.gridded:
+        for k in range(1, cfg.substeps + 1):
+            t = duration * k / cfg.substeps
+            if domain_exit is not None and t >= domain_exit.time:
+                break
+            failing = plant.failing_conjunct(at(t))
+            if failing is not None:
+                domain_exit = DomainExit(t, failing)
+                break
+    _finish(plant, v, end if domain_exit is None else at(domain_exit.time))
+    return domain_exit
 
 
 def _integrate_rk4(plant: CompiledPlant, v: Slots, duration, cfg) -> Optional[DomainExit]:
     """One cycle of fixed-step RK4, advancing `v` in place with the plant's
-    emitted substep loop."""
-    t0 = read(v, plant.clock, plant.spec.clock)
-    failing = plant.failing_conjunct(v)
-    if failing is not None:
-        return DomainExit(0.0, failing)
-    # The first stage evaluates every rate before it reads an evolving
-    # variable. The rates have no branches, so evaluated once here they raise
-    # the first stage's error, if any; after that every slot the emitted
-    # loop reads is bound.
-    for f in plant.rates:
-        f(v)
-    unbound = [x for x, i in plant.odes if v[i] is None]
-    if unbound:
-        raise UnboundVariable(unbound[0])
-    exit_time = plant.rk4(v, t0, duration, cfg.substeps)
-    if exit_time is None:
-        return None
-    return DomainExit(exit_time, plant.failing_conjunct(v))
+    emitted substep loop, up to the first substep end outside the domain."""
+    start = _start(plant, v)
+    if isinstance(start, DomainExit):
+        return start
+    end = v.copy()
+    exit_time = plant.rk4(end, v[plant.clock], duration, cfg.substeps)
+    _finish(plant, v, end)
+    return None if exit_time is None else DomainExit(exit_time, plant.failing_conjunct(v))
 
 
 # ---------------------------------------------------------------------------

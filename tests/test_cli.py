@@ -409,6 +409,18 @@ def test_affine_integrator_on_a_nonaffine_plant_is_one_error_line(tmp_path):
         1, "error: plant is not affine; use rk4 or auto\n")
 
 
+@pytest.mark.parametrize("integrator", ["affine", "rk4"])
+def test_a_plant_state_that_is_not_finite_is_one_error_line(tmp_path, integrator):
+    # x1 grows by f1 = 40 a second over 1e307 seconds, past binary64's range.
+    run_cfg = json.loads(TANK_RUN)
+    del run_cfg["params"]["eps"]
+    (tmp_path / "run.json").write_text(json.dumps(run_cfg))
+    assert run_process(tmp_path, "simulate", "--model", data("watertank_original_model.dlhp"),
+                       "--inputs", "run.json", "--cycles", "3", "--epsilon", "1e307",
+                       "--substeps", "2", "--integrator", integrator, "--out", "trace.csv") == (
+        1, "error: plant state x1 is not finite: inf\n")
+
+
 def test_st2hp_deeply_nested_expression(tmp_path):
     (tmp_path / "deep.st").write_text(
         "PROGRAM p\n  x := " + "(" * 1000 + "1" + ")" * 1000 + ";\nEND_PROGRAM\n")

@@ -415,14 +415,26 @@ def test_emitted_rk4_hoists_what_reads_no_evolving_variable(rates, domain, s, ex
     # Two false conjuncts: the exit names the first.
     ("t>=0 & x>=5 & x*x>=1", state(x=0, t=0)),
     ("t>=0 & x*x>=1 & x>=5", state(x=0, t=0)),
+    # x leaves x<=0.5 at t=0.5, before 1/(e-t) divides by zero at t=1: an
+    # exit, and nothing past it is evaluated.
+    ("x<=0.5 & 1/(e-t)>=0", state(x=0, t=0, e=1)),
+    # The domain raises before the rate 1/d is evaluated.
+    ("x>=5 & 1/e>=0", state(x=0, t=0, d=0, e=0)),
+    ("x>=5", state(x=0)),  # the clock is read first, and is unbound
 ])
 def test_the_domain_check_is_the_strict_conjunction(integrate, domain, s):
-    plant = hand_plant([("x", "1")], domain)
-    expected = outcome(lambda: eval_formula(plant.domain, s))
+    # Both integrators are held to one outcome: the error of reading the
+    # clock, then of the domain, else the exit. Where d is bound, the rate
+    # 1/d divides by zero, so it must come after the domain.
+    plant = hand_plant([("x", "1/d" if D in s else "1")], domain)
+    expected = outcome(lambda: s.get(T) + 1 and eval_formula(plant.domain, s))
     got = rk4_outcome(integrate, plant, s, 1.0, 7)
     if expected is False:
         first = next(part for part in conjuncts(plant.domain) if not eval_formula(part, s))
         assert got[1] == ((0.0).hex(), first)
+    elif expected is True:  # the exact crossing, or the grid point after it
+        time, conjunct = got[1]
+        assert conjunct == conjuncts(plant.domain)[0] and 0.5 <= float.fromhex(time) <= 4 / 7
     else:
         assert got == expected
 

@@ -2,23 +2,32 @@
 
 import io
 import random
+import re
+from collections import Counter
+from dataclasses import replace
+from itertools import product
+from math import inf, nextafter
 
 import pytest
 
 import golden
 from plchp import (
     Assign, Ident, Number, PlantSpec, State, Var,
-    check_compliance, check_safety, classify_io, integrate_plant,
-    parse_dl_model, simulate, validate_scan_cycle_form,
+    check_compliance, check_safety, classify_io, eval_formula, integrate_plant,
+    parse_dl_formula, parse_dl_model, simulate, validate_scan_cycle_form,
 )
+from plchp.compiled import Layout
 from plchp.errors import (
-    InputFileError, MissingInput, NondeterministicCtrl, SchemaError,
+    DomainError, EvalError, InputFileError, MissingInput, NondeterministicCtrl, SchemaError,
 )
-from plchp.ir import Cmp, GE, GuardedChoice, Neg, TRUE
-from plchp.semantics import derive_seed
+from plchp.ir import (
+    BinOp, Cmp, DIV, GE, GT, GuardedChoice, HP, LE, LT, Neg, Not, POW, TRUE, collect_vars,
+    conjoin, walk,
+)
+from plchp.semantics import GenConfig, derive_seed, gen_formula, gen_state, gen_term
 from plchp.sim import (
-    ConstantInputs, CsvInputs, IntegratorConfig, SimConfig,
-    UniformInputs, plant_is_affine, read_trace, write_trace,
+    CompiledPlant, ConstantInputs, CsvInputs, IntegratorConfig, SimConfig,
+    UniformInputs, _integrate_affine, _integrate_rk4, plant_is_affine, read_trace, write_trace,
 )
 from plchp.translate import prog_hp_to_st
 
@@ -104,6 +113,160 @@ def test_integrator_rejects_affine_on_nonaffine_plant():
     )
     with pytest.raises(ValueError):
         integrate_plant(plant, state(x=1, t=0), 1.0, IntegratorConfig(method="affine"))
+
+
+@pytest.mark.parametrize("method", ["affine", "rk4"])
+def test_a_plant_state_that_is_not_finite_raises(method):
+    # x1 grows by f1 = 40 a second over 1e307 seconds, past binary64's range.
+    s = scenario_state()
+    layout = Layout(x for x, _ in s.items())
+    values = layout.load(s)
+    with pytest.raises(DomainError, match="^plant state x1 is not finite: inf$"):
+        integrate_plant(CompiledPlant(golden.PLANT, layout), values, 1e307,
+                        IntegratorConfig(method=method, substeps=2))
+    assert values == layout.load(s)  # left as it was
+
+
+# ---------------------------------------------------------------------------
+# The closed form against RK4 on generated affine plants (differential
+# testing; McKeeman, Digital Technical Journal 10(1), 1998)
+
+A, B, C, D, T = (ident(n) for n in "abcdt")
+COMPLEMENT = {LT: GE, LE: GT}
+
+
+def holding(f, s):
+    """`f`, or its complement where it is false on `s`: mostly the domain
+    holds at the start, so the cycle runs until something leaves it."""
+    try:
+        if eval_formula(f, s):
+            return f
+    except EvalError:
+        return f
+    return Cmp(COMPLEMENT[f.rel], f.left, f.right) if f.__class__ is Cmp and f.rel in COMPLEMENT \
+        else Not(f)
+
+
+def affine_case(seed):
+    """Rates of a and b over the parameters c and d; a domain of one to
+    three generated conjuncts over a, b, c, d and the clock t, and one
+    linear bound on a among them; a start state, sometimes with a
+    variable unbound; and the number of substeps."""
+    rng = random.Random(seed)
+    pool = (A, B, C, D, T)
+    s = gen_state(GenConfig(var_pool=pool, seed=seed))
+    if seed % 10 == 0:
+        s = State({x: v for x, v in s.items() if x != pool[seed // 10 % 5]})
+    rates = GenConfig(max_depth=3, var_pool=(C, D), seed=seed)
+    odes = ((A, gen_term(rates)), (B, gen_term(replace(rates, seed=seed + 10**6))))
+    parts = [gen_formula(GenConfig(max_depth=2, var_pool=pool, seed=seed + k * 10**6), HP)
+             for k in range(2, 3 + rng.randrange(3))]
+    parts.insert(rng.randrange(len(parts) + 1),
+                 Cmp(rng.choice((LT, LE)), Var(A), rng.choice((Var(C), Number(rng.choice("0123"))))))
+    if seed % 7:  # else the domain may fail at the start
+        parts = [holding(part, s) for part in parts]
+    plant = PlantSpec(odes=odes, clock=T, domain=conjoin(parts), bound=Var(ident("eps")))
+    return plant, s, (1, 7, 50)[seed % 3]
+
+
+def step_outcome(kernel, plant, s, substeps):
+    """The error of one cycle of `kernel`, or its domain exit and end state."""
+    values = plant.layout.load(s)
+    try:
+        domain_exit = kernel(plant, values, 1.0, IntegratorConfig(substeps=substeps))
+    except EvalError as exc:
+        return (type(exc), str(exc)), None, None
+    return None, domain_exit, plant.layout.state(values)
+
+
+def holds_nearby(conjunct, s):
+    """Whether `conjunct` holds on a state within rounding of `s`: each
+    evolving variable it reads moved by up to two ulps or 1e-12 relative."""
+    names = [x for x in (A, B, T) if x in collect_vars(conjunct)]
+
+    def near(v):
+        ulps = (nextafter(nextafter(v, -inf), -inf), nextafter(v, -inf), v,
+                nextafter(v, inf), nextafter(nextafter(v, inf), inf))
+        return (*ulps, v - 1e-12 * max(1.0, abs(v)), v + 1e-12 * max(1.0, abs(v)))
+
+    for moved in product(*(near(s.get(x)) for x in names)):
+        try:
+            if eval_formula(conjunct, s.set_many(dict(zip(names, moved)))):
+                return True
+        except EvalError:
+            pass
+    return False
+
+
+def closed_form(plant, s, t):
+    """The affine plant's state at `t` from `s`, as the closed form computes it."""
+    rates = [f(plant.layout.load(s)) for f in plant.rates]
+    return s.set_many({**{x: s.get(x) + r * t for (x, _), r in zip(plant.odes, rates)},
+                       T: s.get(T) + t})
+
+
+def test_affine_agrees_with_rk4_on_generated_plants():
+    # The two integrators differ only in how they advance the state. They
+    # must raise the same error or both exit within one substep, each at a
+    # conjunct that is false on its own exit state, or both end the cycle
+    # at states equal up to rounding. The allowances, each counted:
+    # - "on the boundary": the closed form exits at a linear conjunct's
+    #   exact crossing, where the conjunct holds with equality or by
+    #   rounding, and fails within rounding of it;
+    # - "affine only" / "rk4 only": one side exits, at a conjunct that
+    #   holds within rounding of its exit state, so the other side's state,
+    #   rounded the other way, stays inside;
+    # - "rk4 raises past the crossing": RK4 sees the domain only at
+    #   substep ends, so where the closed form exits at an exact crossing
+    #   inside a substep, RK4 may raise at that substep's end, on the error
+    #   the domain raises on the closed form's state there. The first case
+    #   is such a plant, by hand; a crossing search for RK4 would remove it.
+    hand = PlantSpec(odes=((A, Number("1")), (B, Number("0"))), clock=T,
+                     domain=parse_dl_formula("a<=0.5 & (0.5-a)^0.5>=0"), bound=Var(ident("eps")))
+    cases = [(hand, State({A: 0.0, B: 0.0, T: 0.0}), 1), *map(affine_case, range(2000))]
+    kinds, allowed, divides = Counter(), Counter(), 0
+
+    def assert_left(side, domain_exit, end):
+        """The exit's conjunct is false on the exit state, or on the boundary."""
+        if eval_formula(domain_exit.conjunct, end):
+            assert side == "affine" and any(part is domain_exit.conjunct for part, _, _ in plant.linear)
+            assert holds_nearby(Not(domain_exit.conjunct), end)
+            allowed["on the boundary"] += 1
+
+    for spec, s, substeps in cases:
+        assert plant_is_affine(spec)
+        divides += any(node.__class__ is BinOp and node.op in (DIV, POW) for node in walk(spec.domain))
+        plant = CompiledPlant(spec, Layout(x for x, _ in s.items()))
+        error, affine_exit, affine_end = step_outcome(_integrate_affine, plant, s, substeps)
+        rk4_error, rk4_exit, rk4_end = step_outcome(_integrate_rk4, plant, s, substeps)
+        h = 1.0 / substeps
+        if rk4_error and affine_exit and error is None:
+            grid = -(-affine_exit.time // h) * h  # the substep end after the crossing
+            assert grid > affine_exit.time
+            with pytest.raises(rk4_error[0], match=f"^{re.escape(rk4_error[1])}$"):
+                eval_formula(spec.domain, closed_form(plant, s, grid))
+            allowed["rk4 raises past the crossing"] += 1
+        elif error or rk4_error:
+            assert error == rk4_error
+            kinds["error"] += 1
+        elif affine_exit and rk4_exit:
+            assert abs(affine_exit.time - rk4_exit.time) <= h * (1 + 1e-12)
+            kinds["exit at start" if rk4_exit.time == 0.0 else "exit"] += 1
+            assert_left("affine", affine_exit, affine_end)
+            assert_left("rk4", rk4_exit, rk4_end)
+        elif affine_exit or rk4_exit:
+            side, domain_exit, end = ("affine", affine_exit, affine_end) if affine_exit \
+                else ("rk4", rk4_exit, rk4_end)
+            assert_left(side, domain_exit, end)
+            assert holds_nearby(domain_exit.conjunct, end)
+            allowed[side + " only"] += 1
+        else:
+            for x in (A, B, T):
+                scale = abs(s.get(x)) + abs(affine_end.get(x) - s.get(x)) + 1.0
+                assert abs(affine_end.get(x) - rk4_end.get(x)) <= 1e-12 * scale
+            kinds["no exit"] += 1
+    assert min(kinds.values()) > 100 and len(kinds) == 4, kinds
+    assert divides > 500 and allowed["rk4 raises past the crossing"] >= 1, (divides, allowed)
 
 
 def _original_model():
