@@ -232,8 +232,8 @@ def _integrate_affine(plant: CompiledPlant, v: Slots, duration, cfg) -> Optional
     """One cycle of the closed form, advancing `v` in place. Each linear
     conjunct (whose divisors read no evolving variable) is solved for its
     exact crossing, and the earliest cuts the cycle short. If some conjunct
-    is not linear, the whole domain is checked at each of the
-    `cfg.substeps` grid points before that cut, up to the first that fails."""
+    is not linear, the whole domain is checked at each of the `substeps`
+    grid points up to that cut, one on it too, up to the first that fails."""
     rates = _start(plant, v)
     if isinstance(rates, DomainExit):
         return rates
@@ -258,7 +258,7 @@ def _integrate_affine(plant: CompiledPlant, v: Slots, duration, cfg) -> Optional
     if plant.gridded:
         for k in range(1, cfg.substeps + 1):
             t = duration * k / cfg.substeps
-            if domain_exit is not None and t >= domain_exit.time:
+            if domain_exit is not None and t > domain_exit.time:
                 break
             failing = plant.failing_conjunct(at(t))
             if failing is not None:

@@ -421,6 +421,9 @@ def test_emitted_rk4_hoists_what_reads_no_evolving_variable(rates, domain, s, ex
     # The domain raises before the rate 1/d is evaluated.
     ("x>=5 & 1/e>=0", state(x=0, t=0, d=0, e=0)),
     ("x>=5", state(x=0)),  # the clock is read first, and is unbound
+    # x reaches 0.5 where 1/(e-t) divides by zero: an exit inside a
+    # substep, but the error where 0.5 is a grid point.
+    ("x<=0.5 & 1/(e-t)>=0", state(x=0, t=0, e=0.5)),
 ])
 def test_the_domain_check_is_the_strict_conjunction(integrate, domain, s):
     # Both integrators are held to one outcome: the error of reading the
@@ -428,15 +431,21 @@ def test_the_domain_check_is_the_strict_conjunction(integrate, domain, s):
     # 1/d divides by zero, so it must come after the domain.
     plant = hand_plant([("x", "1/d" if D in s else "1")], domain)
     expected = outcome(lambda: s.get(T) + 1 and eval_formula(plant.domain, s))
-    got = rk4_outcome(integrate, plant, s, 1.0, 7)
-    if expected is False:
-        first = next(part for part in conjuncts(plant.domain) if not eval_formula(part, s))
-        assert got[1] == ((0.0).hex(), first)
-    elif expected is True:  # the exact crossing, or the grid point after it
-        time, conjunct = got[1]
-        assert conjunct == conjuncts(plant.domain)[0] and 0.5 <= float.fromhex(time) <= 4 / 7
-    else:
-        assert got == expected
+    # Where x crosses 0.5 mid-cycle, the domain at the crossing.
+    crossing = outcome(lambda: eval_formula(plant.domain, s.set_many({Ident("x"): 0.5, T: 0.5})))
+    for substeps in (7, 1000):  # 0.5 is a point of the grid of 1000
+        got = rk4_outcome(integrate, plant, s, 1.0, substeps)
+        if expected is False:
+            first = next(part for part in conjuncts(plant.domain) if not eval_formula(part, s))
+            assert got[1] == ((0.0).hex(), first)
+        elif expected is True and substeps == 1000 and crossing is not True:
+            assert got == crossing
+        elif expected is True:  # the exact crossing, or the grid point after it
+            time, conjunct = got[1]
+            after = (substeps // 2 + 1) / substeps
+            assert conjunct == conjuncts(plant.domain)[0] and 0.5 <= float.fromhex(time) <= after
+        else:
+            assert got == expected
 
 
 def test_some_generated_plants_have_an_invariant_rate():
