@@ -778,20 +778,29 @@ class State:
         get = self._bindings.get
         return [get(name) for name in names]
 
+    @classmethod
+    def _of(cls, bindings: dict) -> "State":
+        """The state over `bindings`, whose keys and values are already
+        checked: `set` and `set_many` check only what they add."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_bindings", bindings)
+        object.__setattr__(self, "_key", None)
+        return self
+
     def set(self, name: Ident, value: float) -> "State":
         if not isinstance(name, Ident):
             raise TypeError("state keys must be Ident")
-        new = dict(self._bindings)
+        new = self._bindings.copy()
         new[name] = float(value)
-        return State(new)
+        return State._of(new)
 
     def set_many(self, mapping) -> "State":
-        new = dict(self._bindings)
+        new = self._bindings.copy()
         for name, value in dict(mapping).items():
             if not isinstance(name, Ident):
                 raise TypeError("state keys must be Ident")
             new[name] = float(value)
-        return State(new)
+        return State._of(new)
 
     def names(self) -> set[Ident]:
         return set(self._bindings)

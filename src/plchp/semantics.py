@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .dl_syntax import print_dl_term
 from .errors import DivisionByZero, DomainError, EvalError
@@ -199,6 +199,8 @@ class GenConfig:
 
 
 LITERALS = (0.0, 1.0, 2.0, 0.5, 3.0, 10.0)
+# The pool literals as nodes, in the same order, so drawing one is one choice.
+_LITERAL_NODES = tuple(Number(number_lexeme(v)) for v in LITERALS)
 
 
 _MIX = 0x9E3779B97F4A7C15
@@ -213,8 +215,13 @@ def derive_seed(base: int, *salts: int) -> int:
     return h
 
 
-def _pick(rng: random.Random, pairs: list[tuple[str, float]]) -> str:
-    total = sum(w for _, w in pairs)
+def _picks(*pairs: tuple[str, float]) -> tuple:
+    """A table for `_pick`: the weighted names, and their total weight."""
+    return pairs, sum(w for _, w in pairs)
+
+
+def _pick(rng: random.Random, table: tuple) -> str:
+    pairs, total = table
     x = rng.random() * total
     for name, w in pairs:
         x -= w
@@ -224,7 +231,7 @@ def _pick(rng: random.Random, pairs: list[tuple[str, float]]) -> str:
 
 
 def _literal(rng: random.Random) -> Number:
-    return Number(number_lexeme(rng.choice(LITERALS)))
+    return rng.choice(_LITERAL_NODES)
 
 
 def gen_term(cfg: GenConfig) -> Term:
@@ -247,13 +254,16 @@ def gen_formula(cfg: GenConfig, dialect: str = ST) -> Formula:
     return _gen_formula(random.Random(cfg.seed), cfg, cfg.max_depth, dialect)
 
 
+_FORMULA_PICKS = _picks(("not", 1.0), ("and", 1.0), ("or", 1.0), ("binary2", 1.0))
+
+
 def _gen_formula(rng: random.Random, cfg: GenConfig, depth: int, dialect: str) -> Formula:
     if depth <= 0 or rng.random() < 0.4:
         if rng.random() < 0.1:
             return BoolConst(rng.random() < 0.5)
         rel = rng.choice(RELATIONS)
         return Cmp(rel, _gen_term(rng, cfg, min(depth, 2)), _gen_term(rng, cfg, min(depth, 2)))
-    choice = _pick(rng, [("not", 1.0), ("and", 1.0), ("or", 1.0), ("binary2", 1.0)])
+    choice = _pick(rng, _FORMULA_PICKS)
     if choice == "not":
         return Not(_gen_formula(rng, cfg, depth - 1, dialect))
     left = _gen_formula(rng, cfg, depth - 1, dialect)
@@ -287,11 +297,19 @@ def gen_st(cfg: GenConfig) -> Program:
     return _gen_st(random.Random(cfg.seed), cfg, cfg.max_depth, allow_seq=True)
 
 
+def _seq_picks(*weights: tuple[str, float]) -> dict[bool, tuple]:
+    """The pick tables with and without "seq", keyed by `allow_seq`."""
+    return {allow_seq: _picks(*(p for p in weights if allow_seq or p[0] != "seq"))
+            for allow_seq in (False, True)}
+
+
+_ST_PICKS = _seq_picks(("assign", 1.0), ("seq", 1.6), ("ifthen", 1.0), ("ifthenelse", 1.0))
+
+
 def _gen_st(rng: random.Random, cfg: GenConfig, depth: int, allow_seq: bool) -> Program:
     if depth <= 1:
         return _gen_assign(rng, cfg, depth)
-    weights = (("assign", 1.0), ("seq", 1.6), ("ifthen", 1.0), ("ifthenelse", 1.0))
-    choice = _pick(rng, [(n, w) for n, w in weights if allow_seq or n != "seq"])
+    choice = _pick(rng, _ST_PICKS[allow_seq])
     if choice == "assign":
         return _gen_assign(rng, cfg, depth)
     if choice == "seq":
@@ -305,6 +323,8 @@ def _gen_st(rng: random.Random, cfg: GenConfig, depth: int, allow_seq: bool) -> 
 
 
 MAX_CHOICE_NODES = 12  # keeps exact reachability enumeration tractable
+_HP_PICKS = _seq_picks(
+    ("assign", 1.0), ("seq", 1.6), ("ifelse", 0.8), ("ifthen", 0.8), ("default", 0.8))
 
 
 def gen_hp(cfg: GenConfig) -> Program:
@@ -320,8 +340,7 @@ def _gen_hp(
 ) -> Program:
     if depth <= 1:
         return _gen_assign(rng, cfg, depth)
-    weights = (("assign", 1.0), ("seq", 1.6), ("ifelse", 0.8), ("ifthen", 0.8), ("default", 0.8))
-    choice = _pick(rng, [(n, w) for n, w in weights if allow_seq or n != "seq"])
+    choice = _pick(rng, _HP_PICKS[allow_seq])
     if choice in ("ifelse", "ifthen", "default") and budget[0] <= 0:
         choice = "assign" if not allow_seq or rng.random() < 0.5 else "seq"
     if choice == "assign":
@@ -437,7 +456,7 @@ def _run_trial(cfg: GenConfig, index: int, attempt: int) -> TrialResult:
     trial_seed = derive_seed(cfg.seed, index, attempt)
 
     def sub(salt: int) -> GenConfig:
-        return replace(cfg, seed=derive_seed(trial_seed, salt))
+        return GenConfig(cfg.max_depth, cfg.var_pool, derive_seed(trial_seed, salt))
 
     sigma = gen_state(sub(0))
 
@@ -461,9 +480,10 @@ def _run_trial(cfg: GenConfig, index: int, attempt: int) -> TrialResult:
 
     # (c) bit-exact term and formula evaluation, both directions
     term = gen_term(sub(3))
-    if eval_term(term, sigma) != eval_term(term_st_to_hp(term), sigma):
+    value = eval_term(term, sigma)
+    if value != eval_term(term_st_to_hp(term), sigma):
         return TrialResult(trial_seed, False, "c", _describe_program(term, sigma))
-    if eval_term(term, sigma) != eval_term(term_hp_to_st(term), sigma):
+    if value != eval_term(term_hp_to_st(term), sigma):
         return TrialResult(trial_seed, False, "c", _describe_program(term, sigma))
     st_formula = gen_formula(sub(4), ST)
     if eval_formula(st_formula, sigma) != eval_formula(formula_st_to_hp(st_formula), sigma):

@@ -16,24 +16,31 @@
   expression grammar and the dL choice grammar they had before each parse
   kept a hash-consing table. tests/test_parser_oracle.py holds the parsers
   to them.
+- The random generators, `difftest` and `_run_trial` as they were before
+  the generators drew from prebuilt literal nodes and pick tables.
+  tests/test_generator_oracle.py holds the draws and the reports to them.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from dataclasses import replace
 from typing import Optional
 
 from plchp import dl_syntax, st_syntax
 from plchp._syntax import NONASSOC, RIGHT, Parser, Token
-from plchp.errors import DialectError, NotNormalForm, ParseError
+from plchp.errors import DialectError, EvalError, NotNormalForm, ParseError
 from plchp.ir import (
-    ADD, And, Assign, BinOp, BoolConst, CHILDREN, Choice, Cmp, Equiv, Formula, GE, GT,
-    GuardedChoice, HP, HP_STATEMENTS, Ident, IfThen, Imply, LE, LT, Loop, Node, Not, Number, Or,
-    Program, ProgramFacts, ST, ST_STATEMENTS, Seq, State, Term, TestStmt, Var, VarSets, Xor, fold,
-    list_to_seq, number_lexeme, seq_to_list, walk,
+    ADD, And, Assign, BinOp, BoolConst, CHILDREN, Choice, Cmp, DIV, Equiv, Formula, GE, GT,
+    GuardedChoice, HP, HP_STATEMENTS, Ident, IfThen, Imply, LE, LT, Loop, MUL, Neg, Node, Not,
+    Number, Or, POW, Program, ProgramFacts, RELATIONS, ST, ST_STATEMENTS, SUB, Seq, State, Term,
+    TestStmt, Var, VarSets, Xor, fold, list_to_seq, number_lexeme, seq_to_list, walk,
 )
-from plchp.semantics import GenConfig, ReachSet, hp_reachable
+from plchp.semantics import (
+    DiffReport, GenConfig, ReachSet, TrialResult, _describe_program, derive_seed, eval_formula,
+    eval_term, fully_complemented, hp_reachable, run_st,
+)
 from plchp.translate import CompileDiagnostics, CompileWarning, term_hp_to_st, term_st_to_hp
 
 
@@ -553,3 +560,232 @@ def _split_test(p: Program) -> tuple[Optional[TestStmt], Optional[Program]]:
     if head.__class__ is not TestStmt:
         return None, None
     return head, list_to_seq(rest) if rest else None
+
+
+# ---------------------------------------------------------------------------
+# The generators and the trial loop before they drew from prebuilt literal
+# nodes and pick tables and built each trial's configurations directly: the
+# generators, `difftest` and `_run_trial` from `plchp.semantics`, copied
+# unchanged. Here `_run_trial` calls this module's copies of the program
+# translators, which tests/test_translate_folds.py holds to plchp's.
+# tests/test_generator_oracle.py holds the draws and the reports to them.
+
+LITERALS = (0.0, 1.0, 2.0, 0.5, 3.0, 10.0)
+
+
+def _pick(rng: random.Random, pairs: list[tuple[str, float]]) -> str:
+    total = sum(w for _, w in pairs)
+    x = rng.random() * total
+    for name, w in pairs:
+        x -= w
+        if x <= 0:
+            return name
+    return pairs[-1][0]
+
+
+def _literal(rng: random.Random) -> Number:
+    return Number(number_lexeme(rng.choice(LITERALS)))
+
+
+def gen_term(cfg: GenConfig) -> Term:
+    return _gen_term(random.Random(cfg.seed), cfg, cfg.max_depth)
+
+
+def _gen_term(rng: random.Random, cfg: GenConfig, depth: int) -> Term:
+    if depth <= 0 or rng.random() < 0.4:
+        if rng.random() < 0.5:
+            return Var(rng.choice(cfg.var_pool))
+        return _literal(rng)
+    if rng.random() < 0.15:
+        return Neg(_gen_term(rng, cfg, depth - 1))
+    op = rng.choice((ADD, SUB, MUL, DIV, POW))
+    return BinOp(op, _gen_term(rng, cfg, depth - 1), _gen_term(rng, cfg, depth - 1))
+
+
+def gen_formula(cfg: GenConfig, dialect: str = ST) -> Formula:
+    """Random formula in the requested dialect (XOR for ST, ->/<-> for HP)."""
+    return _gen_formula(random.Random(cfg.seed), cfg, cfg.max_depth, dialect)
+
+
+def _gen_formula(rng: random.Random, cfg: GenConfig, depth: int, dialect: str) -> Formula:
+    if depth <= 0 or rng.random() < 0.4:
+        if rng.random() < 0.1:
+            return BoolConst(rng.random() < 0.5)
+        rel = rng.choice(RELATIONS)
+        return Cmp(rel, _gen_term(rng, cfg, min(depth, 2)), _gen_term(rng, cfg, min(depth, 2)))
+    choice = _pick(rng, [("not", 1.0), ("and", 1.0), ("or", 1.0), ("binary2", 1.0)])
+    if choice == "not":
+        return Not(_gen_formula(rng, cfg, depth - 1, dialect))
+    left = _gen_formula(rng, cfg, depth - 1, dialect)
+    right = _gen_formula(rng, cfg, depth - 1, dialect)
+    if choice == "and":
+        return And(left, right)
+    if choice == "or":
+        return Or(left, right)
+    if dialect == ST:
+        return Xor(left, right)
+    return Imply(left, right) if rng.random() < 0.5 else Equiv(left, right)
+
+
+def _gen_guard(rng: random.Random, cfg: GenConfig) -> Formula:
+    """Guards are comparisons over the variable/literal pools."""
+    rel = rng.choice(RELATIONS)
+    left = Var(rng.choice(cfg.var_pool))
+    if rng.random() < 0.5:
+        right: Term = Var(rng.choice(cfg.var_pool))
+    else:
+        right = _literal(rng)
+    return Cmp(rel, left, right)
+
+
+def _gen_assign(rng: random.Random, cfg: GenConfig, depth: int) -> Assign:
+    return Assign(rng.choice(cfg.var_pool), _gen_term(rng, cfg, min(depth, 3)))
+
+
+def gen_st(cfg: GenConfig) -> Program:
+    """Random ST statement covering assignment, sequence, and both ifs."""
+    return _gen_st(random.Random(cfg.seed), cfg, cfg.max_depth, allow_seq=True)
+
+
+def _gen_st(rng: random.Random, cfg: GenConfig, depth: int, allow_seq: bool) -> Program:
+    if depth <= 1:
+        return _gen_assign(rng, cfg, depth)
+    weights = (("assign", 1.0), ("seq", 1.6), ("ifthen", 1.0), ("ifthenelse", 1.0))
+    choice = _pick(rng, [(n, w) for n, w in weights if allow_seq or n != "seq"])
+    if choice == "assign":
+        return _gen_assign(rng, cfg, depth)
+    if choice == "seq":
+        return Seq(
+            _gen_st(rng, cfg, depth - 1, allow_seq=False),
+            _gen_st(rng, cfg, depth - 1, allow_seq=True),
+        )
+    cond = _gen_guard(rng, cfg)
+    then = _gen_st(rng, cfg, depth - 1, True)
+    return IfThen(cond, then, None if choice == "ifthen" else _gen_st(rng, cfg, depth - 1, True))
+
+
+MAX_CHOICE_NODES = 12  # keeps exact reachability enumeration tractable
+
+
+def gen_hp(cfg: GenConfig) -> Program:
+    """Random translatable hybrid program covering all three conditional
+    forms and the default-beta choice; at most MAX_CHOICE_NODES choices."""
+    rng = random.Random(cfg.seed)
+    budget = [MAX_CHOICE_NODES]
+    return _gen_hp(rng, cfg, cfg.max_depth, budget, allow_seq=True)
+
+
+def _gen_hp(
+    rng: random.Random, cfg: GenConfig, depth: int, budget: list[int], allow_seq: bool
+) -> Program:
+    if depth <= 1:
+        return _gen_assign(rng, cfg, depth)
+    weights = (("assign", 1.0), ("seq", 1.6), ("ifelse", 0.8), ("ifthen", 0.8), ("default", 0.8))
+    choice = _pick(rng, [(n, w) for n, w in weights if allow_seq or n != "seq"])
+    if choice in ("ifelse", "ifthen", "default") and budget[0] <= 0:
+        choice = "assign" if not allow_seq or rng.random() < 0.5 else "seq"
+    if choice == "assign":
+        return _gen_assign(rng, cfg, depth)
+    if choice == "seq":
+        return Seq(
+            _gen_hp(rng, cfg, depth - 1, budget, allow_seq=False),
+            _gen_hp(rng, cfg, depth - 1, budget, allow_seq=True),
+        )
+    budget[0] -= 1
+    guard = _gen_guard(rng, cfg)
+    then = _gen_hp(rng, cfg, depth - 1, budget, True)
+    if choice == "ifthen":
+        return GuardedChoice(guard, then, None, complemented=True)
+    else_ = _gen_hp(rng, cfg, depth - 1, budget, True)
+    if choice == "ifelse":
+        return GuardedChoice(guard, then, else_, complemented=True)
+    return GuardedChoice(guard, then, else_, complemented=False)
+
+
+def gen_state(cfg: GenConfig) -> State:
+    """A random state binding every pool variable; values mix pool literals
+    (to exercise guard equalities) with uniform draws."""
+    rng = random.Random(cfg.seed)
+    bindings = {}
+    for x in cfg.var_pool:
+        if rng.random() < 0.5:
+            bindings[x] = rng.choice(LITERALS)
+        else:
+            bindings[x] = rng.uniform(-10.0, 10.0)
+    return State(bindings)
+
+
+_MAX_REGEN = 100
+
+
+def difftest(cfg: GenConfig, n: int) -> DiffReport:
+    """Run n seeded trials of the four cross-checks:
+
+    (a) the ST run is reachable by the compiled hybrid program;
+    (b) the run of the compiled ST program is reachable by the source HP,
+        and (d) for fully complemented HPs the reachable set is exactly the
+        singleton ST result;
+    (c) terms and formulas evaluate bit-exactly equal to their compiled
+        counterparts, both directions.
+
+    Trials that hit an evaluation error (division by zero, bad power) are
+    regenerated with a derived seed.
+    """
+    results = []
+    regenerated = 0
+    for i in range(n):
+        attempt = 0
+        while True:
+            try:
+                result = _run_trial(cfg, i, attempt)
+                break
+            except EvalError:
+                attempt += 1
+                regenerated += 1
+                if attempt > _MAX_REGEN:
+                    raise
+        results.append(result)
+    return DiffReport(tuple(results), regenerated)
+
+
+def _run_trial(cfg: GenConfig, index: int, attempt: int) -> TrialResult:
+    trial_seed = derive_seed(cfg.seed, index, attempt)
+
+    def sub(salt: int) -> GenConfig:
+        return replace(cfg, seed=derive_seed(trial_seed, salt))
+
+    sigma = gen_state(sub(0))
+
+    # (a) the ST run is reachable by the compiled hybrid program
+    st_prog = gen_st(sub(1))
+    st_result = run_st(st_prog, sigma)
+    compiled_hp = prog_st_to_hp(st_prog)
+    if st_result not in hp_reachable(compiled_hp, sigma):
+        return TrialResult(trial_seed, False, "a", _describe_program(st_prog, sigma))
+
+    # (b)/(d) the compiled-ST run is reachable by the source program
+    hp_prog = gen_hp(sub(2))
+    reach = hp_reachable(hp_prog, sigma)
+    compiled_st, _ = prog_hp_to_st(hp_prog)
+    st_of_hp = run_st(compiled_st, sigma)
+    if st_of_hp not in reach:
+        return TrialResult(trial_seed, False, "b", _describe_program(hp_prog, sigma))
+    if fully_complemented(hp_prog):
+        if len(reach) != 1 or reach.single() != st_of_hp:
+            return TrialResult(trial_seed, False, "d", _describe_program(hp_prog, sigma))
+
+    # (c) bit-exact term and formula evaluation, both directions
+    term = gen_term(sub(3))
+    if eval_term(term, sigma) != eval_term(term_st_to_hp(term), sigma):
+        return TrialResult(trial_seed, False, "c", _describe_program(term, sigma))
+    if eval_term(term, sigma) != eval_term(term_hp_to_st(term), sigma):
+        return TrialResult(trial_seed, False, "c", _describe_program(term, sigma))
+    st_formula = gen_formula(sub(4), ST)
+    if eval_formula(st_formula, sigma) != eval_formula(formula_st_to_hp(st_formula), sigma):
+        return TrialResult(trial_seed, False, "c", _describe_program(st_formula, sigma))
+    hp_formula = gen_formula(sub(5), HP)
+    if eval_formula(hp_formula, sigma) != eval_formula(formula_hp_to_st(hp_formula), sigma):
+        return TrialResult(trial_seed, False, "c", _describe_program(hp_formula, sigma))
+
+    return TrialResult(trial_seed, True)
+

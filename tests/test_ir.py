@@ -5,6 +5,7 @@ import dataclasses
 import os
 import pickle
 import re
+import struct
 import sys
 import threading
 import uuid
@@ -180,6 +181,47 @@ def test_state_bit_pattern_equality():
     assert State({x: 1.0}) == State({x: 1.0})
     nan = float("nan")
     assert State({x: nan}) == State({x: nan})
+
+
+def _nan(payload: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | payload))[0]
+
+
+def _bits(state: State) -> list:
+    return [(name, struct.pack("<d", value)) for name, value in state.items()]
+
+
+@pytest.mark.parametrize("value", [True, 3, 0.0, -0.0, 2.5, _nan(0), _nan(1), -_nan(0)])
+@pytest.mark.parametrize("update", ["set", "set_many"])
+def test_state_updates_check_and_convert_what_they_add(update, value):
+    x, y = Ident("x"), Ident("y")
+    source = State({x: -0.0, y: _nan(7)})
+    hash(source)  # the source's key is built, and must not carry over
+    before = _bits(source)
+    new = source.set(y, value) if update == "set" else source.set_many({y: value})
+    assert new.get(y).__class__ is float
+    assert struct.pack("<d", new.get(y)) == struct.pack("<d", float(value))
+    built = State({x: -0.0, y: value})
+    assert _bits(new) == _bits(built)
+    assert new == built and hash(new) == hash(built)
+    assert _bits(source) == before
+    # Bit patterns, not values: -0.0 is not 0.0, and NaNs differ by payload.
+    other = State({x: 0.0, y: value})
+    assert new != other
+    assert new != State({x: -0.0, y: _nan(9)})
+
+
+@pytest.mark.parametrize("update", [
+    lambda s: s.set("x", 1.0),
+    lambda s: s.set(Var(Ident("x")), 1.0),
+    lambda s: s.set_many({"x": 1.0}),
+    lambda s: s.set_many({Ident("y"): 1.0, "x": 2.0}),
+])
+def test_state_updates_refuse_a_key_that_is_not_an_ident(update):
+    source = State({Ident("x"): 2.0})
+    with pytest.raises(TypeError, match="state keys must be Ident"):
+        update(source)
+    assert _bits(source) == [(Ident("x"), struct.pack("<d", 2.0))]
 
 
 def test_dialect_closed_under_construction():

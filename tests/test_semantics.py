@@ -3,6 +3,7 @@
 import pytest
 
 import golden
+from plchp import semantics
 from plchp import (
     Assign, Cmp, GuardedChoice, Ident, Number, Seq, State, Var,
     eval_formula, eval_term, gen_formula, gen_hp, gen_st, gen_term,
@@ -16,6 +17,7 @@ from plchp.semantics import (
     DiffReport, GenConfig, MAX_CHOICE_NODES, difftest, derive_seed, gen_state,
 )
 from oracle import behavioral_var_sets, count_choices, gen_transparent_hp
+from plchp.cli import main
 from plchp.translate import prog_st_to_hp
 
 
@@ -237,6 +239,30 @@ def test_difftest_small_run_passes():
     text = report.serialize()
     assert text.strip().endswith("total=200 failed=0")
     assert "PASS" in text
+
+
+def test_difftest_gives_up_after_the_last_regeneration(monkeypatch, capsys):
+    def divides_by_zero(p, s):
+        raise DivisionByZero("division by zero in 1/0")
+
+    attempts = []
+    run_trial = semantics._run_trial
+
+    def recorded(cfg, index, attempt):
+        attempts.append((index, attempt))
+        return run_trial(cfg, index, attempt)
+
+    monkeypatch.setattr(semantics, "run_st", divides_by_zero)
+    monkeypatch.setattr(semantics, "_run_trial", recorded)
+    with pytest.raises(DivisionByZero, match="division by zero in 1/0"):
+        difftest(GenConfig(seed=1), 3)
+    assert semantics._MAX_REGEN == 100
+    assert attempts == [(0, attempt) for attempt in range(101)]
+
+    assert main(["difftest", "--n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: division by zero in 1/0\n"
 
 
 def test_derive_seed_is_stable():
